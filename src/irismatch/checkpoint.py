@@ -16,6 +16,7 @@ Optimizer state uses the same container with magic "IMOS".
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -55,41 +56,63 @@ def write_records(path, magic, meta, records):
             fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
+class _Reader:
+    """Bounds-checked cursor over a checkpoint's bytes."""
+
+    def __init__(self, raw, path):
+        self.raw, self.path, self.off = raw, path, 0
+
+    def take(self, size, what):
+        if size > len(self.raw) - self.off:
+            raise CheckpointError(
+                f"{self.path}: truncated at offset {self.off}: {what} needs {size} bytes, "
+                f"{len(self.raw) - self.off} left")
+        start = self.off
+        self.off += size
+        return self.raw[start:self.off]
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, size, what):
+        at = self.off
+        try:
+            return str(self.take(size, what), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} at offset {at} is not UTF-8") from exc
+
+
 def read_records(path, magic):
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != magic:
         raise CheckpointError(f"bad magic in {path}: {raw[:4]!r}, expected {magic!r}")
-    off = 4
-    (version,) = struct.unpack_from("<H", raw, off)
-    off += 2
+    rd = _Reader(memoryview(raw), path)
+    rd.take(4, "magic")
+    (version,) = rd.unpack("<H", "version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    meta = json.loads(raw[off:off + meta_len].decode("utf-8"))
-    off += meta_len
-    (n_records,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (meta_len,) = rd.unpack("<I", "meta length")
+    meta_at = rd.off
+    try:
+        meta = json.loads(rd.text(meta_len, "meta"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: meta at offset {meta_at} is not JSON ({exc})") from exc
+    (n_records,) = rd.unpack("<I", "record count")
     records = {}
     for _ in range(n_records):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + name_len].decode("utf-8")
-        off += name_len
-        tag, rank = struct.unpack_from("<BB", raw, off)
-        off += 2
+        (name_len,) = rd.unpack("<H", "record name length")
+        name = rd.text(name_len, "record name")
+        tag, rank = rd.unpack("<BB", f"dtype and rank of {name!r}")
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"unknown dtype tag {tag} for record {name!r}")
-        extents = struct.unpack_from(f"<{rank}I", raw, off) if rank else ()
-        off += 4 * rank
+        extents = rd.unpack(f"<{rank}I", f"extents of {name!r}")
         dtype = _TAG_DTYPES[tag]
-        count = int(np.prod(extents)) if extents else 1
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(extents)
-        off += count * dtype.itemsize
-        records[name] = arr.astype(dtype.newbyteorder("="))
-    if off != len(raw):
-        raise CheckpointError(f"{len(raw) - off} trailing bytes in {path}")
+        payload = rd.take(math.prod(extents) * dtype.itemsize, f"payload of {name!r}")
+        records[name] = np.frombuffer(payload, dtype=dtype).reshape(extents).astype(
+            dtype.newbyteorder("="))
+    if rd.off != len(raw):
+        raise CheckpointError(f"{len(raw) - rd.off} trailing bytes in {path}")
     return meta, records
 
 

@@ -292,14 +292,14 @@ def _load_resume_state(out_dir):
     with open(state_path, encoding="utf-8") as fh:
         state = json.load(fh)
     model = load_model(os.path.join(out_dir, "last.ckpt"))
-    meta, moments = load_optimizer_state(os.path.join(out_dir, "last.optim"))
+    _, moments = load_optimizer_state(os.path.join(out_dir, "last.optim"))
     best_path = os.path.join(out_dir, "best.ckpt")
     best_state = load_model(best_path).snapshot() if os.path.isfile(best_path) else None
     records = [EpochRecord(*row) for row in state["records"]]
     return {
         "model": model,
         "moments": moments,
-        "steps": meta.get("steps", {}),
+        "steps": state["steps"],
         "start_epoch": state["next_epoch"],
         "records": records,
         "best_state": best_state,

@@ -122,15 +122,17 @@ def collect_scores(scorer, store, pairs) -> ScoreSet:
     """Score every authentic and imposter pair of a PairSet.
 
     ``scorer`` exposes ``higher_is_match`` and ``score_pairs(store, pairs_array)``.
+    Both sides go through one ``score_pairs`` call, so per-image work (bank
+    features, bitcodes) runs once per distinct image.
     """
     n_img = store.num_images
-    for arr in (pairs.authentic, pairs.imposter):
-        if arr.size and (arr.min() < 0 or arr.max() >= n_img):
-            raise IndexError(f"pair references image outside the store (0..{n_img - 1})")
-    return ScoreSet(
-        authentic=scorer.score_pairs(store, pairs.authentic),
-        imposter=scorer.score_pairs(store, pairs.imposter),
-        higher_is_match=scorer.higher_is_match)
+    both = np.concatenate([pairs.authentic, pairs.imposter])
+    if both.size and (both.min() < 0 or both.max() >= n_img):
+        raise IndexError(f"pair references image outside the store (0..{n_img - 1})")
+    scores = np.asarray(scorer.score_pairs(store, both))
+    n_auth = len(pairs.authentic)
+    return ScoreSet(authentic=scores[:n_auth], imposter=scores[n_auth:],
+                    higher_is_match=scorer.higher_is_match)
 
 
 class ModelScorer:

@@ -11,12 +11,31 @@ opt-in inference dtype).  Each operation records its inputs and a backward
 closure; ``Tensor.backward`` replays the recorded operations in reverse
 topological order and accumulates gradients into every tensor that requires
 them.
+
+``conv2d`` runs one of two algorithms, forward and backward:
+
+* zero or no padding (the matcher): im2col in channel-major layout,
+  ``(n, C*kh*kw, oh*ow)``, so ``weight @ cols`` lands in NCHW with no
+  transpose; batches are chunked to bound the column workspace.
+* wrap padding (the unit-circle bank): one real FFT along the rows (zero
+  padded, so the radial correlation is linear), kw direct circular taps
+  along the angular axis on the row spectra, one inverse FFT; the weight
+  gradient is an FFT correlation (Mathieu, Henaff & LeCun, "Fast Training
+  of Convolutional Networks through FFTs", arXiv:1312.5851).  The angular
+  axis is deliberately not transformed: a column FFT would be exact in
+  arithmetic but not in floating point, and a circular column shift of the
+  input would then move the output by rounding noise instead of shifting
+  it bitwise.  Direct taps give every column the same arithmetic, so the
+  bank stays exactly rotation-equivariant.
+
+Both skip the input gradient when the input does not require grad (the
+bank's input is the image; stage-1 matcher inputs are cached features).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -366,7 +385,10 @@ def sigmoid(a):
 def elu(a, alpha=1.0):
     x = a.data
     neg = x <= 0
-    data = np.where(neg, alpha * np.expm1(np.minimum(x, 0.0)), x)
+    data = np.minimum(x, 0.0)
+    np.expm1(data, out=data)
+    data *= alpha
+    np.copyto(data, x, where=~neg)
 
     def backward(g):
         return (g * np.where(neg, data + alpha, 1.0),)
@@ -458,8 +480,11 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
         var = running_var.reshape(cshape)
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    data = gam * xhat + beta.data.reshape(cshape)
+    # in place where possible: at 110x512 every temporary is a whole activation
+    xhat = x - mean
+    xhat *= inv
+    data = gam * xhat
+    data += beta.data.reshape(cshape)
     count = x.size // x.shape[1]
 
     def backward(g):
@@ -486,7 +511,8 @@ def pad2d(a, pad_top, pad_bottom, pad_left, pad_right, mode="zero"):
 
     mode "zero" pads everywhere with zeros.  mode "wrap" pads rows with zeros
     and columns circularly (the angular axis of a polar image): the left pad
-    copies the rightmost columns and vice versa.
+    copies the rightmost columns and vice versa.  ``conv2d(padding="wrap")``
+    does not pad; "wrap" here serves ``unit_circle.wrap_pad``, its oracle.
     """
     x = a.data
     if x.ndim != 4:
@@ -520,10 +546,11 @@ def pad2d(a, pad_top, pad_bottom, pad_left, pad_right, mode="zero"):
 
 
 def _im2col(x, kh, kw, sh, sw, oh, ow):
+    """Channel-major columns (B, C*kh*kw, oh*ow), so ``wmat @ cols`` is NCHW."""
     B, C, H, W = x.shape
     s0, s1, s2, s3 = x.strides
-    view = as_strided(x, (B, oh, ow, C, kh, kw), (s0, s2 * sh, s3 * sw, s1, s2, s3))
-    return view.reshape(B * oh * ow, C * kh * kw)
+    view = as_strided(x, (B, C, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * sh, s3 * sw))
+    return view.reshape(B, C * kh * kw, oh * ow)
 
 
 def _conv_out_size(H, W, kh, kw, sh, sw):
@@ -546,44 +573,128 @@ def _conv_forward(x, w, b, sh, sw):
     step = _conv_batch_step(oh, ow, C, kh, kw)
     for b0 in range(0, B, step):
         xb = x[b0:b0 + step]
-        cols = _im2col(xb, kh, kw, sh, sw, oh, ow)
-        y = cols @ wmat.T
+        y = out[b0:b0 + step].reshape(xb.shape[0], Cout, oh * ow)
+        np.matmul(wmat, _im2col(xb, kh, kw, sh, sw, oh, ow), out=y)
         if b is not None:
-            y += b
-        out[b0:b0 + step] = y.reshape(xb.shape[0], oh, ow, Cout).transpose(0, 3, 1, 2)
+            y += b[:, None]
     return out
 
 
-def _conv_backward(g, x, w, has_bias, sh, sw):
+def _conv_backward(g, x, w, sh, sw, need_gx):
+    """Weight gradient, and the input gradient only when ``need_gx``."""
     B, C, H, W = x.shape
     Cout, Cin, kh, kw = w.shape
     oh, ow = g.shape[2], g.shape[3]
     wmat = w.reshape(Cout, -1)
     gw = np.zeros_like(wmat)
-    gx = np.zeros_like(x)
-    gb = g.sum(axis=(0, 2, 3)) if has_bias else None
+    gx = np.zeros_like(x) if need_gx else None
     step = _conv_batch_step(oh, ow, C, kh, kw)
     for b0 in range(0, B, step):
         xb = x[b0:b0 + step]
         n = xb.shape[0]
         cols = _im2col(xb, kh, kw, sh, sw, oh, ow)
-        g2 = g[b0:b0 + n].transpose(0, 2, 3, 1).reshape(n * oh * ow, Cout)
-        gw += g2.T @ cols
-        gcols = (g2 @ wmat).reshape(n, oh, ow, C, kh, kw)
-        gxb = gx[b0:b0 + n]
-        for i in range(kh):
-            for j in range(kw):
-                gxb[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return gx, gw.reshape(w.shape), gb
+        g2 = g[b0:b0 + n].reshape(n, Cout, oh * ow)
+        gw += np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        if need_gx:
+            gcols = np.matmul(wmat.T, g2).reshape(n, C, kh, kw, oh, ow)
+            gxb = gx[b0:b0 + n]
+            for i in range(kh):
+                for j in range(kw):
+                    gxb[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
+    return gx, gw.reshape(w.shape)
+
+
+def _fft_len(n):
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT handles fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _wrap_conv(x, w):
+    """Same-size cross-correlation with zero rows and circular columns.
+
+    Rows go through a real FFT zero-padded to L >= H + kh - 1, so the row
+    correlation is linear; columns take kw direct circular taps on the row
+    spectra.  Every output column sees the same arithmetic on its own
+    (shifted) inputs, so a circular column shift of ``x`` shifts the output
+    bitwise.  The output has ``x``'s dtype.
+    """
+    B, C, H, W = x.shape
+    Cout, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    L = _fft_len(H + kh - 1)
+    xf = np.fft.rfft(x, n=L, axis=2)                                # (B, C, F, W)
+    xf = np.concatenate([xf[..., W - pw:], xf, xf[..., :pw]], axis=3)
+    taps = sliding_window_view(xf, W, axis=3)                       # (B, C, F, kw, W)
+    # correlation along rows is convolution with the row-flipped kernel
+    kf = np.fft.rfft(w[:, :, ::-1].astype(x.dtype), n=L, axis=2)    # (Cout, C, F, kw)
+    kf = kf.transpose(1, 2, 0, 3)                                   # (C, F, Cout, kw)
+    yf = np.matmul(kf[0], taps[:, 0])
+    for c in range(1, C):
+        yf += np.matmul(kf[c], taps[:, c])                          # (B, F, Cout, W)
+    y = np.fft.irfft(yf, n=L, axis=1)[:, ph:ph + H]                 # (B, H, Cout, W)
+    return y.transpose(0, 2, 1, 3)
+
+
+def _wrap_weight_grad(g, x, kh, kw):
+    """d(sum g * wrap_conv(x, w)) / dw by FFT correlation of ``g`` with ``x``.
+
+    A 2-D transform (rows zero-padded, columns circular, both exact): the
+    weight gradient sums over every position, so the column-shift argument
+    of ``_wrap_conv`` does not apply to it.
+    """
+    H, W = x.shape[2:]
+    L = _fft_len(H + kh - 1)
+    gf = np.fft.rfft2(g, s=(L, W))
+    xf = np.fft.rfft2(x, s=(L, W))
+    # r[o, c, s, t] = sum_{b,i,j} g[b, o, i, j] x[b, c, i + s, (j + t) mod W]
+    r = np.fft.irfft2(np.einsum("bofk,bcfk->ocfk", gf.conj(), xf), s=(L, W))
+    rows = (np.arange(kh) - kh // 2) % L
+    cols = (np.arange(kw) - kw // 2) % W
+    return r[:, :, rows][:, :, :, cols]
+
+
+def _wrap_conv2d(a, weight, bias, stride):
+    x, w = a.data, weight.data
+    Cout, Cin, kh, kw = w.shape
+    if stride != (1, 1):
+        raise ValueError(f"wrap padding needs stride 1, got {stride}")
+    if kw // 2 > x.shape[3]:
+        raise ShapeError(f"wrap pad of {kw // 2} columns exceeds image width {x.shape[3]}")
+    data = np.empty((x.shape[0], Cout) + x.shape[2:], dtype=x.dtype)
+    y = _wrap_conv(x, w)
+    if bias is None:
+        data[...] = y
+    else:
+        np.add(y, bias.data[:, None, None], out=data)
+    parents = (a, weight) if bias is None else (a, weight, bias)
+
+    def backward(g):
+        # the transposed correlation: channels swapped, kernel flipped both ways
+        gx = _wrap_conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if a.requires_grad else None
+        grads = (gx, _wrap_weight_grad(g, x, kh, kw).astype(w.dtype, copy=False))
+        return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
+
+    return _make(data, parents, backward)
 
 
 def conv2d(a, weight, bias=None, stride=1, padding="none"):
     """2-D cross-correlation with optional same-size zero or wrap padding.
 
     padding: "none" (valid), "zero" (same-size, floor(k/2) zeros each side),
-    "wrap" (same-size; columns continue circularly, rows pad with zeros), an
-    int, or an (ph, pw) pair of explicit zero-pad amounts.  Kernel extents
-    must be odd so "half the width" is well defined.
+    "wrap" (same-size; columns continue circularly, rows pad with zeros;
+    stride 1 only), an int, or an (ph, pw) pair of explicit zero-pad amounts.
+    Kernel extents must be odd so "half the width" is well defined.
+
+    "wrap" runs ``_wrap_conv`` (row FFTs plus circular column taps); every
+    other mode runs channel-major im2col.  The input gradient is computed
+    only when the input requires grad.
     """
     sh, sw = (stride, stride) if isinstance(stride, int) else tuple(stride)
     if sh < 1 or sw < 1:
@@ -600,12 +711,12 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
     if bias is not None and bias.data.shape != (Cout,):
         raise ShapeError(f"bias shape {bias.data.shape} does not match {Cout} output channels")
 
+    if padding == "wrap":
+        return _wrap_conv2d(a, weight, bias, (sh, sw))
     if padding == "none":
         padded = a
     elif padding == "zero":
         padded = pad2d(a, kh // 2, kh // 2, kw // 2, kw // 2, mode="zero")
-    elif padding == "wrap":
-        padded = pad2d(a, kh // 2, kh // 2, kw // 2, kw // 2, mode="wrap")
     elif isinstance(padding, int):
         padded = pad2d(a, padding, padding, padding, padding, mode="zero")
     elif isinstance(padding, tuple) and len(padding) == 2:
@@ -619,8 +730,8 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
     parents = (padded, weight) if bias is None else (padded, weight, bias)
 
     def backward(g):
-        gx, gw, gb = _conv_backward(g, x, weight.data, bias is not None, sh, sw)
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        gx, gw = _conv_backward(g, x, weight.data, sh, sw, padded.requires_grad)
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
 
     return _make(data, parents, backward)
 

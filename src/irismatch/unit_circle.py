@@ -9,6 +9,15 @@ the features exactly equivariant to eye rotation.
 A bank holds several such layers at different kernel geometries; their
 responses are concatenated channel-wise.  For ablations the l2 normalization
 can be swapped for a plain ReLU or ELU nonlinearity.
+
+Each layer runs ``conv2d(padding="wrap")``, which filters in the radial
+frequency domain: a real FFT along the rows, direct circular taps along the
+angular axis, an inverse FFT.  A 2-D FFT would be faster still, but under
+a column transform a shifted iris has a phase-rotated spectrum that rounds
+differently, so its features would move by rounding noise (about 1e-15)
+instead of shifting bitwise; the radial variant keeps the rotation
+equivariance exact.  ``wrap_pad`` followed by an unpadded conv is
+the explicit (im2col) form of the same layer, kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ def wrap_pad(image, kh, kw):
     Rows get floor(kh/2) zero rows on top and bottom.  Columns continue
     circularly: with h = floor(kw/2), the h rightmost columns are copied to
     the left edge and the h leftmost columns to the right edge.
+
+    The layers do not call it (``uc_forward`` uses ``conv2d(padding="wrap")``);
+    it is the reference the tests compare that path against.
     """
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel extents must be odd, got {kh}x{kw}")
@@ -72,14 +84,13 @@ class UnitCircleFilter:
 
 
 def uc_forward(x, f, mode="unit-circle"):
-    """Response of one layer: wrap-padded conv, then the per-pixel nonlinearity.
+    """Response of one layer: wrap conv, then the per-pixel nonlinearity.
 
     Output spatial size equals the input's.  In "unit-circle" mode every
     output 2-vector lies on the unit circle, except pixels whose raw response
     norm falls under NORM_EPS, which map to (0, 0) with zero gradient.
     """
-    padded = wrap_pad(x, f.kh, f.kw)
-    raw = T.conv2d(padded, f.weight, f.bias, stride=1, padding="none")
+    raw = T.conv2d(x, f.weight, f.bias, padding="wrap")
     if mode == "unit-circle":
         return T.channel_l2_normalize(raw, eps=NORM_EPS)
     if mode == "relu":

@@ -113,6 +113,33 @@ def test_train_resume_continues_epoch_numbering(dataset, run_dir, tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2", "3"]
 
 
+def _canonical_log(out_dir):
+    import json
+
+    from irismatch.training import EpochRecord, TrainLog
+
+    state = json.loads((out_dir / "train_state.json").read_text())
+    records = [EpochRecord(*row) for row in state["records"]]
+    return TrainLog(selection_far=0.25, records=records).canonical_lines()
+
+
+def test_train_resume_equals_uninterrupted_run(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--data_dir", str(data), "--identities", "4",
+                 "--images_per_identity", "4", "--height", "16", "--width", "32",
+                 "--seed", "5"]) == 0
+    args = ["--data_dir", str(data), "--bank_kernels", "3x5,5x9", "--matcher_channels", "4,6",
+            "--matcher_strides", "2,2", "--matcher_dropout", "0,0", "--stage1_epochs", "1",
+            "--batch_size", "8", "--selection_far", "0.25", "--seed", "2"]
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    assert main(["train", "--out_dir", str(whole), "--epochs", "4"] + args) == 0
+    assert main(["train", "--out_dir", str(split), "--epochs", "2"] + args) == 0
+    assert main(["train", "--out_dir", str(split), "--epochs", "4", "--resume", "true"]
+                + args) == 0
+    assert len(_canonical_log(whole)) == 5
+    assert _canonical_log(split) == _canonical_log(whole)
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     code = main(["train", "--data_dir", str(tmp_path / "nope")] + TRAIN_ARGS)
     assert code == 2
@@ -219,6 +246,17 @@ def test_match_corrupt_file_exits_2(run_dir, tmp_path, capsys):
                  "--out_dir", str(tmp_path), str(bad), str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_match_truncated_checkpoint_exits_2(dataset, run_dir, tmp_path, capsys):
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((run_dir / "best.ckpt").read_bytes()[:8])
+    img = str(dataset / "identity_000" / "img_000")
+    code = main(["match", "--checkpoint", str(cut), "--out_dir", str(tmp_path), img, img])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and str(cut) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_match_accepts_pgm(dataset, run_dir, tmp_path):

@@ -198,6 +198,30 @@ def test_collect_scores_lengths_and_order_independence():
     assert sorted(s.imposter) == sorted(s2.imposter)
 
 
+def test_collect_scores_runs_bank_once_per_image():
+    from irismatch.data import enumerate_pairs
+    from irismatch.evaluation import ModelScorer
+    from irismatch.matcher import IrisMatchModel, ModelConfig
+    from irismatch.synthetic import SynthSpec, generate
+
+    store = generate(SynthSpec(identities=3, images_per_identity=3, height=16, width=32,
+                               seed=4))
+    model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(5))
+    seen = []
+    forward = model.bank.forward
+
+    def counting_forward(x):
+        seen.extend(img.tobytes() for img in x.data[:, 0])
+        return forward(x)
+
+    model.bank.forward = counting_forward
+    pairs = enumerate_pairs(store)
+    scores = collect_scores(ModelScorer(model, batch_size=4), store, pairs)
+    assert sorted(seen) == sorted(img.tobytes() for img in store.images)
+    assert len(scores.authentic) == pairs.n_positive
+    assert len(scores.imposter) == pairs.n_negative
+
+
 def test_collect_scores_missing_image():
     from irismatch.data import IdentityStore, PairSet
 

@@ -221,6 +221,24 @@ def test_checkpoint_missing_record_detected(tmp_path):
         ckpt.load_model(path)
 
 
+def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(65))
+    full = tmp_path / "full.ckpt"
+    ckpt.save_model(model, full)
+    raw = full.read_bytes()
+    meta_len = int.from_bytes(raw[6:10], "little")
+    header_end = 10 + meta_len + 4 + 64          # the meta, the count and the first record's header
+    lengths = list(range(header_end)) + list(range(header_end, len(raw), 37)) + [len(raw) - 1]
+    path = tmp_path / "cut.ckpt"
+    for n in lengths:
+        path.write_bytes(raw[:n])
+        with pytest.raises(ckpt.CheckpointError) as err:
+            ckpt.load_model(path)
+        assert str(path) in str(err.value), n
+        if n >= 4:
+            assert "offset" in str(err.value), n
+
+
 def test_default_blocks_shape():
     blocks = default_matcher_blocks()
     assert [b.out_channels for b in blocks] == [32, 64, 96, 128, 160]

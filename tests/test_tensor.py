@@ -328,6 +328,24 @@ def test_gradcheck_conv2d_wrap_padding():
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("padding,stride", [("wrap", 1), ("zero", (2, 1)), ("none", 1)])
+def test_conv2d_skips_unread_input_gradient(padding, stride):
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 2, 6, 9))
+    c = rng.normal(size=T.conv2d(T.Tensor(x), T.Tensor(np.zeros((4, 2, 3, 5))),
+                                 stride=stride, padding=padding).shape)
+    grads = []
+    for x_requires_grad in (True, False):
+        xt = T.Tensor(x, requires_grad=x_requires_grad)
+        w = T.Tensor(np.cos(np.arange(120.0)).reshape(4, 2, 3, 5), requires_grad=True)
+        b = T.Tensor(np.arange(4.0), requires_grad=True)
+        (T.conv2d(xt, w, b, stride=stride, padding=padding) * c).sum().backward()
+        assert (xt.grad is not None) == x_requires_grad
+        grads.append((w.grad, b.grad))
+    assert np.array_equal(grads[0][0], grads[1][0])
+    assert np.array_equal(grads[0][1], grads[1][1])
+
+
 def test_gradcheck_channel_normalize():
     rng = np.random.default_rng(14)
     x = T.Tensor(rng.normal(size=(2, 2, 4, 5)) + 0.5, requires_grad=True)

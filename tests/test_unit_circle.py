@@ -77,6 +77,38 @@ def test_wrap_conv_equals_modular_reference():
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("kh,kw", uc.DEFAULT_KERNELS)
+def test_wrap_conv_matches_wrap_pad_oracle_full_geometry(kh, kw):
+    rng = np.random.default_rng(41)
+    f = uc.UnitCircleFilter(kh, kw, rng=rng)
+    x = rng.uniform(size=(2, 1, 110, 512))
+    want = T.conv2d(uc.wrap_pad(Tensor(x), kh, kw), f.weight, f.bias, padding="none").data
+    got = T.conv2d(Tensor(x), f.weight, f.bias, padding="wrap").data
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-12
+    got32 = T.conv2d(Tensor(x.astype(np.float32)), Tensor(f.weight.data.astype(np.float32)),
+                     Tensor(f.bias.data.astype(np.float32)), padding="wrap").data
+    assert got32.dtype == np.float32
+    assert np.max(np.abs(got32 - want)) <= 1e-4 * np.max(np.abs(want))
+
+
+def test_wrap_conv_gradcheck_two_input_channels():
+    rng = np.random.default_rng(42)
+    x = Tensor(rng.normal(size=(2, 2, 5, 7)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    c = np.cos(np.arange(2 * 3 * 5 * 7)).reshape(2, 3, 5, 7)
+    err = check_gradients(lambda: (T.conv2d(x, w, b, padding="wrap") * c).sum(), [x, w, b])
+    assert err < 1e-6
+
+
+def test_wrap_conv_rejects_stride():
+    x = Tensor(np.ones((1, 1, 6, 8)))
+    w = Tensor(np.ones((2, 1, 3, 3)))
+    with pytest.raises(ValueError, match="stride"):
+        T.conv2d(x, w, stride=2, padding="wrap")
+
+
 # ---------------------------------------------------------------- uc_forward
 
 
@@ -191,8 +223,7 @@ def test_relu_and_elu_modes():
     rng = np.random.default_rng(36)
     f = uc.UnitCircleFilter(3, 3, rng=rng)
     x = Tensor(rng.uniform(size=(1, 1, 6, 6)))
-    padded = uc.wrap_pad(x, 3, 3)
-    raw = T.conv2d(padded, f.weight, f.bias).data
+    raw = T.conv2d(x, f.weight, f.bias, padding="wrap").data
     assert np.array_equal(uc.uc_forward(x, f, mode="relu").data, np.maximum(raw, 0.0))
     elu_out = uc.uc_forward(x, f, mode="elu").data
     assert np.allclose(elu_out, np.where(raw > 0, raw, np.expm1(raw)))
@@ -244,5 +275,15 @@ def test_bank_shift_equivariance():
     x = np.random.default_rng(4).uniform(size=(1, 1, 12, 512))
     base = uc.bank_forward(Tensor(x), bank).data
     for s in (1, 7, 256):
+        shifted = uc.bank_forward(Tensor(np.roll(x, s, axis=3)), bank).data
+        assert np.array_equal(shifted, np.roll(base, s, axis=3)), f"shift {s}"
+
+
+def test_bank_shift_equivariance_full_geometry():
+    rng = np.random.default_rng(43)
+    bank = uc.UnitCircleBank(rng=rng)
+    x = np.random.default_rng(5).uniform(size=(1, 1, 110, 512))
+    base = uc.bank_forward(Tensor(x), bank).data
+    for s in (1, 33, 256, 511):
         shifted = uc.bank_forward(Tensor(np.roll(x, s, axis=3)), bank).data
         assert np.array_equal(shifted, np.roll(base, s, axis=3)), f"shift {s}"
