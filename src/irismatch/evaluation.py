@@ -172,7 +172,9 @@ class ModelScorer:
 
 
 class BitcodeScorer:
-    """Masked Hamming distance with shift search (lower is match)."""
+    """Masked Hamming distance with shift search (lower is match); each
+    distinct image is encoded once per call and every pair goes through
+    ``iriscode.match_pairs``."""
 
     higher_is_match = False
 
@@ -184,15 +186,13 @@ class BitcodeScorer:
         self.masks = masks
 
     def score_pairs(self, store, pair_array):
-        from .iriscode import encode, match_with_shifts
+        from .iriscode import encode, match_pairs
 
         pair_array = np.asarray(pair_array, dtype=np.intp).reshape(-1, 2)
-        codes = {}
-        for img_idx in np.unique(pair_array):
-            mask = None if self.masks is None else self.masks[int(img_idx)]
-            codes[int(img_idx)] = encode(store.images[img_idx], mask=mask, spec=self.gabor_spec)
-        return np.array([match_with_shifts(codes[int(q)], codes[int(r)], self.max_shift)[0]
-                         for q, r in pair_array])
+        used, local = np.unique(pair_array, return_inverse=True)
+        codes = (encode(store.images[i], mask=None if self.masks is None else self.masks[i],
+                        spec=self.gabor_spec) for i in used)
+        return match_pairs(codes, local.reshape(-1, 2), self.max_shift)[0]
 
 
 # ---------------------------------------------------------------- CSV

@@ -8,7 +8,20 @@ over circular column shifts to compensate eye rotation.
 
 Shift convention: shifting a bitcode by +k moves its content toward larger
 column indices (numpy.roll semantics), so if b equals a rotated by +k
-columns, the best alignment of b against a is found at shift -k.
+columns, the best alignment of b against a is found at shift -k.  Shifts
+are tried in the order 0, -1, +1, -2, +2, ..., and a later shift replaces
+the best one only with a strictly lower score, so ties prefer the smallest
+|shift|, then the negative one.
+
+Packed layout (``match_pairs``): each row of H' x 2W' bits or mask bits is
+packed little-endian-first into ceil(2W'/64) uint64 words, the bits past
+2W' in the last word set to 0, and the rows are laid end to end, so a code
+is L = H' * ceil(2W'/64) words.  A circular shift of k samples rotates every
+row by 2k bits; it is cut from the packed doubled row (the row written
+twice), so shifting never unpacks.  The second code of a pair is packed at
+every shift, (2 * max_shift + 1, L) words, and the pair's counts at all
+shifts are popcounts of ``(bits_a ^ bits_b) & mask_a & mask_b`` and of
+``mask_a & mask_b``.
 """
 
 from __future__ import annotations
@@ -24,6 +37,11 @@ _ABS_FLOOR = 1e-12
 
 BITCODE_MAGIC = b"IBIT"
 BITCODE_VERSION = 1
+_HEADER = struct.Struct("<4sHII")
+
+# uint64 words per workspace array of the packed matcher (512 KB); pairs are
+# scored a few at a time so the workspace stays in cache
+_PAIR_BUDGET = 1 << 16
 
 
 class EmptyMaskError(ValueError):
@@ -138,30 +156,113 @@ def shift_bitcode(code: Bitcode, k):
     return Bitcode(bits, mask)
 
 
+def _pack_doubled(rows):
+    """Pack (H', B) 0/1 rows, each written twice, into uint64 words:
+    (H', 2 * ceil(B/64) + 1), zero past the 2B bits."""
+    h, n_bits = rows.shape
+    words = -(-n_bits // 64)
+    doubled = np.zeros((h, 64 * (2 * words + 1)), dtype=np.uint8)
+    doubled[:, :n_bits] = rows
+    doubled[:, n_bits:2 * n_bits] = rows
+    return np.packbits(doubled, axis=-1, bitorder="little").view("<u8")
+
+
+def _rotations(doubled, n_bits, shifts):
+    """Every row rotated by 2*s bits for s in ``shifts`` (numpy.roll
+    semantics on sample columns): (..., len(shifts), L) uint64 words with
+    the bits past ``n_bits`` in each row's last word cleared."""
+    words = -(-n_bits // 64)
+    # rotated bit j is doubled bit (j - 2s) mod n_bits: a window at 64q + r
+    q, r = np.divmod(-2 * np.asarray(shifts) % n_bits, 64)
+    cols = q[:, None] + np.arange(words)
+    r = r[:, None].astype(np.uint64)
+    # (x << 1) << (63 - r) is x << (64 - r), and 0 at r == 0, with no shift by 64
+    win = (doubled[..., cols] >> r) | ((doubled[..., cols + 1] << np.uint64(1)) << (63 - r))
+    win[..., -1] &= np.uint64((1 << (n_bits - 64 * (words - 1))) - 1)
+    win = np.moveaxis(win, -2, -3)                  # (..., shifts, rows, words)
+    return win.reshape(win.shape[:-2] + (-1,))
+
+
+def match_pairs(codes, pairs, max_shift):
+    """Minimum masked Hamming score over circular shifts of the second code
+    in [-max_shift, +max_shift], for every pair (i, j) of indices into the
+    iterable ``codes`` (read once, so it may encode lazily); same scores and
+    shifts as ``match_with_shifts`` on each pair.
+
+    Each code is packed once per call (see the module docstring); pairs are
+    grouped by their second code, whose shifted copies are packed once, and
+    scored a few at a time at all shifts at once.  Returns (scores, shifts)
+    arrays; raises EmptyMaskError naming the first pair that has no
+    comparable bits at any shift.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    scores = np.empty(len(pairs))
+    best_shifts = np.empty(len(pairs), dtype=np.intp)
+    if not len(pairs):
+        return scores, best_shifts
+    bits, mask, shape = [], [], None
+    for code in codes:
+        shape = shape or code.bits.shape
+        if code.bits.shape != shape:
+            raise ValueError(f"bitcode shapes disagree: {shape} vs {code.bits.shape}")
+        bits.append(_pack_doubled(code.bits))
+        mask.append(_pack_doubled(code.mask))
+    if pairs.min() < 0 or pairs.max() >= len(bits):
+        raise IndexError(f"pair references a code outside 0..{len(bits) - 1}")
+    n_bits = shape[1]
+    if max_shift < 0:
+        raise ValueError(f"max shift must be non-negative, got {max_shift}")
+    if max_shift >= n_bits // 2:
+        raise ValueError(f"max shift {max_shift} must be smaller than width {n_bits // 2}")
+
+    shifts = np.array([0] + [sign * s for s in range(1, max_shift + 1) for sign in (-1, 1)])
+    bits, mask = np.stack(bits), np.stack(mask)
+    bits_a = _rotations(bits, n_bits, [0])[:, 0]
+    mask_a = _rotations(mask, n_bits, [0])[:, 0]
+    per_pair = len(shifts) * bits_a.shape[1]
+    chunk = max(1, _PAIR_BUDGET // per_pair)
+    joint = np.empty((chunk, len(shifts), bits_a.shape[1]), dtype=np.uint64)
+    differ = np.empty_like(joint)
+    counts = np.empty(joint.shape, dtype=np.uint8)
+
+    order = np.argsort(pairs[:, 1], kind="stable")
+    second = pairs[order, 1]
+    starts = np.flatnonzero(np.r_[True, second[1:] != second[:-1]])
+    for start, stop in zip(starts, np.r_[starts[1:], len(order)]):
+        j = second[start]
+        bits_b = _rotations(bits[j], n_bits, shifts)
+        mask_b = _rotations(mask[j], n_bits, shifts)
+        for lo in range(start, stop, chunk):
+            sel = order[lo:min(lo + chunk, stop)]
+            first = pairs[sel, 0]
+            k = len(sel)
+            jt = np.bitwise_and(mask_a[first][:, None], mask_b, out=joint[:k])
+            df = np.bitwise_xor(bits_a[first][:, None], bits_b, out=differ[:k])
+            df &= jt
+            # a count is at most 64 * L, far inside uint32
+            n_differ = np.add.reduce(np.bitwise_count(df, out=counts[:k]), axis=-1,
+                                     dtype=np.uint32)
+            n_total = np.add.reduce(np.bitwise_count(jt, out=counts[:k]), axis=-1,
+                                    dtype=np.uint32)
+            # exact: both counts convert to float64 exactly, as in differ / total
+            score = np.divide(n_differ, n_total, out=np.full(n_differ.shape, np.inf),
+                              where=n_total > 0)
+            pick = score.argmin(axis=1)             # first minimum in shift order
+            scores[sel] = score[np.arange(k), pick]
+            best_shifts[sel] = shifts[pick]
+    empty = np.flatnonzero(np.isinf(scores))
+    if empty.size:
+        raise EmptyMaskError(f"pair {empty[0]}: no comparable bits at any of the "
+                             f"{len(shifts)} shifts")
+    return scores, best_shifts
+
+
 def match_with_shifts(a: Bitcode, b: Bitcode, max_shift):
     """Minimum masked Hamming score over circular shifts of b in
     [-max_shift, +max_shift].  Ties prefer the smallest |shift|, then the
     negative one.  Returns (score, shift)."""
-    if max_shift < 0:
-        raise ValueError(f"max shift must be non-negative, got {max_shift}")
-    if max_shift >= a.samples_per_row:
-        raise ValueError(f"max shift {max_shift} must be smaller than width {a.samples_per_row}")
-    shifts = [0]
-    for s in range(1, max_shift + 1):
-        shifts.extend((-s, s))
-    best_score, best_shift = None, None
-    empty = 0
-    for s in shifts:
-        try:
-            score = masked_hamming(a, shift_bitcode(b, s))
-        except EmptyMaskError:
-            empty += 1
-            continue
-        if best_score is None or score < best_score:
-            best_score, best_shift = score, s
-    if best_score is None:
-        raise EmptyMaskError(f"no comparable bits at any of the {empty} shifts")
-    return best_score, best_shift
+    scores, shifts = match_pairs([a, b], [(0, 1)], max_shift)
+    return float(scores[0]), int(shifts[0])
 
 
 def decide(score, threshold):
@@ -179,25 +280,25 @@ def save_bitcode(code: Bitcode, path):
     and mask rows packed little-endian-first into bytes."""
     h, w2 = code.bits.shape
     with open(path, "wb") as fh:
-        fh.write(BITCODE_MAGIC)
-        fh.write(struct.pack("<H", BITCODE_VERSION))
-        fh.write(struct.pack("<II", h, w2 // 2))
+        fh.write(_HEADER.pack(BITCODE_MAGIC, BITCODE_VERSION, h, w2 // 2))
         fh.write(np.packbits(code.bits, axis=1, bitorder="little").tobytes())
         fh.write(np.packbits(code.mask, axis=1, bitorder="little").tobytes())
 
 
 def load_bitcode(path):
+    """Read an IBIT file; any malformed file raises ValueError naming it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != BITCODE_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header: {len(raw)} of {_HEADER.size} bytes")
+    _, version, h, w = _HEADER.unpack_from(raw)
     if version != BITCODE_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    h, w = struct.unpack_from("<II", raw, 6)
     w2 = 2 * w
     row_bytes = (w2 + 7) // 8
-    off = 14
+    off = _HEADER.size
     expected = 2 * h * row_bytes
     if len(raw) - off != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, got {len(raw) - off}")

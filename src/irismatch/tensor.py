@@ -34,6 +34,8 @@ bank's input is the image; stage-1 matcher inputs are cached features).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
@@ -46,6 +48,9 @@ _FLOAT_DTYPES = (np.float64, np.float32)
 
 # elements per im2col block; keeps convolution workspaces < ~128 MB of f64
 _COL_BUDGET = 1 << 24
+
+# elements per slice of the ELU temporary (512 KB of f64)
+_ELU_SLICE = 1 << 16
 
 _grad_enabled = True
 
@@ -383,15 +388,24 @@ def sigmoid(a):
 
 
 def elu(a, alpha=1.0):
+    """x where x > 0, else alpha * expm1(x); alpha >= 0."""
     x = a.data
-    neg = x <= 0
     data = np.minimum(x, 0.0)
     np.expm1(data, out=data)
     data *= alpha
-    np.copyto(data, x, where=~neg)
+    # + max(x, -0.0): adds x where x > 0 (to +0.0) and -0.0 elsewhere, which
+    # keeps a -0.0 of alpha * expm1(x); in slices over the fewest leading axes
+    # that make a slice at most _ELU_SLICE elements, so the temporary stays
+    # small (batch 1 included) instead of being a whole activation
+    lead = min(next(k for k in range(x.ndim + 1) if math.prod(x.shape[k:]) <= _ELU_SLICE),
+               max(x.ndim - 1, 0))
+    for idx in np.ndindex(x.shape[:lead]):
+        d = data[idx]
+        d += np.maximum(x[idx], -0.0)
 
     def backward(g):
-        return (g * np.where(neg, data + alpha, 1.0),)
+        # the output is <= 0 exactly where the input is (alpha >= 0)
+        return (g * np.where(data <= 0, data + alpha, 1.0),)
 
     return _make(data, (a,), backward)
 
@@ -483,7 +497,11 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
     # in place where possible: at 110x512 every temporary is a whole activation
     xhat = x - mean
     xhat *= inv
-    data = gam * xhat
+    if (_grad_enabled and any(t.requires_grad for t in (a, gamma, beta))
+            or np.result_type(gam, xhat) != xhat.dtype):
+        data = gam * xhat
+    else:  # no graph reads xhat again, so the output takes its place
+        data = np.multiply(xhat, gam, out=xhat)
     data += beta.data.reshape(cshape)
     count = x.size // x.shape[1]
 

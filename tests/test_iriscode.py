@@ -6,10 +6,14 @@ np.fft), a bit-by-bit Hamming counting loop, and an exhaustive shift sweep.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from irismatch.data import IdentityStore, enumerate_pairs
+from irismatch.evaluation import BitcodeScorer, collect_scores
 from irismatch.iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, decide, encode,
                                 load_bitcode, log_gabor_transfer, masked_hamming,
-                                match_with_shifts, save_bitcode, shift_bitcode)
+                                match_pairs, match_with_shifts, save_bitcode, shift_bitcode)
+from irismatch.synthetic import SynthSpec, generate
 
 
 def dft_filter_reference(row, transfer):
@@ -269,6 +273,114 @@ def test_max_shift_validation():
         match_with_shifts(a, a, -1)
 
 
+# ---------------------------------------------------------------- packed kernel
+
+
+@st.composite
+def code_sets(draw):
+    """A few same-shape codes, sample widths around the 64-bit word edges,
+    sparse masks (some or all shifts empty) to full ones, and pairs."""
+    h = draw(st.integers(1, 3))
+    w = draw(st.sampled_from([2, 3, 16, 31, 32, 33, 40, 64, 70]))
+    max_shift = draw(st.integers(0, min(w - 1, 5)))
+    mask_p = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = [random_bitcode(rng, h=h, w=w, mask_p=mask_p)
+             for _ in range(draw(st.integers(2, 4)))]
+    pairs = rng.integers(0, len(codes), size=(draw(st.integers(1, 6)), 2))
+    return codes, pairs, max_shift
+
+
+def loop_or_empty(a, b, max_shift):
+    try:
+        return shift_sweep_loop(a, b, max_shift)
+    except EmptyMaskError:
+        return None
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(code_sets())
+def test_packed_kernel_matches_shift_sweep_loop(case):
+    codes, pairs, max_shift = case
+    want = [loop_or_empty(codes[i], codes[j], max_shift) for i, j in pairs]
+    for (i, j), w in zip(pairs, want):
+        if w is None:
+            with pytest.raises(EmptyMaskError):
+                match_with_shifts(codes[i], codes[j], max_shift)
+        else:
+            assert match_with_shifts(codes[i], codes[j], max_shift) == w
+    if any(w is None for w in want):
+        first = next(k for k, w in enumerate(want) if w is None)
+        with pytest.raises(EmptyMaskError, match=f"pair {first}:"):
+            match_pairs(codes, pairs, max_shift)
+        return
+    scores, shifts = match_pairs(iter(codes), pairs, max_shift)
+    assert scores.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert shifts.tolist() == [w[1] for w in want]
+    if max_shift == 0:
+        assert scores.tolist() == [hamming_loop(codes[i], codes[j]) for i, j in pairs]
+
+
+def test_packed_kernel_skips_empty_shifts():
+    # one valid sample in each code: only the shift that lines them up
+    # shares any bits, so every other shift is skipped, not scored
+    bits = np.zeros((2, 2 * 40), dtype=np.uint8)
+    mask_a, mask_b = np.zeros_like(bits), np.zeros_like(bits)
+    mask_a[1, 2 * 30:2 * 30 + 2] = 1
+    mask_b[1, 2 * 33:2 * 33 + 2] = 1
+    b_bits = bits.copy()
+    b_bits[1, 2 * 33] = 1
+    a, b = Bitcode(bits, mask_a), Bitcode(b_bits, mask_b)
+    assert match_with_shifts(a, b, 3) == (0.5, -3) == shift_sweep_loop(a, b, 3)
+    with pytest.raises(EmptyMaskError, match="pair 1: no comparable bits at any of the 5 shifts"):
+        match_pairs([a, b], [(1, 1), (0, 1)], 2)
+
+
+def test_packed_kernel_rejects_bad_input():
+    a = random_bitcode(np.random.default_rng(95), w=8)
+    b = random_bitcode(np.random.default_rng(96), w=9)
+    with pytest.raises(ValueError, match="shapes"):
+        match_pairs([a, b], [(0, 1)], 2)
+    with pytest.raises(IndexError):
+        match_pairs([a, a], [(0, 2)], 2)
+    scores, shifts = match_pairs([a], np.empty((0, 2), dtype=int), 2)
+    assert scores.shape == shifts.shape == (0,)
+
+
+def scorer_oracle(store, pairs, spec, max_shift, masks=None):
+    codes = [encode(img, mask=None if masks is None else masks[k], spec=spec)
+             for k, img in enumerate(store.images)]
+    return np.array([shift_sweep_loop(codes[q], codes[r], max_shift)[0] for q, r in pairs])
+
+
+def test_bitcode_scorer_bitwise_equals_loop_on_synthetic_store():
+    store = generate(SynthSpec(identities=3, images_per_identity=2, height=8, width=40,
+                               noise_sigma=0.05, occlusion_prob=0.5, seed=11))
+    spec = LogGaborSpec(wavelength=8.0, sigma_ratio=0.5, row_step=2)
+    pairs = enumerate_pairs(store)
+    scorer = BitcodeScorer(spec, max_shift=3)
+    scores = collect_scores(scorer, store, pairs)
+    want_auth = scorer_oracle(store, pairs.authentic, spec, 3)
+    want_imp = scorer_oracle(store, pairs.imposter, spec, 3)
+    assert scores.authentic.tobytes() == want_auth.tobytes()
+    assert scores.imposter.tobytes() == want_imp.tobytes()
+
+
+def test_bitcode_scorer_with_masks_bitwise_equals_loop():
+    rng = np.random.default_rng(97)
+    store = IdentityStore(images=rng.uniform(size=(5, 6, 36)), identity_of=[0, 0, 1, 1, 2],
+                          identity_ids=["a", "b", "c"])
+    masks = (rng.random((5, 6, 36)) < 0.7).astype(np.uint8)
+    masks[2] = 0
+    masks[2, :, :4] = 1                      # image 2 keeps a narrow strip
+    spec = LogGaborSpec(wavelength=6.0, sigma_ratio=0.5, row_step=1)
+    pairs = np.array([(0, 1), (2, 3), (4, 0), (1, 2), (3, 3), (2, 4)])
+    got = BitcodeScorer(spec, max_shift=4, masks=masks).score_pairs(store, pairs)
+    assert got.tobytes() == scorer_oracle(store, pairs, spec, 4, masks).tobytes()
+    # masks are used: without them the scores change
+    assert not np.array_equal(got, BitcodeScorer(spec, max_shift=4).score_pairs(store, pairs))
+
+
 # ---------------------------------------------------------------- decide
 
 
@@ -298,3 +410,39 @@ def test_bitcode_load_rejects_garbage(tmp_path):
     path.write_bytes(b"JUNK" + b"\x00" * 20)
     with pytest.raises(ValueError):
         load_bitcode(path)
+
+
+@pytest.mark.parametrize("size", [5, 9, 13])
+def test_bitcode_load_short_header_names_the_file(tmp_path, size):
+    path = tmp_path / "short.ibit"
+    save_bitcode(random_bitcode(np.random.default_rng(98)), path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match="short.ibit: truncated header"):
+        load_bitcode(path)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_bitcode_load_fuzz_truncations_and_flips(tmp_path, data):
+    code = random_bitcode(np.random.default_rng(99), h=3, w=11)
+    path = tmp_path / "fuzz.ibit"
+    save_bitcode(code, path)
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="truncate to")
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match="fuzz.ibit"):
+        load_bitcode(path)
+    flipped = bytearray(raw)
+    for pos in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=3),
+                         label="flip at"):
+        flipped[pos] ^= data.draw(st.integers(1, 255), label="flip bits")
+    path.write_bytes(bytes(flipped))
+    try:
+        back = load_bitcode(path)
+    except ValueError as exc:
+        assert "fuzz.ibit" in str(exc)
+    else:
+        assert back.bits.dtype == back.mask.dtype == np.uint8
+        assert back.bits.shape == back.mask.shape and back.bits.shape[1] % 2 == 0
+        assert set(np.unique(back.bits)) <= {0, 1} and set(np.unique(back.mask)) <= {0, 1}

@@ -179,6 +179,78 @@ def test_elu_values():
     assert abs(y[3] - (np.expm1(-1.0))) < 1e-15
 
 
+def elu_reference(x, alpha):
+    """ELU with a whole-array mask, as first written: (output, gradient
+    factor)."""
+    neg = x <= 0
+    data = np.minimum(x, 0.0)
+    np.expm1(data, out=data)
+    data *= alpha
+    np.copyto(data, x, where=~neg)
+    return data, np.where(neg, data + alpha, 1.0)
+
+
+def same_bits(a, b):
+    """Bitwise equality, so +0.0 and -0.0 differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0, 0.0])
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4, 5), (3, 70000), (2, 3, 130, 200)])
+def test_elu_bitwise_equals_reference(alpha, shape):
+    rng = np.random.default_rng(12)
+    x = rng.normal(scale=3.0, size=shape).reshape(-1)
+    special = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e-310, np.inf, -np.inf, -800.0]
+    x[:len(special)] = special[:x.size]
+    x = x.reshape(shape)
+    w = rng.normal(size=shape)
+    want, factor = elu_reference(x, alpha)
+    xt = T.Tensor(x.copy(), requires_grad=True)
+    y = T.elu(xt, alpha=alpha)
+    assert same_bits(y.data, want)
+    (y * T.Tensor(w)).sum().backward()
+    assert same_bits(xt.grad, w * factor)
+    with T.no_grad():
+        assert same_bits(T.elu(T.Tensor(x), alpha=alpha).data, want)
+
+
+def batch_norm_eval_reference(x, gamma, beta, rm, rv, eps=1e-5):
+    cshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    xhat = x - rm.reshape(cshape)
+    xhat *= 1.0 / np.sqrt(rv.reshape(cshape) + eps)
+    data = gamma.reshape(cshape) * xhat
+    data += beta.reshape(cshape)
+    return data
+
+
+@pytest.mark.parametrize("shape,dtype", [((4, 3, 5, 6), np.float64), ((5, 3), np.float64),
+                                         ((4, 3, 5, 6), np.float32)])
+def test_batch_norm_eval_bitwise_with_and_without_graph(shape, dtype):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=shape).astype(dtype)
+    x.reshape(-1)[:2] = [0.0, -0.0]
+    gamma, beta = rng.normal(size=3), rng.normal(size=3)
+    rm, rv = rng.normal(size=3).astype(dtype), (rng.random(3) + 0.5).astype(dtype)
+    want = batch_norm_eval_reference(x, gamma, beta, rm, rv)
+    with T.no_grad():
+        y = T.batch_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), rm, rv, training=False)
+    assert same_bits(y.data, want)
+    xt = T.Tensor(x.copy(), requires_grad=True)
+    g = T.Tensor(gamma, requires_grad=True)
+    b = T.Tensor(beta, requires_grad=True)
+    y = T.batch_norm(xt, g, b, rm, rv, training=False)
+    assert same_bits(y.data, want)
+    w = rng.normal(size=shape)
+    (y * T.Tensor(w)).sum().backward()
+    cshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    inv = 1.0 / np.sqrt(rv.reshape(cshape) + 1e-5)
+    xhat = (x - rm.reshape(cshape)) * inv
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    assert same_bits(g.grad, (w * xhat).sum(axis=axes))
+    assert same_bits(b.grad, w.sum(axis=axes))
+    assert same_bits(xt.grad, w * gamma.reshape(cshape) * inv)
+
+
 def test_dropout_zero_rate_is_identity():
     x = T.Tensor(np.arange(6.0).reshape(2, 3))
     y = T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
