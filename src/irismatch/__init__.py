@@ -4,37 +4,10 @@ numpy with a self-contained reverse-mode autodiff engine."""
 
 __version__ = "0.1.0"
 
-from .tensor import (Tensor, ShapeError, no_grad, conv2d, pad2d, elu, relu, sigmoid,
-                     dropout, batch_norm, channel_l2_normalize, global_avg_pool,
-                     bce_loss, concat, index_select)
-from .unit_circle import UnitCircleBank, UnitCircleFilter, bank_forward, uc_forward, wrap_pad
-from .matcher import (ConvBlockSpec, IrisMatchModel, MatcherModel, ModelConfig,
-                      parameter_count)
-from .checkpoint import load_model, save_model
-from .normalize import EyeCircles, resize_vertical, rubber_sheet
-from .iris_io import read_image, read_iris_raw, read_pgm, write_iris_raw, write_pgm
-from .iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, decide, encode,
-                       load_bitcode, masked_hamming, match_with_shifts, save_bitcode)
-from .data import IdentityStore, PairSet, enumerate_pairs, rebalance_epoch, split_train_val
-from .synthetic import SynthSpec, generate, read_store, write_store
-from .training import Adam, TrainConfig, TrainLog, adam_step, train
-from .evaluation import (BitcodeScorer, ModelScorer, RocCurve, ScoreSet, auc,
-                         collect_scores, emit_roc_csv, read_roc_csv, roc, tar_at_far)
+from .matcher import IrisMatchModel, ModelConfig
+from .iriscode import LogGaborSpec
+from .training import TrainConfig, train
+# perfbench's tracer looks these modules up as attributes of the package
+from . import checkpoint, iris_io, synthetic
 
-__all__ = [
-    "Tensor", "ShapeError", "no_grad", "conv2d", "pad2d", "elu", "relu", "sigmoid",
-    "dropout", "batch_norm", "channel_l2_normalize", "global_avg_pool", "bce_loss",
-    "concat", "index_select",
-    "UnitCircleBank", "UnitCircleFilter", "bank_forward", "uc_forward", "wrap_pad",
-    "ConvBlockSpec", "IrisMatchModel", "MatcherModel", "ModelConfig", "parameter_count",
-    "load_model", "save_model",
-    "EyeCircles", "resize_vertical", "rubber_sheet",
-    "read_image", "read_iris_raw", "read_pgm", "write_iris_raw", "write_pgm",
-    "Bitcode", "EmptyMaskError", "LogGaborSpec", "decide", "encode", "load_bitcode",
-    "masked_hamming", "match_with_shifts", "save_bitcode",
-    "IdentityStore", "PairSet", "enumerate_pairs", "rebalance_epoch", "split_train_val",
-    "SynthSpec", "generate", "read_store", "write_store",
-    "Adam", "TrainConfig", "TrainLog", "adam_step", "train",
-    "BitcodeScorer", "ModelScorer", "RocCurve", "ScoreSet", "auc", "collect_scores",
-    "emit_roc_csv", "read_roc_csv", "roc", "tar_at_far",
-]
+__all__ = ["IrisMatchModel", "ModelConfig", "LogGaborSpec", "TrainConfig", "train"]

@@ -15,8 +15,10 @@ Optimizer state uses the same container with magic "IMOS".
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -33,11 +35,26 @@ class CheckpointError(ValueError):
     """Raised on malformed or mismatched checkpoint files."""
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open ``<path>.tmp`` for writing and rename it over ``path`` when the
+    block completes; if the block raises, the temp file is removed and
+    ``path`` keeps its previous content."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_records(path, magic, meta, records):
-    """records: iterable of (name, ndarray)."""
+    """records: iterable of (name, ndarray).  The write is atomic (``atomic_open``)."""
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     records = list(records)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<H", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))

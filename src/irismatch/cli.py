@@ -20,12 +20,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkpoint import (CheckpointError, load_model, load_optimizer_state, save_model,
-                         save_optimizer)
+from .checkpoint import atomic_open, load_model, load_optimizer_state, save_model, save_optimizer
 from .data import IdentityStore, enumerate_pairs
 from .evaluation import (BitcodeScorer, ModelScorer, collect_scores, emit_roc_csv,
                          read_roc_csv, roc, tar_at_far)
-from .iris_io import FileFormatError, read_image
+from .iris_io import read_image
 from .iriscode import LogGaborSpec
 from .matcher import ConvBlockSpec, IrisMatchModel, ModelConfig
 from .normalize import resize_vertical
@@ -323,6 +322,9 @@ def cmd_train(cfg):
     resume_state, n_prior = (None, 0)
     if cfg["resume"]:
         resume_state, n_prior = _load_resume_state(out_dir)
+        if resume_state["model"].config.to_dict() != model_config.to_dict():
+            raise UsageError(f"resume: the model saved in {out_dir} has another architecture "
+                             f"than the configured one; train into a new out_dir instead")
 
     state_out = {}
     model, log = train(store, tconf, model_config, resume=resume_state, state_out=state_out)
@@ -336,7 +338,7 @@ def cmd_train(cfg):
     model.restore(best_snapshot)
     save_model(model, os.path.join(out_dir, "best.ckpt"))
 
-    with open(os.path.join(out_dir, "train_state.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "train_state.json"), "w", encoding="utf-8") as fh:
         json.dump({
             "next_epoch": state_out["next_epoch"],
             "best_epoch": log.best_epoch,
@@ -468,9 +470,6 @@ def main(argv=None):
         if args.command == "match":
             return cmd_match(cfg, args.image_a, args.image_b)
         return _HANDLERS[args.command](cfg)
-    except (UsageError, FileFormatError, CheckpointError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

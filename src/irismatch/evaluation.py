@@ -15,6 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
+from .matcher import pair_batch
+
+# pairs per matcher call in ``ModelScorer``
+_PAIR_CHUNK = 32
+
 
 @dataclass
 class ScoreSet:
@@ -100,20 +106,13 @@ def auc(scores: ScoreSet):
     """Area under the ROC curve via the rank statistic (ties count half)."""
     scores.require_nonempty()
     auth, imp, _ = _oriented(scores)
-    merged = np.concatenate([auth, imp])
-    order = np.argsort(merged, kind="mergesort")
-    ranks = np.empty(merged.size)
-    ranks[order] = np.arange(1, merged.size + 1)
-    # average ranks over tied values
-    sorted_vals = merged[order]
-    i = 0
-    while i < merged.size:
-        j = i
-        while j + 1 < merged.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(np.concatenate([auth, imp]), return_inverse=True,
+                                   return_counts=True)
+    # a value whose copies sit at sorted positions first..last (0-based) gets
+    # the average rank 0.5 * (first + last) + 1
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    ranks = (0.5 * (first + last) + 1.0)[inverse]
     n, m = auth.size, imp.size
     return float((ranks[:n].sum() - n * (n + 1) / 2.0) / (n * m))
 
@@ -136,39 +135,29 @@ def collect_scores(scorer, store, pairs) -> ScoreSet:
 
 
 class ModelScorer:
-    """Eval-mode CNN probability per pair, with per-image feature caching."""
+    """Eval-mode CNN probability per pair; the bank runs once per distinct
+    image and the matcher on ``_PAIR_CHUNK`` pairs at a time."""
 
     higher_is_match = True
 
-    def __init__(self, model, batch_size=32):
+    def __init__(self, model):
         self.model = model
-        self.batch_size = batch_size
 
     def score_pairs(self, store, pair_array):
-        from . import tensor as T
-
         if store.height != self.model.height or store.width != self.model.width:
             raise ValueError(
                 f"store geometry {store.height}x{store.width} does not match the model's "
                 f"{self.model.height}x{self.model.width}; resize first")
-        pair_array = np.asarray(pair_array, dtype=np.intp).reshape(-1, 2)
-        used = np.unique(pair_array)
-        feats = {}
+        used, local = np.unique(np.asarray(pair_array, dtype=np.intp), return_inverse=True)
+        local = local.reshape(-1, 2)
+        feats = self.model.bank_features(store.images[used])
+        scores = np.empty(len(local))
         with T.no_grad():
-            for start in range(0, len(used), self.batch_size):
-                chunk = used[start:start + self.batch_size]
-                x = T.Tensor(store.images[chunk][:, None])
-                out = self.model.bank.forward(x).data
-                for local, img_idx in enumerate(chunk):
-                    feats[int(img_idx)] = out[local]
-            out_scores = np.empty(len(pair_array))
-            for start in range(0, len(pair_array), self.batch_size):
-                chunk = pair_array[start:start + self.batch_size]
-                batch = np.stack([np.concatenate([feats[int(q)], feats[int(r)]], axis=0)
-                                  for q, r in chunk])
-                p = self.model.forward_pairs(T.Tensor(batch), training=False)
-                out_scores[start:start + len(chunk)] = p.data
-        return out_scores
+            for start in range(0, len(local), _PAIR_CHUNK):
+                chunk = local[start:start + _PAIR_CHUNK]
+                scores[start:start + len(chunk)] = self.model.forward_pairs(
+                    pair_batch(feats, chunk)).data
+        return scores
 
 
 class BitcodeScorer:

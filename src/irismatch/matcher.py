@@ -18,6 +18,10 @@ from . import tensor as T
 from . import unit_circle as uc
 from .tensor import ShapeError, Tensor
 
+# images per bank call in ``IrisMatchModel.bank_features``; the bank's
+# output does not depend on it, only its FFT workspace does
+_BANK_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class ConvBlockSpec:
@@ -129,9 +133,6 @@ class MatcherModel:
                 out.append((f"matcher.block{i}.bn.running_var", blk.running_var))
         return out
 
-    def block_specs(self):
-        return [blk.spec for blk in self.blocks]
-
 
 @dataclass
 class ModelConfig:
@@ -207,6 +208,20 @@ class IrisMatchModel:
             raise ShapeError(f"pair images disagree in shape: {xq.shape} vs {xr.shape}")
         return T.concat([self.bank.forward(xq), self.bank.forward(xr)], axis=1)
 
+    def bank_features(self, images):
+        """Bank responses (N, 2F, H, W) of (N, H, W) images, outside the tape.
+
+        The bank runs on ``_BANK_CHUNK`` images at a time, each chunk written
+        into one preallocated array.
+        """
+        images = np.asarray(images, dtype=np.float64)
+        out = np.empty((len(images), self.bank.out_channels) + images.shape[1:])
+        with T.no_grad():
+            for start in range(0, len(images), _BANK_CHUNK):
+                chunk = images[start:start + _BANK_CHUNK]
+                out[start:start + len(chunk)] = self.bank.forward(Tensor(chunk[:, None])).data
+        return Tensor(out)
+
     def forward_pairs(self, pair, training=False, rng=None):
         """Score an already-assembled (B, 4F, H, W) pair tensor."""
         return self.matcher.forward(pair, training=training, rng=rng)
@@ -251,6 +266,14 @@ class IrisMatchModel:
             tens.data = state[name].copy()
         for name, buf in self.named_buffers():
             buf[...] = state[name]
+
+
+def pair_batch(feats, pairs):
+    """Matcher input for a batch of pairs: rows ``pairs[:, 0]`` and
+    ``pairs[:, 1]`` of the (N, 2F, H, W) features, concatenated along
+    channels into (P, 4F, H, W)."""
+    return T.concat([T.index_select(feats, pairs[:, 0]), T.index_select(feats, pairs[:, 1])],
+                    axis=1)
 
 
 def _as_image_tensor(img):

@@ -116,9 +116,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
@@ -178,33 +175,13 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other, self.dtype), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor) or isinstance(other, np.ndarray):
-            raise TypeError("tensor division is only supported by scalars")
-        return mul(self, 1.0 / float(other))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
@@ -263,17 +240,6 @@ def mul(a, b):
     return _make(data, (a, b), backward)
 
 
-def power(a, exponent):
-    exponent = float(exponent)
-    data = a.data ** exponent
-    ad = a.data
-
-    def backward(g):
-        return (g * exponent * ad ** (exponent - 1.0),)
-
-    return _make(data, (a,), backward)
-
-
 def tsum(a, axis=None, keepdims=False):
     data = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.data.shape
@@ -287,43 +253,6 @@ def tsum(a, axis=None, keepdims=False):
             for ax in sorted(ax % len(shape) for ax in axes):
                 gg = np.expand_dims(gg, ax)
         return (np.broadcast_to(gg, shape).copy(),)
-
-    return _make(data, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims=False):
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
-def log(a):
-    data = np.log(a.data)
-    ad = a.data
-
-    def backward(g):
-        return (g / ad,)
-
-    return _make(data, (a,), backward)
-
-
-def exp(a):
-    data = np.exp(a.data)
-
-    def backward(g):
-        return (g * data,)
-
-    return _make(data, (a,), backward)
-
-
-def clip(a, lo, hi):
-    """Clamp to [lo, hi]; gradient passes only where the input was inside."""
-    data = np.clip(a.data, lo, hi)
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        return (g * inside,)
 
     return _make(data, (a,), backward)
 
@@ -706,8 +635,8 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
     """2-D cross-correlation with optional same-size zero or wrap padding.
 
     padding: "none" (valid), "zero" (same-size, floor(k/2) zeros each side),
-    "wrap" (same-size; columns continue circularly, rows pad with zeros;
-    stride 1 only), an int, or an (ph, pw) pair of explicit zero-pad amounts.
+    or "wrap" (same-size; columns continue circularly, rows pad with zeros;
+    stride 1 only).
     Kernel extents must be odd so "half the width" is well defined.
 
     "wrap" runs ``_wrap_conv`` (row FFTs plus circular column taps); every
@@ -735,11 +664,6 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
         padded = a
     elif padding == "zero":
         padded = pad2d(a, kh // 2, kh // 2, kw // 2, kw // 2, mode="zero")
-    elif isinstance(padding, int):
-        padded = pad2d(a, padding, padding, padding, padding, mode="zero")
-    elif isinstance(padding, tuple) and len(padding) == 2:
-        ph, pw = padding
-        padded = pad2d(a, ph, ph, pw, pw, mode="zero")
     else:
         raise ValueError(f"unknown padding spec {padding!r}")
 

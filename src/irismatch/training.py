@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import enumerate_pairs, rebalance_epoch, rng_stream, split_train_val
-from .evaluation import ModelScorer, ScoreSet, collect_scores, tar_at_far
-from .matcher import IrisMatchModel, ModelConfig
+from .evaluation import ModelScorer, collect_scores, tar_at_far
+from .matcher import IrisMatchModel, ModelConfig, pair_batch
 from .tensor import ShapeError, Tensor
 
 # feature-cache ceiling for stage 1 (bytes of float64 bank responses)
@@ -55,27 +55,6 @@ class TrainConfig:
             raise ValueError("Adam epsilon must be positive")
 
 
-def adam_step(params, grads, state, config: TrainConfig):
-    """One Adam update over aligned lists of arrays, in place.
-
-    ``state`` is (step, first_moments, second_moments); the returned state
-    has the step advanced.  Standard bias-corrected update.
-    """
-    step, ms, vs = state
-    step += 1
-    c1 = 1.0 - config.beta1 ** step
-    c2 = 1.0 - config.beta2 ** step
-    for p, g, m, v in zip(params, grads, ms, vs):
-        if p.shape != g.shape or p.shape != m.shape or p.shape != v.shape:
-            raise ShapeError(f"Adam state shape mismatch: {p.shape} vs {g.shape}/{m.shape}/{v.shape}")
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        p -= config.lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
-    return step, ms, vs
-
-
 class Adam:
     """Adam over named parameters; a parameter only advances when it has a
     gradient, with its own bias-correction step count (the filter bank sits
@@ -85,7 +64,6 @@ class Adam:
         self.named = [(n, t) for n, t in named_params]
         self.lr = config.lr
         self.beta1, self.beta2, self.eps = config.beta1, config.beta2, config.adam_eps
-        self.config = config
         self.m = {n: np.zeros_like(t.data) for n, t in self.named}
         self.v = {n: np.zeros_like(t.data) for n, t in self.named}
         self.steps = {n: 0 for n, _ in self.named}
@@ -95,13 +73,22 @@ class Adam:
         return max(self.steps.values()) if self.steps else 0
 
     def step(self):
+        """One bias-corrected Adam update, in place, of every parameter with a gradient."""
         for name, tens in self.named:
-            if tens.grad is None:
+            p, g, m, v = tens.data, tens.grad, self.m[name], self.v[name]
+            if g is None:
                 continue
-            new_step, _, _ = adam_step(
-                [tens.data], [tens.grad], (self.steps[name], [self.m[name]], [self.v[name]]),
-                self.config)
-            self.steps[name] = new_step
+            if p.shape != g.shape or p.shape != m.shape or p.shape != v.shape:
+                raise ShapeError(
+                    f"Adam state shape mismatch: {p.shape} vs {g.shape}/{m.shape}/{v.shape}")
+            step = self.steps[name] = self.steps[name] + 1
+            c1 = 1.0 - self.beta1 ** step
+            c2 = 1.0 - self.beta2 ** step
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def load_moments(self, moments, steps):
         for name, (m, v) in moments.items():
@@ -145,30 +132,6 @@ class TrainLog:
             for r in self.records:
                 fh.write(f"{r.epoch},{r.stage},{r.train_loss:.17g},"
                          f"{r.val_tar:.17g},{r.wall_seconds:.3f}\n")
-
-
-def _bank_features(model, store, indices, batch_size=16):
-    """Eval bank responses for the given image indices, outside the tape."""
-    feats = {}
-    with T.no_grad():
-        for start in range(0, len(indices), batch_size):
-            chunk = indices[start:start + batch_size]
-            out = model.bank.forward(Tensor(store.images[chunk][:, None])).data
-            for local, idx in enumerate(chunk):
-                feats[int(idx)] = out[local]
-    return feats
-
-
-def _stage1_cache(model, store, pair_images):
-    bytes_needed = len(pair_images) * model.bank.out_channels * store.height * store.width * 8
-    if bytes_needed > _CACHE_BUDGET:
-        return None
-    return _bank_features(model, store, pair_images)
-
-
-def _batch_input_from_features(feats, batch_pairs):
-    return Tensor(np.stack([np.concatenate([feats[int(q)], feats[int(r)]], axis=0)
-                            for q, r in batch_pairs]))
 
 
 def _validation_tar(model, store, val_pairs, far):
@@ -216,6 +179,8 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
         best_epoch = resume.get("best_epoch", -1)
 
     pair_images = np.unique(np.concatenate([train_pairs.authentic, train_pairs.imposter]))
+    cache_fits = (len(pair_images) * model.bank.out_channels * store.height * store.width * 8
+                  <= _CACHE_BUDGET)
     cache = None
     diverged = False
     next_epoch = start_epoch
@@ -223,8 +188,8 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
     for epoch in range(start_epoch, config.epochs):
         t0 = time.perf_counter()
         stage = 1 if epoch < config.stage1_epochs else 2
-        if stage == 1 and cache is None:
-            cache = _stage1_cache(model, store, pair_images)
+        if stage == 1 and cache is None and cache_fits:
+            cache = model.bank_features(store.images[pair_images])
         if stage == 2:
             cache = None
 
@@ -237,15 +202,16 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
             if len(batch_pairs) < 2:
                 continue  # batch-norm needs at least two pairs
 
-            if stage == 1:
-                feats = cache or _bank_features(model, store, np.unique(batch_pairs))
-                batch_input = _batch_input_from_features(feats, batch_pairs)
+            if cache is not None:
+                feats, local = cache, np.searchsorted(pair_images, batch_pairs)
             else:
-                uniq, inverse = np.unique(batch_pairs.reshape(-1), return_inverse=True)
-                feats = model.bank.forward(Tensor(store.images[uniq][:, None]))
-                inverse = inverse.reshape(-1, 2)
-                batch_input = T.concat([T.index_select(feats, inverse[:, 0]),
-                                        T.index_select(feats, inverse[:, 1])], axis=1)
+                uniq, local = np.unique(batch_pairs, return_inverse=True)
+                local = local.reshape(-1, 2)
+                # stage 2 runs the bank on the tape in one call per batch: chunks
+                # would reorder the sums of its weight gradients
+                feats = (model.bank_features(store.images[uniq]) if stage == 1 else
+                         model.bank.forward(Tensor(store.images[uniq][:, None])))
+            batch_input = pair_batch(feats, local)
 
             probs = model.forward_pairs(batch_input, training=True,
                                         rng=rng_stream(config.seed, 4, epoch, step))

@@ -75,13 +75,6 @@ class UnitCircleFilter:
         else:
             self.bias = None
 
-    @property
-    def stride(self):
-        return 1
-
-    def parameters(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
-
 
 def uc_forward(x, f, mode="unit-circle"):
     """Response of one layer: wrap conv, then the per-pixel nonlinearity.
@@ -111,7 +104,6 @@ class UnitCircleBank:
             raise ShapeError("a bank needs at least one filter")
         rng = rng or np.random.default_rng(0)
         self.mode = mode
-        self.has_bias = bool(bias)
         self.filters = [UnitCircleFilter(kh, kw, bias=bias, rng=rng, dtype=dtype)
                         for kh, kw in kernels]
 
@@ -123,12 +115,6 @@ class UnitCircleBank:
     def out_channels(self):
         return 2 * len(self.filters)
 
-    def kernels(self):
-        return [(f.kh, f.kw) for f in self.filters]
-
-    def parameters(self):
-        return [p for f in self.filters for p in f.parameters()]
-
     def named_parameters(self):
         out = []
         for i, f in enumerate(self.filters):
@@ -138,11 +124,5 @@ class UnitCircleBank:
         return out
 
     def forward(self, x):
-        return bank_forward(x, self)
-
-
-def bank_forward(x, bank):
-    """Concatenate every filter's response along channels: (B,1,H,W) -> (B,2F,H,W)."""
-    if not bank.filters:
-        raise ShapeError("empty filter bank")
-    return T.concat([uc_forward(x, f, bank.mode) for f in bank.filters], axis=1)
+        """Concatenate every filter's response along channels: (B,1,H,W) -> (B,2F,H,W)."""
+        return T.concat([uc_forward(x, f, self.mode) for f in self.filters], axis=1)

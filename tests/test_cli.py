@@ -140,6 +140,22 @@ def test_train_resume_equals_uninterrupted_run(tmp_path):
     assert _canonical_log(split) == _canonical_log(whole)
 
 
+def test_train_resume_with_another_architecture_exits_2(dataset, run_dir, tmp_path, capsys):
+    import shutil
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+    args = list(TRAIN_ARGS)
+    args[args.index("--matcher_channels") + 1] = "6"
+    args[args.index("--epochs") + 1] = "3"
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed),
+                 "--resume", "true"] + args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "architecture" in err and len(err.strip().splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     code = main(["train", "--data_dir", str(tmp_path / "nope")] + TRAIN_ARGS)
     assert code == 2

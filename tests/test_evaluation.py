@@ -198,7 +198,8 @@ def test_collect_scores_lengths_and_order_independence():
     assert sorted(s.imposter) == sorted(s2.imposter)
 
 
-def test_collect_scores_runs_bank_once_per_image():
+def test_collect_scores_runs_bank_once_per_image(monkeypatch):
+    from irismatch import evaluation, matcher
     from irismatch.data import enumerate_pairs
     from irismatch.evaluation import ModelScorer
     from irismatch.matcher import IrisMatchModel, ModelConfig
@@ -216,7 +217,9 @@ def test_collect_scores_runs_bank_once_per_image():
 
     model.bank.forward = counting_forward
     pairs = enumerate_pairs(store)
-    scores = collect_scores(ModelScorer(model, batch_size=4), store, pairs)
+    monkeypatch.setattr(matcher, "_BANK_CHUNK", 4)
+    monkeypatch.setattr(evaluation, "_PAIR_CHUNK", 4)
+    scores = collect_scores(ModelScorer(model), store, pairs)
     assert sorted(seen) == sorted(img.tobytes() for img in store.images)
     assert len(scores.authentic) == pairs.n_positive
     assert len(scores.imposter) == pairs.n_negative

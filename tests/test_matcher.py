@@ -5,7 +5,7 @@ import pytest
 
 from irismatch import checkpoint as ckpt
 from irismatch import tensor as T
-from irismatch.gradcheck import check_gradients
+from gradcheck import check_gradients
 from irismatch.matcher import (ConvBlockSpec, IrisMatchModel, ModelConfig,
                                default_matcher_blocks, parameter_count)
 from irismatch.tensor import ShapeError, Tensor
@@ -81,6 +81,21 @@ def test_pair_input_shares_the_bank():
 
 
 # ------------------------------------------------------- match_probability
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_bank_features_bitwise_equal_to_one_image_at_a_time(chunk, monkeypatch):
+    from irismatch import matcher
+
+    model = IrisMatchModel(ModelConfig.small(32, 128), rng=np.random.default_rng(51))
+    images = np.random.default_rng(52).uniform(size=(7, 32, 128))
+    monkeypatch.setattr(matcher, "_BANK_CHUNK", chunk)
+    feats = model.bank_features(images)
+    assert not feats.requires_grad
+    for i, img in enumerate(images):
+        with T.no_grad():
+            want = model.bank.forward(Tensor(img[None, None])).data[0]
+        assert feats.data[i].tobytes() == want.tobytes(), i
 
 
 def test_zero_head_gives_half():
@@ -237,6 +252,20 @@ def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
         assert str(path) in str(err.value), n
         if n >= 4:
             assert "offset" in str(err.value), n
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(66))
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(model, path)
+    before = path.read_bytes()
+    items = model.state_items() + [("bad", np.zeros(3, dtype=np.int64))]
+    with pytest.raises(ckpt.CheckpointError, match="unsupported dtype"):
+        ckpt.write_records(path, ckpt.MODEL_MAGIC, model.config.to_dict(), items)
+    assert path.read_bytes() == before
+    assert ckpt.load_model(path).match_probability(np.zeros((12, 24)), np.ones((12, 24))) == \
+        model.match_probability(np.zeros((12, 24)), np.ones((12, 24)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_default_blocks_shape():

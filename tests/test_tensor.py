@@ -2,14 +2,14 @@
 
 The convolution reference here is a six-nested-loop cross-correlation written
 before the engine was used for anything; gradients are checked against
-central finite differences (see irismatch.gradcheck).
+central finite differences (see gradcheck.py).
 """
 
 import numpy as np
 import pytest
 
 from irismatch import tensor as T
-from irismatch.gradcheck import check_gradients, max_relative_error, numerical_gradient
+from gradcheck import check_gradients, max_relative_error, numerical_gradient
 
 
 def loop_conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0)):
@@ -36,13 +36,18 @@ def loop_conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0)):
     return out
 
 
+def square_sum(t):
+    """Scalar loss sum(t * t) for the finite-difference checks."""
+    return (t * t).sum()
+
+
 # ---------------------------------------------------------------- conv2d
 
 
 def test_conv2d_all_ones_counting():
     x = T.Tensor(np.ones((1, 1, 3, 3)))
     w = T.Tensor(np.ones((1, 1, 3, 3)))
-    out = T.conv2d(x, w, stride=1, padding=1).data[0, 0]
+    out = T.conv2d(x, w, stride=1, padding="zero").data[0, 0]
     assert out[1, 1] == 9.0
     assert out[0, 0] == 4.0
     assert out[0, 2] == 4.0
@@ -75,11 +80,14 @@ def test_conv2d_matches_loop_reference():
     ((2, 1, 7, 7), (1, 1, 7, 7), (1, 1), (0, 0)),
 ])
 def test_conv2d_loop_reference_shapes(shape, kshape, stride, pad):
+    # every nonzero pad here is half the kernel, which is what "zero" pads
+    padding = "none" if pad == (0, 0) else "zero"
+    assert padding == "none" or pad == (kshape[2] // 2, kshape[3] // 2)
     rng = np.random.default_rng(hash((shape, kshape)) % 2**32)
     x = rng.normal(size=shape)
     w = rng.normal(size=kshape)
     b = rng.normal(size=kshape[0])
-    got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=pad).data
+    got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=padding).data
     want = loop_conv2d(x, w, b, stride=stride, pad=pad)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -369,7 +377,7 @@ def test_gradcheck_add_mul_sum():
     rng = np.random.default_rng(10)
     a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    err = check_gradients(lambda: ((a * b + a) ** 2.0).sum(), [a, b])
+    err = check_gradients(lambda: square_sum(a * b + a), [a, b])
     assert err < 1e-4
 
 
@@ -377,7 +385,7 @@ def test_gradcheck_broadcast_bias():
     rng = np.random.default_rng(11)
     a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(3,)), requires_grad=True)
-    err = check_gradients(lambda: ((a + b) * (a + b)).mean(), [a, b])
+    err = check_gradients(lambda: ((a + b) * (a + b)).sum(), [a, b])
     assert err < 1e-4
 
 
@@ -387,7 +395,7 @@ def test_gradcheck_conv2d_zero_padding():
     w = T.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     b = T.Tensor(rng.normal(size=3), requires_grad=True)
     err = check_gradients(
-        lambda: (T.conv2d(x, w, b, stride=(2, 1), padding="zero") ** 2.0).sum(), [x, w, b])
+        lambda: square_sum(T.conv2d(x, w, b, stride=(2, 1), padding="zero")), [x, w, b])
     assert err < 1e-4
 
 
@@ -396,7 +404,7 @@ def test_gradcheck_conv2d_wrap_padding():
     x = T.Tensor(rng.normal(size=(1, 1, 5, 7)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(2, 1, 3, 5)), requires_grad=True)
     err = check_gradients(
-        lambda: (T.conv2d(x, w, padding="wrap") ** 2.0).sum(), [x, w])
+        lambda: square_sum(T.conv2d(x, w, padding="wrap")), [x, w])
     assert err < 1e-4
 
 
@@ -431,7 +439,7 @@ def test_gradcheck_elu_relu_sigmoid():
     rng = np.random.default_rng(15)
     x = T.Tensor(rng.normal(size=(3, 7)) + 0.1, requires_grad=True)
     for op in (T.elu, T.relu, T.sigmoid):
-        err = check_gradients(lambda: (op(x) ** 2.0).sum(), [x])
+        err = check_gradients(lambda: square_sum(op(x)), [x])
         assert err < 1e-4, op.__name__
 
 
@@ -457,7 +465,7 @@ def test_gradcheck_dropout_fixed_mask():
     rng = np.random.default_rng(17)
     x = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     err = check_gradients(
-        lambda: (T.dropout(x, 0.4, training=True, rng=np.random.default_rng(99)) ** 2.0).sum(),
+        lambda: square_sum(T.dropout(x, 0.4, training=True, rng=np.random.default_rng(99))),
         [x])
     assert err < 1e-4
 
@@ -465,7 +473,7 @@ def test_gradcheck_dropout_fixed_mask():
 def test_gradcheck_global_avg_pool():
     rng = np.random.default_rng(18)
     x = T.Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-    err = check_gradients(lambda: (T.global_avg_pool(x) ** 2.0).sum(), [x])
+    err = check_gradients(lambda: square_sum(T.global_avg_pool(x)), [x])
     assert err < 1e-4
 
 
@@ -486,7 +494,7 @@ def test_gradcheck_concat_index_select():
     def build():
         cat = T.concat([a, b], axis=1)
         sel = T.index_select(cat, idx, axis=0)
-        return (sel ** 2.0).sum()
+        return square_sum(sel)
 
     err = check_gradients(build, [a, b])
     assert err < 1e-4

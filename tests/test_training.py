@@ -1,12 +1,16 @@
 """Tests for the Adam optimizer and the two-stage training loop."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
 from irismatch.data import IdentityStore
 from irismatch.matcher import ConvBlockSpec, IrisMatchModel, ModelConfig
 from irismatch.tensor import ShapeError, Tensor
-from irismatch.training import Adam, TrainConfig, TrainLog, adam_step, train
+from irismatch.training import Adam, TrainConfig, TrainLog, train
 
 
 def adam_reference(grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8, w0=0.0):
@@ -53,51 +57,55 @@ def toy_train_config(**over):
 # ---------------------------------------------------------------- adam
 
 
+def adam_on(values):
+    """A one-parameter Adam with default TrainConfig; returns (parameter, optimizer)."""
+    w = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+    return w, Adam([("w", w)], TrainConfig())
+
+
 def test_adam_first_step_bias_corrected():
-    config = TrainConfig()
-    w = np.array([0.0])
-    state = (0, [np.zeros(1)], [np.zeros(1)])
-    adam_step([w], [np.array([1.0])], state, config)
-    assert abs(w[0] - (-0.01 / (1.0 + 1e-8))) < 1e-12
+    w, opt = adam_on([0.0])
+    w.grad = np.array([1.0])
+    opt.step()
+    assert abs(w.data[0] - (-0.01 / (1.0 + 1e-8))) < 1e-12
 
 
 def test_adam_zero_gradient_never_moves():
-    config = TrainConfig()
-    w = np.array([0.7, -0.3])
-    state = (0, [np.zeros(2)], [np.zeros(2)])
+    w, opt = adam_on([0.7, -0.3])
     for _ in range(50):
-        state = adam_step([w], [np.zeros(2)], state, config)
-    assert np.array_equal(w, [0.7, -0.3])
+        w.grad = np.zeros(2)
+        opt.step()
+    assert np.array_equal(w.data, [0.7, -0.3])
 
 
 def test_adam_matches_reference_recurrence():
     rng = np.random.default_rng(120)
     grads = rng.normal(size=100)
-    config = TrainConfig()
-    w = np.array([0.0])
-    state = (0, [np.zeros(1)], [np.zeros(1)])
+    w, opt = adam_on([0.0])
     mine = []
     for g in grads:
-        state = adam_step([w], [np.array([g])], state, config)
-        mine.append(float(w[0]))
+        w.grad = np.array([g])
+        opt.step()
+        mine.append(float(w.data[0]))
     ref = adam_reference(grads)
     assert np.allclose(mine, ref, atol=1e-14)
 
 
 def test_adam_quadratic_convergence():
     # minimize (w - 0.5)^2 / 2; 200 steps land within 1e-3 of the optimum
-    config = TrainConfig()
-    w = np.array([0.0])
-    state = (0, [np.zeros(1)], [np.zeros(1)])
+    w, opt = adam_on([0.0])
     for _ in range(200):
-        state = adam_step([w], [w - 0.5], state, config)
-    assert abs(w[0] - 0.5) < 1e-3
+        w.grad = w.data - 0.5
+        opt.step()
+    assert abs(w.data[0] - 0.5) < 1e-3
 
 
 def test_adam_shape_mismatch():
-    config = TrainConfig()
+    w, opt = adam_on([0.0, 0.0])
+    w.grad = np.zeros(3)
     with pytest.raises(ShapeError):
-        adam_step([np.zeros(2)], [np.zeros(3)], (0, [np.zeros(2)], [np.zeros(2)]), config)
+        opt.step()
+    assert opt.steps == {"w": 0}
 
 
 def test_adam_class_updates_only_params_with_grads():
@@ -227,6 +235,55 @@ def test_geometry_mismatch_rejected():
     store = toy_store(h=8, w=16)
     with pytest.raises(ValueError, match="geometry"):
         train(store, toy_train_config(), toy_model_config(h=10, w=16))
+
+
+# ---------------------------------------------------------------- golden logs
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_train_logs.json")
+
+
+def golden_run(name):
+    """Train one fixed-seed tiny config; returns (canonical log lines, sha256
+    of the trained model's ModelScorer scores over every pair, as bytes)."""
+    from irismatch.data import enumerate_pairs
+    from irismatch.evaluation import ModelScorer
+    from irismatch.synthetic import SynthSpec, generate
+
+    if name == "toy-8x16":
+        store, model_config = toy_store(), toy_model_config()
+        config = toy_train_config(stage1_epochs=2, epochs=4)
+    else:
+        store = generate(SynthSpec(identities=4, images_per_identity=4, height=16, width=32,
+                                   occlusion_prob=0.5, seed=7))
+        model_config = ModelConfig.small(16, 32)
+        config = TrainConfig(lr=0.01, batch_size=8, stage1_epochs=1, epochs=3, seed=5,
+                             selection_far=0.25)
+    model, log = train(store, config, model_config)
+    pairs = enumerate_pairs(store)
+    scores = ModelScorer(model).score_pairs(
+        store, np.concatenate([pairs.authentic, pairs.imposter]))
+    return log.canonical_lines(), hashlib.sha256(np.asarray(scores).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])
+def test_training_log_and_scores_match_golden(name):
+    with open(GOLDEN_PATH, encoding="ascii") as fh:
+        golden = json.load(fh)[name]
+    lines, scores_sha = golden_run(name)
+    assert lines == golden["log"]
+    assert scores_sha == golden["scores_sha256"]
+
+
+@pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])
+def test_stage1_without_feature_cache_gives_the_same_log(name, monkeypatch):
+    import irismatch.training as training
+
+    with open(GOLDEN_PATH, encoding="ascii") as fh:
+        golden = json.load(fh)[name]
+    monkeypatch.setattr(training, "_CACHE_BUDGET", 0)
+    lines, scores_sha = golden_run(name)
+    assert lines == golden["log"]
+    assert scores_sha == golden["scores_sha256"]
 
 
 def test_log_csv_format(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from irismatch import tensor as T
 from irismatch import unit_circle as uc
-from irismatch.gradcheck import check_gradients, numerical_gradient, max_relative_error
+from gradcheck import check_gradients, numerical_gradient, max_relative_error
 from irismatch.tensor import ShapeError, Tensor
 
 
@@ -239,7 +239,7 @@ def test_bank_output_channels_full_geometry():
     bank = uc.UnitCircleBank(rng=rng)  # the default five filters
     assert bank.num_filters == 5
     x = Tensor(np.random.default_rng(1).uniform(size=(1, 1, 110, 512)))
-    out = uc.bank_forward(x, bank)
+    out = bank.forward(x)
     assert out.shape == (1, 10, 110, 512)
 
 
@@ -247,7 +247,7 @@ def test_bank_single_filter_equals_uc_forward():
     rng = np.random.default_rng(38)
     bank = uc.UnitCircleBank(kernels=[(3, 5)], rng=rng)
     x = Tensor(np.random.default_rng(2).uniform(size=(1, 1, 8, 10)))
-    a = uc.bank_forward(x, bank).data
+    a = bank.forward(x).data
     b = uc.uc_forward(x, bank.filters[0]).data
     assert np.array_equal(a, b)
 
@@ -256,9 +256,9 @@ def test_bank_filter_permutation_permutes_channel_pairs():
     rng = np.random.default_rng(39)
     bank = uc.UnitCircleBank(kernels=[(3, 3), (3, 5), (5, 7)], rng=rng)
     x = Tensor(np.random.default_rng(3).uniform(size=(1, 1, 9, 11)))
-    before = uc.bank_forward(x, bank).data.copy()
+    before = bank.forward(x).data.copy()
     bank.filters[0], bank.filters[2] = bank.filters[2], bank.filters[0]
-    after = uc.bank_forward(x, bank).data
+    after = bank.forward(x).data
     assert np.array_equal(after[:, 0:2], before[:, 4:6])
     assert np.array_equal(after[:, 4:6], before[:, 0:2])
     assert np.array_equal(after[:, 2:4], before[:, 2:4])
@@ -273,9 +273,9 @@ def test_bank_shift_equivariance():
     rng = np.random.default_rng(40)
     bank = uc.UnitCircleBank(rng=rng)
     x = np.random.default_rng(4).uniform(size=(1, 1, 12, 512))
-    base = uc.bank_forward(Tensor(x), bank).data
+    base = bank.forward(Tensor(x)).data
     for s in (1, 7, 256):
-        shifted = uc.bank_forward(Tensor(np.roll(x, s, axis=3)), bank).data
+        shifted = bank.forward(Tensor(np.roll(x, s, axis=3))).data
         assert np.array_equal(shifted, np.roll(base, s, axis=3)), f"shift {s}"
 
 
@@ -283,7 +283,7 @@ def test_bank_shift_equivariance_full_geometry():
     rng = np.random.default_rng(43)
     bank = uc.UnitCircleBank(rng=rng)
     x = np.random.default_rng(5).uniform(size=(1, 1, 110, 512))
-    base = uc.bank_forward(Tensor(x), bank).data
+    base = bank.forward(Tensor(x)).data
     for s in (1, 33, 256, 511):
-        shifted = uc.bank_forward(Tensor(np.roll(x, s, axis=3)), bank).data
+        shifted = bank.forward(Tensor(np.roll(x, s, axis=3))).data
         assert np.array_equal(shifted, np.roll(base, s, axis=3)), f"shift {s}"
