@@ -108,7 +108,7 @@ def read_records(path, magic):
     rd.take(4, "magic")
     (version,) = rd.unpack("<H", "version")
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = rd.unpack("<I", "meta length")
     meta_at = rd.off
     try:
@@ -122,7 +122,7 @@ def read_records(path, magic):
         name = rd.text(name_len, "record name")
         tag, rank = rd.unpack("<BB", f"dtype and rank of {name!r}")
         if tag not in _TAG_DTYPES:
-            raise CheckpointError(f"unknown dtype tag {tag} for record {name!r}")
+            raise CheckpointError(f"{path}: unknown dtype tag {tag} for record {name!r}")
         extents = rd.unpack(f"<{rank}I", f"extents of {name!r}")
         dtype = _TAG_DTYPES[tag]
         payload = rd.take(math.prod(extents) * dtype.itemsize, f"payload of {name!r}")
@@ -139,19 +139,27 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Rebuild a model from a checkpoint; outputs match the saved model bitwise."""
+    """Rebuild a model from a checkpoint; outputs match the saved model bitwise.
+
+    The model is allocated from the stored architecture with no RNG draws,
+    then every parameter and buffer is filled from its record."""
     from .matcher import IrisMatchModel, ModelConfig
 
     meta, records = read_records(path, MODEL_MAGIC)
-    model = IrisMatchModel(ModelConfig.from_dict(meta))
+    try:
+        model = IrisMatchModel.allocate(ModelConfig.from_dict(meta))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad architecture in meta: {exc!r}") from exc
     expected = dict(model.state_items())
     if set(expected) != set(records):
         missing = set(expected) - set(records)
         extra = set(records) - set(expected)
-        raise CheckpointError(f"record mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        raise CheckpointError(
+            f"{path}: record mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+    for name, arr in expected.items():
+        if records[name].shape != arr.shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name}")
     for name, tens in model.named_parameters():
-        if records[name].shape != tens.data.shape:
-            raise CheckpointError(f"shape mismatch for {name}")
         tens.data = records[name].copy()
     for name, buf in model.named_buffers():
         buf[...] = records[name]
@@ -173,6 +181,11 @@ def load_optimizer_state(path):
     meta, records = read_records(path, OPTIM_MAGIC)
     moments = {}
     for key, arr in records.items():
-        name, kind = key.rsplit(".", 1)
+        name, dot, kind = key.rpartition(".")
+        if not (dot and name and kind in ("m", "v")):
+            raise CheckpointError(f"{path}: record {key!r} is not <parameter>.m or <parameter>.v")
         moments.setdefault(name, [None, None])["mv".index(kind)] = arr
+    for name, (m, v) in moments.items():
+        if m is None or v is None or m.shape != v.shape:
+            raise CheckpointError(f"{path}: {name!r} needs a .m and a .v record of one shape")
     return meta, {k: tuple(v) for k, v in moments.items()}

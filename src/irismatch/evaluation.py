@@ -15,12 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .matcher import pair_batch
-
-# pairs per matcher call in ``ModelScorer``
-_PAIR_CHUNK = 32
-
 
 @dataclass
 class ScoreSet:
@@ -31,6 +25,11 @@ class ScoreSet:
     def __post_init__(self):
         self.authentic = np.asarray(self.authentic, dtype=np.float64).reshape(-1)
         self.imposter = np.asarray(self.imposter, dtype=np.float64).reshape(-1)
+        for side in ("authentic", "imposter"):
+            bad = np.count_nonzero(~np.isfinite(getattr(self, side)))
+            if bad:
+                raise ValueError(f"{bad} of {getattr(self, side).size} {side} scores "
+                                 f"are not finite")
 
     def require_nonempty(self):
         if self.authentic.size == 0 or self.imposter.size == 0:
@@ -135,8 +134,14 @@ def collect_scores(scorer, store, pairs) -> ScoreSet:
 
 
 class ModelScorer:
-    """Eval-mode CNN probability per pair; the bank runs once per distinct
-    image and the matcher on ``_PAIR_CHUNK`` pairs at a time."""
+    """Eval-mode CNN probability per pair.
+
+    The bank runs once per distinct image (``bank_features``); the matcher
+    scores the pairs through ``IrisMatchModel.pair_probabilities``, which
+    runs block 0 once per distinct image and side of a chunk of pairs and
+    streams block 0 through the head in sub-batches whose largest
+    activation fits a byte budget.  ``match_probability`` takes the same
+    path, so a pair scores bitwise the same through either."""
 
     higher_is_match = True
 
@@ -149,15 +154,8 @@ class ModelScorer:
                 f"store geometry {store.height}x{store.width} does not match the model's "
                 f"{self.model.height}x{self.model.width}; resize first")
         used, local = np.unique(np.asarray(pair_array, dtype=np.intp), return_inverse=True)
-        local = local.reshape(-1, 2)
         feats = self.model.bank_features(store.images[used])
-        scores = np.empty(len(local))
-        with T.no_grad():
-            for start in range(0, len(local), _PAIR_CHUNK):
-                chunk = local[start:start + _PAIR_CHUNK]
-                scores[start:start + len(chunk)] = self.model.forward_pairs(
-                    pair_batch(feats, chunk)).data
-        return scores
+        return self.model.pair_probabilities(feats.data, local.reshape(-1, 2))
 
 
 class BitcodeScorer:

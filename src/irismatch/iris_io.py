@@ -56,11 +56,15 @@ def read_pgm(path):
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad PGM header") from exc
+    if w < 1 or h < 1:
+        raise FileFormatError(f"{path}: PGM extents {w}x{h} are not positive")
     if maxval > 255 or maxval < 1:
         raise FileFormatError(f"{path}: unsupported maxval {maxval} (8-bit only)")
     if len(data) - pos < w * h:
         raise FileFormatError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
+    if pixels.max() > maxval:
+        raise FileFormatError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
     return pixels.reshape(h, w).astype(np.float64) / maxval
 
 
@@ -85,11 +89,17 @@ def read_iris_raw(path):
             h, w = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad iris raw extents") from exc
+        if h < 1 or w < 1:
+            raise FileFormatError(f"{path}: iris raw extents {h}x{w} are not positive")
         payload = fh.read()
     expected = h * w * 4
     if len(payload) != expected:
         raise FileFormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").reshape(h, w).astype(np.float64)
+    image = np.frombuffer(payload, dtype="<f4").reshape(h, w).astype(np.float64)
+    bad = np.count_nonzero(~np.isfinite(image))
+    if bad:
+        raise FileFormatError(f"{path}: {bad} pixel values are not finite")
+    return image
 
 
 def read_image(path):

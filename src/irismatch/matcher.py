@@ -6,10 +6,18 @@ global average pooling, and a sigmoid.  It maps the concatenated unit-circle
 responses of two normalized irises to a single match probability per pair.
 Both irises pass through the same filter bank, so the matcher input has
 4F channels for a bank of F filters.
+
+Training feeds the matcher the concatenation itself (``pair_batch``).
+Inference keeps it factorized (``PairFeatures``): block 0's convolution over
+[f(q), f(r)] equals W_q*f(q) + b + W_r*f(r), so each distinct image of a
+chunk of pairs goes through the half of the weight its side needs once, and
+a pair costs one add.  The blocks after that run on sub-batches of pairs
+sized so that the largest activation stays under ``_ACTIVATION_BUDGET``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +29,15 @@ from .tensor import ShapeError, Tensor
 # images per bank call in ``IrisMatchModel.bank_features``; the bank's
 # output does not depend on it, only its FFT workspace does
 _BANK_CHUNK = 16
+
+# bytes of block-0 half outputs one chunk of pairs may hold in
+# ``IrisMatchModel.pair_probabilities`` (17 images' halves at 110x512)
+_HALF_BUDGET = 1 << 28
+
+# bytes of the largest per-pair activation of one inference sub-batch; under
+# glibc's largest mmap threshold (32 MB), so activations are reused heap
+# blocks, not freshly mapped and zeroed pages (one pair at 110x512)
+_ACTIVATION_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -56,14 +73,9 @@ class ConvBlock:
 
     def __init__(self, in_channels, spec: ConvBlockSpec, rng, dtype=np.float64):
         kh, kw = spec.kernel
-        fan_in = in_channels * kh * kw
         self.spec = spec
-        self.weight = Tensor(
-            uc.kaiming_uniform(rng, (spec.out_channels, in_channels, kh, kw), fan_in).astype(dtype),
-            requires_grad=True)
-        bb = 1.0 / np.sqrt(fan_in)
-        self.bias = Tensor(rng.uniform(-bb, bb, size=spec.out_channels).astype(dtype),
-                           requires_grad=True)
+        self.weight, self.bias = uc.init_conv(rng, (spec.out_channels, in_channels, kh, kw),
+                                              True, dtype)
         if spec.batch_norm:
             self.gamma = Tensor(np.ones(spec.out_channels, dtype=dtype), requires_grad=True)
             self.beta = Tensor(np.zeros(spec.out_channels, dtype=dtype), requires_grad=True)
@@ -74,7 +86,12 @@ class ConvBlock:
             self.running_mean = self.running_var = None
 
     def forward(self, x, training, rng=None):
-        h = T.conv2d(x, self.weight, self.bias, stride=self.spec.stride, padding="zero")
+        """``x`` is a (B, Cin, H, W) tensor, or ``PairFeatures`` for block 0
+        at inference."""
+        if isinstance(x, PairFeatures):
+            h = x.first_conv(self)
+        else:
+            h = T.conv2d(x, self.weight, self.bias, stride=self.spec.stride, padding="zero")
         h = T.elu(h)
         if self.spec.batch_norm:
             h = T.batch_norm(h, self.gamma, self.beta,
@@ -88,29 +105,57 @@ class MatcherModel:
     """Fully convolutional pair scorer: conv blocks, 1x1 head, global pool, sigmoid."""
 
     def __init__(self, in_channels, blocks=None, rng=None, dtype=np.float64):
+        """``rng=None`` draws nothing: the weights are zero until loaded."""
         blocks = tuple(blocks) if blocks is not None else default_matcher_blocks()
-        rng = rng or np.random.default_rng(0)
         self.in_channels = int(in_channels)
         self.blocks = []
         c = in_channels
         for spec in blocks:
             self.blocks.append(ConvBlock(c, spec, rng, dtype))
             c = spec.out_channels
-        self.head_weight = Tensor(uc.kaiming_uniform(rng, (1, c, 1, 1), c).astype(dtype),
-                                  requires_grad=True)
-        self.head_bias = Tensor(rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=1)
-                                .astype(dtype), requires_grad=True)
+        self.head_weight, self.head_bias = uc.init_conv(rng, (1, c, 1, 1), True, dtype)
 
     def forward(self, x, training=False, rng=None):
-        """(B, in_channels, H, W) -> (B,) match probabilities."""
+        """(B, in_channels, H, W) -> (B,) match probabilities.
+
+        ``x`` may be ``PairFeatures`` (eval mode, outside the tape, in one
+        ``T.workspace``): block 0 then runs factorized, and block 0 through
+        the head run on sub-batches of as many pairs as keep the largest
+        activation within ``_ACTIVATION_BUDGET`` bytes.
+        """
         if x.shape[1] != self.in_channels:
             raise ShapeError(f"matcher expects {self.in_channels} input channels, got {x.shape[1]}")
+        if not isinstance(x, PairFeatures):
+            return self._forward(x, training, rng)
+        if training:
+            raise ValueError("factorized pair features are for eval-mode scoring only")
+        with T.no_grad(), T.workspace():
+            if not self.blocks:
+                return self._forward(pair_batch(Tensor(x.feats), x.pairs), False)
+            out = np.empty(x.shape[0], dtype=x.feats.dtype)
+            largest = max(self.block_bytes(x.shape[2:], x.feats.itemsize))
+            step = max(1, _ACTIVATION_BUDGET // largest)
+            for start in range(0, len(out), step):
+                out[start:start + step] = self._forward(x.rows(start, start + step), False).data
+        return Tensor(out)
+
+    def _forward(self, x, training, rng=None):
         h = x
         for block in self.blocks:
             h = block.forward(h, training, rng)
         h = T.conv2d(h, self.head_weight, self.head_bias, stride=1, padding="none")
         h = T.global_avg_pool(h)           # (B, 1)
         return T.sigmoid(h.reshape((x.shape[0],)))
+
+    def block_bytes(self, size, itemsize):
+        """Bytes of each block's output for one pair at input size (H, W)."""
+        h, w = size
+        out = []
+        for block in self.blocks:
+            sh, sw = block.spec.stride
+            h, w = (h - 1) // sh + 1, (w - 1) // sw + 1   # "zero" padding, odd kernel
+            out.append(block.spec.out_channels * h * w * itemsize)
+        return out
 
     def named_parameters(self):
         out = []
@@ -187,11 +232,21 @@ class IrisMatchModel:
     """Shared unit-circle bank plus matcher, bound to an input geometry."""
 
     def __init__(self, config: ModelConfig = None, rng=None, dtype=np.float64):
-        self.config = config or ModelConfig()
-        rng = rng or np.random.default_rng(0)
-        self.bank = uc.UnitCircleBank(self.config.bank_kernels, bias=self.config.bank_bias,
-                                      mode=self.config.bank_mode, rng=rng, dtype=dtype)
-        self.matcher = MatcherModel(2 * self.bank.out_channels, self.config.matcher_blocks,
+        self._build(config or ModelConfig(), rng or np.random.default_rng(0), dtype)
+
+    @classmethod
+    def allocate(cls, config: ModelConfig, dtype=np.float64):
+        """A model of ``config`` with zero weights and no RNG draws, for a
+        checkpoint to fill."""
+        model = cls.__new__(cls)
+        model._build(config, None, dtype)
+        return model
+
+    def _build(self, config, rng, dtype):
+        self.config = config
+        self.bank = uc.UnitCircleBank(config.bank_kernels, bias=config.bank_bias,
+                                      mode=config.bank_mode, rng=rng, dtype=dtype)
+        self.matcher = MatcherModel(2 * self.bank.out_channels, config.matcher_blocks,
                                     rng=rng, dtype=dtype)
 
     @property
@@ -226,20 +281,40 @@ class IrisMatchModel:
         """Score an already-assembled (B, 4F, H, W) pair tensor."""
         return self.matcher.forward(pair, training=training, rng=rng)
 
+    def pair_probabilities(self, feats, pairs):
+        """Eval-mode match probability of each (query, reference) row of
+        ``pairs``, indices into the (N, 2F, H, W) ``bank_features`` array
+        ``feats``.
+
+        Pairs go to the matcher as ``PairFeatures`` in consecutive chunks,
+        each needing at most ``_HALF_BUDGET`` bytes of block-0 half outputs.
+        A pair's probability does not depend on the chunk or the sub-batch
+        it lands in.
+        """
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        half_bytes = (self.matcher.block_bytes(feats.shape[2:], feats.itemsize) or [1])[0]
+        scores = np.empty(len(pairs))
+        for start, stop in _pair_chunks(pairs, max(2, _HALF_BUDGET // half_bytes)):
+            scores[start:stop] = self.matcher.forward(PairFeatures(feats, pairs[start:stop])).data
+        return scores
+
     def match_probability(self, xq, xr):
         """Eval-mode probability that two normalized irises match.
 
-        Inputs are (H, W) arrays (or (B,1,H,W) tensors) at the model's
-        geometry; resize beforehand if the vertical resolution differs.
+        Inputs are (H, W) arrays (or (1, 1, H, W) tensors) at the model's
+        geometry; resize beforehand if the vertical resolution differs.  The
+        score is the one ``pair_probabilities`` gives the pair.
         """
-        xq = _as_image_tensor(xq)
-        xr = _as_image_tensor(xr)
-        if xq.shape[2] != self.height or xq.shape[3] != self.width:
-            raise ShapeError(
-                f"expected {self.height}x{self.width} images, got {xq.shape[2]}x{xq.shape[3]}")
-        with T.no_grad():
-            p = self.forward_pairs(self.pair_input(xq, xr), training=False)
-        return float(p.data[0])
+        images = np.stack([self._image(xq), self._image(xr)])
+        return float(self.pair_probabilities(self.bank_features(images).data, [[0, 1]])[0])
+
+    def _image(self, img):
+        arr = np.asarray(img.data if isinstance(img, Tensor) else img, dtype=np.float64)
+        if arr.ndim == 4 and arr.shape[:2] == (1, 1):
+            arr = arr[0, 0]
+        if arr.shape != (self.height, self.width):
+            raise ShapeError(f"expected {self.height}x{self.width} images, got shape {arr.shape}")
+        return arr
 
     def named_parameters(self):
         return self.bank.named_parameters() + self.matcher.named_parameters()
@@ -276,13 +351,72 @@ def pair_batch(feats, pairs):
                     axis=1)
 
 
-def _as_image_tensor(img):
-    if isinstance(img, Tensor):
-        return img
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, None]
-    return Tensor(arr)
+class PairFeatures:
+    """The matcher input of P pairs, kept factorized: what
+    ``pair_batch(Tensor(feats), pairs)`` would build, (P, 4F, H, W), without
+    building it.
+
+    ``feats`` is the (N, 2F, H, W) array of bank features and ``pairs`` the
+    (P, 2) (query, reference) rows.  Block 0 (``first_conv``) convolves each
+    distinct query image of the chunk with W_q plus the bias and each
+    distinct reference image with W_r, once; a ``rows`` view, a sub-batch
+    of the pairs, shares those half outputs.
+    """
+
+    def __init__(self, feats, pairs):
+        self.feats = feats
+        self.pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        self._chunk = self.pairs      # the pairs the half outputs cover
+        self._offset = 0              # of ``pairs`` within ``_chunk``
+        self._halves = {}             # block -> ((hq, iq), (hr, ir)), shared by the views
+
+    @property
+    def shape(self):
+        return (len(self.pairs), 2 * self.feats.shape[1]) + self.feats.shape[2:]
+
+    def rows(self, start, stop):
+        """Pairs ``start:stop``."""
+        view = copy.copy(self)
+        view.pairs = self.pairs[start:stop]
+        view._offset = self._offset + start
+        return view
+
+    def first_conv(self, block):
+        """``block``'s convolution of the pairs' concatenated features, as
+        W_q*f(q) + b + W_r*f(r), each half output from one convolution per
+        side over the chunk's distinct images on that side."""
+        if block not in self._halves:
+            c = self.feats.shape[1]
+            w = block.weight.data
+            halves = []
+            for side, (half, bias) in enumerate(((w[:, :c], block.bias), (w[:, c:], None))):
+                used, local = np.unique(self._chunk[:, side], return_inverse=True)
+                out = T.conv2d(Tensor(self.feats[used]), Tensor(half), bias,
+                               stride=block.spec.stride, padding="zero")
+                halves.append((out.data, local))
+            self._halves[block] = halves
+        (hq, iq), (hr, ir) = self._halves[block]
+        rows = slice(self._offset, self._offset + len(self.pairs))
+        out = np.empty((len(self.pairs),) + hq.shape[1:], dtype=hq.dtype)
+        for k, (q, r) in enumerate(zip(iq[rows], ir[rows])):
+            np.add(hq[q], hr[r], out=out[k])
+        return Tensor(out)
+
+
+def _pair_chunks(pairs, max_halves):
+    """Consecutive (start, stop) runs of ``pairs``, each with at most
+    ``max_halves`` distinct query images plus distinct reference images
+    (at least one pair per run)."""
+    start, queries, refs = 0, set(), set()
+    for k, (q, r) in enumerate(pairs.tolist()):
+        halves = len(queries) + len(refs) + (q not in queries) + (r not in refs)
+        if k > start and halves > max_halves:
+            yield start, k
+            start, queries, refs = k, set(), set()
+        queries.add(q)
+        refs.add(r)
+    if len(pairs):
+        yield start, len(pairs)
 
 
 def parameter_count(model):

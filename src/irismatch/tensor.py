@@ -16,7 +16,10 @@ them.
 
 * zero or no padding (the matcher): im2col in channel-major layout,
   ``(n, C*kh*kw, oh*ow)``, so ``weight @ cols`` lands in NCHW with no
-  transpose; batches are chunked to bound the column workspace.
+  transpose; batches are chunked to bound the column workspace.  The
+  zero padding is written into the columns, so no padded copy of the input
+  is built, and inside a ``workspace`` block the columns of every batch
+  step reuse one buffer instead of a freshly mapped, page-zeroed one.
 * wrap padding (the unit-circle bank): one real FFT along the rows (zero
   padded, so the radial correlation is linear), kw direct circular taps
   along the angular axis on the row spectra, one inverse FFT; the weight
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -48,6 +51,9 @@ _FLOAT_DTYPES = (np.float64, np.float32)
 
 # elements per im2col block; keeps convolution workspaces < ~128 MB of f64
 _COL_BUDGET = 1 << 24
+
+# dtype -> the reused im2col buffer inside a ``workspace`` block, else None
+_workspace_buffers = None
 
 # elements per slice of the ELU temporary (512 KB of f64)
 _ELU_SLICE = 1 << 16
@@ -458,8 +464,9 @@ def pad2d(a, pad_top, pad_bottom, pad_left, pad_right, mode="zero"):
 
     mode "zero" pads everywhere with zeros.  mode "wrap" pads rows with zeros
     and columns circularly (the angular axis of a polar image): the left pad
-    copies the rightmost columns and vice versa.  ``conv2d(padding="wrap")``
-    does not pad; "wrap" here serves ``unit_circle.wrap_pad``, its oracle.
+    copies the rightmost columns and vice versa.  ``conv2d`` does not call
+    it: "zero" is the test oracle of the padding ``_im2col`` writes into its
+    columns, and "wrap" serves ``unit_circle.wrap_pad``, the FFT bank's.
     """
     x = a.data
     if x.ndim != 4:
@@ -492,12 +499,70 @@ def pad2d(a, pad_top, pad_bottom, pad_left, pad_right, mode="zero"):
     return _make(data, (a,), backward)
 
 
-def _im2col(x, kh, kw, sh, sw, oh, ow):
-    """Channel-major columns (B, C*kh*kw, oh*ow), so ``wmat @ cols`` is NCHW."""
-    B, C, H, W = x.shape
-    s0, s1, s2, s3 = x.strides
-    view = as_strided(x, (B, C, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * sh, s3 * sw))
-    return view.reshape(B, C * kh * kw, oh * ow)
+class workspace:
+    """Context manager: inside it, the im2col convolutions write their
+    columns into one reused buffer per dtype, which grows to the largest
+    request and is freed when the outermost ``workspace`` exits.  Outside
+    any, each batch step allocates its own columns.
+
+    Reuse spares a fresh allocation per batch step: above glibc's mmap
+    threshold (at most 32 MB) each one is mapped again and the kernel zeroes
+    every page.  Every convolution overwrites the columns it reads, so
+    nothing carries over from one to the next.
+    """
+
+    def __enter__(self):
+        global _workspace_buffers
+        self._outer = _workspace_buffers
+        if _workspace_buffers is None:
+            _workspace_buffers = {}
+        return self
+
+    def __exit__(self, *exc):
+        global _workspace_buffers
+        _workspace_buffers = self._outer
+        return False
+
+
+def _columns(size, dtype):
+    """A buffer of ``size`` elements for im2col columns (see ``workspace``)."""
+    if _workspace_buffers is None:
+        return np.empty(size, dtype=dtype)
+    buf = _workspace_buffers.get(dtype)
+    if buf is None or buf.size < size:
+        buf = _workspace_buffers[dtype] = np.empty(size, dtype=dtype)
+    return buf[:size]
+
+
+def _tap_range(k, pad, size, out, stride):
+    """Outputs [lo, hi) whose kernel tap ``k`` reads an input row (or
+    column) ``o * stride + k - pad`` inside [0, size), and the input of ``lo``."""
+    lo = min(max(0, -((k - pad) // stride)), out)
+    hi = max(min(out, (size - 1 + pad - k) // stride + 1), lo)
+    return lo, hi, lo * stride + k - pad
+
+
+def _im2col(x, kh, kw, sh, sw, ph, pw, oh, ow):
+    """Channel-major columns (n, C*kh*kw, oh*ow) of ``x`` zero-padded by
+    (ph, pw) on each side, so ``wmat @ cols`` is NCHW.
+
+    The zero padding is written into the columns directly, so the padded
+    input is never built.
+    """
+    n, C, H, W = x.shape
+    cols = _columns(n * C * kh * kw * oh * ow, x.dtype).reshape(n, C, kh, kw, oh, ow)
+    for i in range(kh):
+        y0, y1, yi = _tap_range(i, ph, H, oh, sh)
+        for j in range(kw):
+            x0, x1, xj = _tap_range(j, pw, W, ow, sw)
+            tap = cols[:, :, i, j]
+            tap[:, :, :y0] = 0.0
+            tap[:, :, y1:] = 0.0
+            tap[:, :, y0:y1, :x0] = 0.0
+            tap[:, :, y0:y1, x1:] = 0.0
+            tap[:, :, y0:y1, x0:x1] = x[:, :, yi:yi + sh * (y1 - y0):sh,
+                                        xj:xj + sw * (x1 - x0):sw]
+    return cols.reshape(n, C * kh * kw, oh * ow)
 
 
 def _conv_out_size(H, W, kh, kw, sh, sw):
@@ -511,24 +576,28 @@ def _conv_batch_step(oh, ow, c, kh, kw):
     return max(1, _COL_BUDGET // max(per_sample, 1))
 
 
-def _conv_forward(x, w, b, sh, sw):
+def _conv_forward(x, w, b, sh, sw, ph, pw):
     B, C, H, W = x.shape
     Cout, Cin, kh, kw = w.shape
-    oh, ow = _conv_out_size(H, W, kh, kw, sh, sw)
+    oh, ow = _conv_out_size(H + 2 * ph, W + 2 * pw, kh, kw, sh, sw)
     wmat = w.reshape(Cout, -1)
     out = np.empty((B, Cout, oh, ow), dtype=x.dtype)
     step = _conv_batch_step(oh, ow, C, kh, kw)
     for b0 in range(0, B, step):
         xb = x[b0:b0 + step]
         y = out[b0:b0 + step].reshape(xb.shape[0], Cout, oh * ow)
-        np.matmul(wmat, _im2col(xb, kh, kw, sh, sw, oh, ow), out=y)
+        np.matmul(wmat, _im2col(xb, kh, kw, sh, sw, ph, pw, oh, ow), out=y)
         if b is not None:
             y += b[:, None]
     return out
 
 
-def _conv_backward(g, x, w, sh, sw, need_gx):
-    """Weight gradient, and the input gradient only when ``need_gx``."""
+def _conv_backward(g, x, w, sh, sw, ph, pw, need_gx):
+    """Weight gradient, and the input gradient only when ``need_gx``.
+
+    Column contributions that fall into the zero padding are dropped, so
+    the input gradient has the unpadded input's shape.
+    """
     B, C, H, W = x.shape
     Cout, Cin, kh, kw = w.shape
     oh, ow = g.shape[2], g.shape[3]
@@ -539,15 +608,19 @@ def _conv_backward(g, x, w, sh, sw, need_gx):
     for b0 in range(0, B, step):
         xb = x[b0:b0 + step]
         n = xb.shape[0]
-        cols = _im2col(xb, kh, kw, sh, sw, oh, ow)
+        cols = _im2col(xb, kh, kw, sh, sw, ph, pw, oh, ow)
         g2 = g[b0:b0 + n].reshape(n, Cout, oh * ow)
         gw += np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
         if need_gx:
-            gcols = np.matmul(wmat.T, g2).reshape(n, C, kh, kw, oh, ow)
+            # the columns are read; their buffer takes the column gradient
+            gcols = np.matmul(wmat.T, g2, out=cols).reshape(n, C, kh, kw, oh, ow)
             gxb = gx[b0:b0 + n]
             for i in range(kh):
+                y0, y1, yi = _tap_range(i, ph, H, oh, sh)
                 for j in range(kw):
-                    gxb[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
+                    x0, x1, xj = _tap_range(j, pw, W, ow, sw)
+                    gxb[:, :, yi:yi + sh * (y1 - y0):sh, xj:xj + sw * (x1 - x0):sw] += \
+                        gcols[:, :, i, j, y0:y1, x0:x1]
     return gx, gw.reshape(w.shape)
 
 
@@ -661,18 +734,19 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
     if padding == "wrap":
         return _wrap_conv2d(a, weight, bias, (sh, sw))
     if padding == "none":
-        padded = a
+        ph = pw = 0
     elif padding == "zero":
-        padded = pad2d(a, kh // 2, kh // 2, kw // 2, kw // 2, mode="zero")
+        ph, pw = kh // 2, kw // 2
     else:
         raise ValueError(f"unknown padding spec {padding!r}")
 
-    x = padded.data
-    data = _conv_forward(x, weight.data, bias.data if bias is not None else None, sh, sw)
-    parents = (padded, weight) if bias is None else (padded, weight, bias)
+    x = a.data
+    data = _conv_forward(x, weight.data, bias.data if bias is not None else None,
+                         sh, sw, ph, pw)
+    parents = (a, weight) if bias is None else (a, weight, bias)
 
     def backward(g):
-        gx, gw = _conv_backward(g, x, weight.data, sh, sw, padded.requires_grad)
+        gx, gw = _conv_backward(g, x, weight.data, sh, sw, ph, pw, a.requires_grad)
         return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
 
     return _make(data, parents, backward)

@@ -22,6 +22,8 @@ the explicit (im2col) form of the same layer, kept as the test oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -57,23 +59,33 @@ def kaiming_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def init_conv(rng, shape, bias, dtype):
+    """Weight and (if ``bias``) bias tensors of a convolution whose weight
+    has shape (Cout, Cin, kh, kw): Kaiming-uniform weights, then biases
+    uniform in +-1/sqrt(fan_in), drawn from ``rng`` in that order.
+    ``rng=None`` draws nothing and gives zeros, for a checkpoint to fill."""
+    fan_in = math.prod(shape[1:])
+    if rng is None:
+        w = np.zeros(shape, dtype=dtype)
+        b = np.zeros(shape[0], dtype=dtype) if bias else None
+    else:
+        w = kaiming_uniform(rng, shape, fan_in).astype(dtype)
+        bb = 1.0 / np.sqrt(fan_in)
+        b = rng.uniform(-bb, bb, size=shape[0]).astype(dtype) if bias else None
+    return Tensor(w, requires_grad=True), None if b is None else Tensor(b, requires_grad=True)
+
+
 class UnitCircleFilter:
-    """Parameters of one unit-circle layer: weight (2,1,kh,kw) and optional bias (2,)."""
+    """Parameters of one unit-circle layer: weight (2,1,kh,kw) and optional bias (2,).
+
+    ``rng=None`` draws nothing: the parameters are zero until set."""
 
     def __init__(self, kh, kw, bias=True, rng=None, dtype=np.float64):
         if kh % 2 == 0 or kw % 2 == 0 or kh < 1 or kw < 1:
             raise ShapeError(f"kernel extents must be odd and positive, got {kh}x{kw}")
         self.kh = int(kh)
         self.kw = int(kw)
-        rng = rng or np.random.default_rng(0)
-        fan_in = kh * kw
-        self.weight = Tensor(kaiming_uniform(rng, (2, 1, kh, kw), fan_in).astype(dtype),
-                             requires_grad=True)
-        if bias:
-            bb = 1.0 / np.sqrt(fan_in)
-            self.bias = Tensor(rng.uniform(-bb, bb, size=2).astype(dtype), requires_grad=True)
-        else:
-            self.bias = None
+        self.weight, self.bias = init_conv(rng, (2, 1, kh, kw), bias, dtype)
 
 
 def uc_forward(x, f, mode="unit-circle"):
@@ -94,7 +106,9 @@ def uc_forward(x, f, mode="unit-circle"):
 
 
 class UnitCircleBank:
-    """An ordered set of unit-circle layers sharing stride and padding policy."""
+    """An ordered set of unit-circle layers sharing stride and padding policy.
+
+    ``rng=None`` draws nothing: the parameters are zero until set."""
 
     def __init__(self, kernels=DEFAULT_KERNELS, bias=True, mode="unit-circle",
                  rng=None, dtype=np.float64):
@@ -102,7 +116,6 @@ class UnitCircleBank:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         if not kernels:
             raise ShapeError("a bank needs at least one filter")
-        rng = rng or np.random.default_rng(0)
         self.mode = mode
         self.filters = [UnitCircleFilter(kh, kw, bias=bias, rng=rng, dtype=dtype)
                         for kh, kw in kernels]

@@ -210,6 +210,22 @@ def test_eval_rejects_width_mismatch(run_dir, tmp_path, capsys):
     assert "width" in capsys.readouterr().err
 
 
+def test_eval_with_nan_parameters_exits_2(dataset, run_dir, tmp_path, capsys):
+    from irismatch import checkpoint
+
+    model = checkpoint.load_model(run_dir / "best.ckpt")
+    model.matcher.head_bias.data[:] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    checkpoint.save_model(model, bad)
+    code = main(["eval", "--checkpoint", str(bad), "--data_dir", str(dataset),
+                 "--out_dir", str(tmp_path / "e4"), "--far", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "authentic scores are not finite" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "e4" / "roc.csv").exists()
+
+
 # ---------------------------------------------------------------- roc
 
 
@@ -273,6 +289,58 @@ def test_match_truncated_checkpoint_exits_2(dataset, run_dir, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and str(cut) in err
     assert len(err.splitlines()) == 1
+
+
+def _one_line_error(capsys, path):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and str(path) in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name,content", [("neg.pgm", b"P5\n-4 -4\n255\n" + bytes(16)),
+                                          ("neg.iris", b"IRIS -2 -2\n" + bytes(16))],
+                         ids=["pgm", "iris"])
+def test_match_image_with_bad_extents_exits_2(dataset, run_dir, tmp_path, capsys, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    img = str(dataset / "identity_000" / "img_000")
+    code = main(["match", "--checkpoint", str(run_dir / "best.ckpt"),
+                 "--out_dir", str(tmp_path), img, str(bad)])
+    assert code == 2
+    _one_line_error(capsys, bad)
+
+
+def test_match_checkpoint_with_bad_architecture_exits_2(dataset, run_dir, tmp_path, capsys):
+    from irismatch import checkpoint
+
+    meta, records = checkpoint.read_records(run_dir / "best.ckpt", checkpoint.MODEL_MAGIC)
+    meta["bank"]["kernels"][0] = [3, 4]
+    bad = tmp_path / "bad.ckpt"
+    checkpoint.write_records(bad, checkpoint.MODEL_MAGIC, meta, records.items())
+    img = str(dataset / "identity_000" / "img_000")
+    code = main(["match", "--checkpoint", str(bad), "--out_dir", str(tmp_path), img, img])
+    assert code == 2
+    _one_line_error(capsys, bad)
+
+
+def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_path, capsys):
+    import shutil
+
+    from irismatch import checkpoint
+
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    optim = resumed / "last.optim"
+    meta, records = checkpoint.read_records(optim, checkpoint.OPTIM_MAGIC)
+    records = [(name[:-2] + "_m" if name.endswith(".m") else name, arr)
+               for name, arr in records.items()]
+    checkpoint.write_records(optim, checkpoint.OPTIM_MAGIC, meta, records)
+    args = list(TRAIN_ARGS)
+    args[args.index("--epochs") + 1] = "3"
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed),
+                 "--resume", "true"] + args)
+    assert code == 2
+    _one_line_error(capsys, optim)
 
 
 def test_match_accepts_pgm(dataset, run_dir, tmp_path):

@@ -83,6 +83,19 @@ def test_empty_scores_rejected():
         tar_at_far(ScoreSet([1.0], [0.0], True), 0.0)
 
 
+@pytest.mark.parametrize("side", ["authentic", "imposter"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(side, bad):
+    scores = {"authentic": [0.9, 0.7, 0.8], "imposter": [0.1, 0.3, 0.2]}
+    scores[side][1] = bad
+    scores[side][2] = bad
+    with pytest.raises(ValueError) as err:
+        ScoreSet(scores["authentic"], scores["imposter"], higher_is_match=True)
+    message = str(err.value)
+    assert message == f"2 of 3 {side} scores are not finite"
+    assert "\n" not in message
+
+
 def test_lower_is_match_threshold_orientation():
     s = ScoreSet([0.05, 0.1], [0.4, 0.5], higher_is_match=False)
     tar, thr = tar_at_far(s, 0.5)
@@ -199,7 +212,7 @@ def test_collect_scores_lengths_and_order_independence():
 
 
 def test_collect_scores_runs_bank_once_per_image(monkeypatch):
-    from irismatch import evaluation, matcher
+    from irismatch import matcher
     from irismatch.data import enumerate_pairs
     from irismatch.evaluation import ModelScorer
     from irismatch.matcher import IrisMatchModel, ModelConfig
@@ -218,7 +231,8 @@ def test_collect_scores_runs_bank_once_per_image(monkeypatch):
     model.bank.forward = counting_forward
     pairs = enumerate_pairs(store)
     monkeypatch.setattr(matcher, "_BANK_CHUNK", 4)
-    monkeypatch.setattr(evaluation, "_PAIR_CHUNK", 4)
+    monkeypatch.setattr(matcher, "_HALF_BUDGET", 1)        # one pair per chunk
+    monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", 1)  # one pair per sub-batch
     scores = collect_scores(ModelScorer(model), store, pairs)
     assert sorted(seen) == sorted(img.tobytes() for img in store.images)
     assert len(scores.authentic) == pairs.n_positive

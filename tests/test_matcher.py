@@ -7,7 +7,7 @@ from irismatch import checkpoint as ckpt
 from irismatch import tensor as T
 from gradcheck import check_gradients
 from irismatch.matcher import (ConvBlockSpec, IrisMatchModel, ModelConfig,
-                               default_matcher_blocks, parameter_count)
+                               default_matcher_blocks, pair_batch, parameter_count)
 from irismatch.tensor import ShapeError, Tensor
 
 
@@ -274,3 +274,135 @@ def test_default_blocks_shape():
     assert blocks[0].stride == (1, 1)
     assert all(b.stride == (2, 2) for b in blocks[1:])
     assert [b.dropout for b in blocks] == [0.0, 0.0, 0.3, 0.3, 0.0]
+
+
+# ------------------------------------------------- factorized inference
+
+
+def _store(images):
+    from irismatch.data import IdentityStore
+
+    n = len(images)
+    return IdentityStore(images=images, identity_of=np.arange(n) // 2,
+                         identity_ids=[f"id{i}" for i in range((n + 1) // 2)])
+
+
+def concat_scores(model, feats, pairs):
+    """The training path as the oracle: ``pair_batch`` and the concatenated
+    block 0, one pair at a time."""
+    with T.no_grad():
+        return np.concatenate([model.forward_pairs(pair_batch(feats, pairs[k:k + 1])).data
+                               for k in range(len(pairs))])
+
+
+@pytest.mark.parametrize("config,n", [(tiny_config(), 5), (ModelConfig.small(32, 128), 6),
+                                      (ModelConfig(), 4)], ids=["tiny", "small", "default"])
+def test_factorized_scores_match_concatenated_block0(config, n):
+    model = IrisMatchModel(config, rng=np.random.default_rng(70))
+    images = np.random.default_rng(71).uniform(size=(n, config.height, config.width))
+    feats = model.bank_features(images)
+    pairs = np.array([(a, b) for a in range(n) for b in range(n) if a != b])
+    got = model.pair_probabilities(feats.data, pairs)
+    assert np.max(np.abs(got - concat_scores(model, feats, pairs))) <= 1e-12
+
+
+@pytest.mark.parametrize("half_budget,activation_budget",
+                         [(1, 1), (1 << 14, 1 << 12), (1 << 40, 1 << 40)])
+def test_factorized_scores_bitwise_independent_of_chunk_and_sub_batch(
+        half_budget, activation_budget, monkeypatch):
+    from irismatch import matcher
+
+    model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(72))
+    images = np.random.default_rng(73).uniform(size=(7, 16, 32))
+    feats = model.bank_features(images).data
+    pairs = np.random.default_rng(74).integers(0, 7, size=(40, 2))
+    want = model.pair_probabilities(feats, pairs)
+    monkeypatch.setattr(matcher, "_HALF_BUDGET", half_budget)
+    monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", activation_budget)
+    assert model.pair_probabilities(feats, pairs).tobytes() == want.tobytes()
+    # and of the other pairs scored alongside
+    for k in (0, 17, 39):
+        assert model.pair_probabilities(feats, pairs[k:k + 1]).tobytes() == want[k].tobytes()
+
+
+def test_match_probability_bitwise_equals_model_scorer():
+    from irismatch.evaluation import ModelScorer
+
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(75))
+    images = np.random.default_rng(76).uniform(size=(5, 12, 24))
+    pairs = np.array([(a, b) for a in range(5) for b in range(5)])
+    scores = ModelScorer(model).score_pairs(_store(images), pairs)
+    for (a, b), score in zip(pairs, scores):
+        assert model.match_probability(images[a], images[b]) == score
+
+
+def test_block0_runs_once_per_distinct_image_and_side(monkeypatch):
+    """Block 0's half convolutions see each query image and each reference
+    image of a chunk once, whatever the sub-batches; every other
+    convolution sees one sub-batch of pairs."""
+    from irismatch import matcher
+    from irismatch.evaluation import ModelScorer
+
+    model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(77))
+    images = np.random.default_rng(78).uniform(size=(6, 16, 32))
+    pairs = np.stack(np.triu_indices(6, k=1), axis=1)       # queries 0-4, references 1-5
+    calls = []
+    conv2d = T.conv2d
+
+    def recording_conv2d(x, weight, *args, **kwargs):
+        calls.append((x.shape[0], weight.shape[1]))
+        return conv2d(x, weight, *args, **kwargs)
+
+    monkeypatch.setattr(T, "conv2d", recording_conv2d)
+    monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", 1)  # one pair per sub-batch
+    with T.no_grad():
+        ModelScorer(model).score_pairs(_store(images), pairs)
+    matcher_calls = [c for c in calls if c[1] != 1]   # bank filters have one input channel
+    half = model.bank.out_channels
+    assert [c for c in matcher_calls if c[1] == half] == [(5, half)] * 2
+    rest = [n for n, cin in matcher_calls if cin != half]
+    assert rest == [1] * (len(pairs) * len(model.matcher.blocks))
+
+
+@pytest.mark.parametrize("max_halves", [2, 3, 5, 8])
+def test_pair_chunks_cover_the_pairs_within_the_half_budget(max_halves):
+    from irismatch.matcher import _pair_chunks
+
+    pairs = np.random.default_rng(79).integers(0, 6, size=(50, 2))
+    chunks = list(_pair_chunks(pairs, max_halves))
+    assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+    assert chunks[-1][1] == len(pairs)
+    for start, stop in chunks:
+        part = pairs[start:stop]
+        assert len(set(part[:, 0])) + len(set(part[:, 1])) <= max_halves
+        if stop < len(pairs):   # maximal: the next pair would not fit
+            grown = pairs[start:stop + 1]
+            assert len(set(grown[:, 0])) + len(set(grown[:, 1])) > max_halves
+    assert list(_pair_chunks(pairs[:0], max_halves)) == []
+
+
+def test_factorized_input_refuses_training():
+    from irismatch.matcher import PairFeatures
+
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(80))
+    feats = model.bank_features(np.zeros((2, 12, 24))).data
+    with pytest.raises(ValueError, match="eval-mode"):
+        model.matcher.forward(PairFeatures(feats, [[0, 1]]), training=True)
+
+
+def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):
+    from irismatch import unit_circle as uc
+
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(81))
+    path = tmp_path / "m.ckpt"
+    ckpt.save_model(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew random weights")
+
+    monkeypatch.setattr(uc, "kaiming_uniform", no_draws)
+    loaded = ckpt.load_model(path)
+    assert all(a.tobytes() == b.tobytes() and a.shape == b.shape
+               for (_, a), (_, b) in zip(model.state_items(), loaded.state_items()))
+    a, b = np.random.default_rng(82).uniform(size=(2, 12, 24))
+    assert loaded.match_probability(a, b) == model.match_probability(a, b)

@@ -5,6 +5,8 @@ before the engine was used for anything; gradients are checked against
 central finite differences (see gradcheck.py).
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,62 @@ def test_conv2d_chunked_batches_match_loop():
     finally:
         T._COL_BUDGET = old
     assert np.max(np.abs(got - loop_conv2d(x, w))) <= 1e-12
+
+
+def im2col_oracle_conv(x, w, b, g, stride, padding):
+    """Forward, weight gradient and input gradient of the im2col convolution
+    as it was before the reused workspace: each sample's columns from an
+    ``as_strided`` view of a ``pad2d``-padded copy, the same GEMMs, and the
+    per-sample weight gradients summed in sample order."""
+    from numpy.lib.stride_tricks import as_strided
+
+    Cout, C, kh, kw = w.shape
+    ph, pw = (kh // 2, kw // 2) if padding == "zero" else (0, 0)
+    xp = T.pad2d(T.Tensor(x), ph, ph, pw, pw).data
+    sh = sw = stride
+    oh, ow = (xp.shape[2] - kh) // sh + 1, (xp.shape[3] - kw) // sw + 1
+    wmat = w.reshape(Cout, -1)
+    y, gws, gxp = [], [], np.zeros_like(xp)
+    for n in range(len(x)):
+        s1, s2, s3 = xp[n].strides
+        cols = as_strided(xp[n], (C, kh, kw, oh, ow), (s1, s2, s3, s2 * sh, s3 * sw))
+        cols = cols.reshape(C * kh * kw, oh * ow)
+        y.append((wmat @ cols + b[:, None]).reshape(Cout, oh, ow))
+        gn = g[n].reshape(Cout, oh * ow)
+        gws.append(gn @ cols.T)
+        gcols = (wmat.T @ gn).reshape(C, kh, kw, oh, ow)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[n, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, i, j]
+    gw = np.zeros_like(wmat)
+    gw += np.stack(gws).sum(axis=0)
+    gx = gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
+    return np.stack(y), gw.reshape(w.shape), gx
+
+
+@pytest.mark.parametrize("padding", ["zero", "none"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("reused", [False, True], ids=["fresh", "workspace"])
+def test_conv2d_columns_bitwise_equal_padded_im2col(padding, stride, batch, reused):
+    rng = np.random.default_rng(100 + 4 * batch + stride)
+    x = rng.normal(size=(batch, 3, 7, 10))
+    w = rng.normal(size=(4, 3, 3, 5))
+    b = rng.normal(size=4)
+    xt = T.Tensor(x, requires_grad=True)
+    wt = T.Tensor(w, requires_grad=True)
+    with T.workspace() if reused else contextlib.nullcontext():
+        if reused:
+            # a buffer full of NaN: any column element read unwritten shows
+            T._columns(1 << 16, x.dtype)[:] = np.nan
+        out = T.conv2d(xt, wt, T.Tensor(b), stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        (out * T.Tensor(g)).sum().backward()
+    assert T._workspace_buffers is None
+    want_y, want_gw, want_gx = im2col_oracle_conv(x, w, b, g, stride, padding)
+    assert out.data.tobytes() == want_y.tobytes()
+    assert wt.grad.tobytes() == want_gw.tobytes()
+    assert xt.grad.tobytes() == np.ascontiguousarray(want_gx).tobytes()
 
 
 # ---------------------------------------------------------------- backward

@@ -242,11 +242,10 @@ def test_geometry_mismatch_rejected():
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_train_logs.json")
 
 
-def golden_run(name):
-    """Train one fixed-seed tiny config; returns (canonical log lines, sha256
-    of the trained model's ModelScorer scores over every pair, as bytes)."""
+def golden_case(name):
+    """Train one fixed-seed tiny config; returns (store, every pair of it,
+    trained model, log)."""
     from irismatch.data import enumerate_pairs
-    from irismatch.evaluation import ModelScorer
     from irismatch.synthetic import SynthSpec, generate
 
     if name == "toy-8x16":
@@ -260,9 +259,33 @@ def golden_run(name):
                              selection_far=0.25)
     model, log = train(store, config, model_config)
     pairs = enumerate_pairs(store)
-    scores = ModelScorer(model).score_pairs(
-        store, np.concatenate([pairs.authentic, pairs.imposter]))
+    return store, np.concatenate([pairs.authentic, pairs.imposter]), model, log
+
+
+def golden_run(name):
+    """(canonical log lines, sha256 of the trained model's ModelScorer scores
+    over every pair, as bytes) of one golden config."""
+    from irismatch.evaluation import ModelScorer
+
+    store, pairs, model, log = golden_case(name)
+    scores = ModelScorer(model).score_pairs(store, pairs)
     return log.canonical_lines(), hashlib.sha256(np.asarray(scores).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])
+def test_golden_scores_match_the_concatenated_block0(name):
+    """The scorer's factorized block 0 against the training path's
+    ``pair_batch`` and concatenated block 0, on the trained golden models."""
+    from irismatch import tensor as T
+    from irismatch.evaluation import ModelScorer
+    from irismatch.matcher import pair_batch
+
+    store, pairs, model, _ = golden_case(name)
+    feats = model.bank_features(store.images)
+    with T.no_grad():
+        want = model.forward_pairs(pair_batch(feats, pairs)).data
+    got = ModelScorer(model).score_pairs(store, pairs)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])
