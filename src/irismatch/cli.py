@@ -430,13 +430,16 @@ def build_parser():
     descriptions = {
         "synth": "generate a synthetic identity-grouped dataset",
         "train": "train the matcher (two-stage schedule) on a dataset",
-        "eval": "score all pairs of a dataset with a checkpoint and report TAR@FAR",
+        "eval": ("score all pairs of a dataset with a checkpoint and report TAR@FAR; "
+                 "scores in float32 from the float64 checkpoint (training runs in float64)"),
         "roc": "look up TAR@FAR values in an existing ROC curve CSV",
-        "match": "compare two normalized-iris images with a checkpoint",
+        "match": ("compare two normalized-iris images with a checkpoint; scores in float32 "
+                  "from the float64 checkpoint (training runs in float64)"),
         "baseline": "run the log-Gabor bitcode baseline over a dataset",
     }
     for command, keys in COMMAND_KEYS.items():
-        p = sub.add_parser(command, help=descriptions[command])
+        text = descriptions[command]
+        p = sub.add_parser(command, help=text, description=text)
         p.add_argument("--config", default=None, help="key = value configuration file")
         for key in keys:
             tag, default, help_text = SCHEMA[key]

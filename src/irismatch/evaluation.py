@@ -134,19 +134,23 @@ def collect_scores(scorer, store, pairs) -> ScoreSet:
 
 
 class ModelScorer:
-    """Eval-mode CNN probability per pair.
+    """Eval-mode CNN probability per pair, scored in ``dtype``.
 
-    The bank runs once per distinct image (``bank_features``); the matcher
-    scores the pairs through ``IrisMatchModel.pair_probabilities``, which
-    runs block 0 once per distinct image and side of a chunk of pairs and
-    streams block 0 through the head in sub-batches whose largest
-    activation fits a byte budget.  ``match_probability`` takes the same
-    path, so a pair scores bitwise the same through either."""
+    Scoring runs in float32 by default, from the model's float64 weights
+    (training, which keeps float64 as its determinism reference, validates
+    with ``dtype=np.float64``).  The bank runs once per distinct image
+    (``bank_features``); the matcher scores the pairs through
+    ``IrisMatchModel.pair_probabilities``, which runs block 0 once per
+    distinct image and side of a chunk of pairs and streams block 0 through
+    the head in sub-batches whose largest activation fits a byte budget.
+    ``match_probability`` takes the same path, so a pair scores bitwise the
+    same through either at the same dtype."""
 
     higher_is_match = True
 
-    def __init__(self, model):
+    def __init__(self, model, dtype=np.float32):
         self.model = model
+        self.dtype = dtype
 
     def score_pairs(self, store, pair_array):
         if store.height != self.model.height or store.width != self.model.width:
@@ -154,7 +158,7 @@ class ModelScorer:
                 f"store geometry {store.height}x{store.width} does not match the model's "
                 f"{self.model.height}x{self.model.width}; resize first")
         used, local = np.unique(np.asarray(pair_array, dtype=np.intp), return_inverse=True)
-        feats = self.model.bank_features(store.images[used])
+        feats = self.model.bank_features(store.images[used], self.dtype)
         return self.model.pair_probabilities(feats.data, local.reshape(-1, 2))
 
 

@@ -7,11 +7,15 @@ responses of two normalized irises to a single match probability per pair.
 Both irises pass through the same filter bank, so the matcher input has
 4F channels for a bank of F filters.
 
-Training feeds the matcher the concatenation itself (``pair_batch``).
-Inference keeps it factorized (``PairFeatures``): block 0's convolution over
-[f(q), f(r)] equals W_q*f(q) + b + W_r*f(r), so each distinct image of a
-chunk of pairs goes through the half of the weight its side needs once, and
-a pair costs one add.  The blocks after that run on sub-batches of pairs
+Training runs in float64 and feeds the matcher the concatenation itself
+(``pair_batch``).  Scoring runs in float32 from the same float64 weights:
+``bank_features`` runs the bank on float32 images and ``pair_probabilities``
+runs a float32 copy of the matcher (``MatcherModel.astype``) made once per
+call and never kept.  Inference keeps the pair input factorized
+(``PairFeatures``): block 0's convolution over [f(q), f(r)] equals
+W_q*f(q) + b + W_r*f(r), so each distinct image of a chunk of pairs goes
+through the half of the weight its side needs once, and a pair costs one
+add.  The blocks after that run on sub-batches of pairs
 sized so that the largest activation stays under ``_ACTIVATION_BUDGET``.
 """
 
@@ -147,6 +151,20 @@ class MatcherModel:
         h = T.global_avg_pool(h)           # (B, 1)
         return T.sigmoid(h.reshape((x.shape[0],)))
 
+    def astype(self, dtype):
+        """This matcher with its parameters and batch-norm running statistics
+        in ``dtype``: itself if they already are, else a copy that the model
+        does not keep."""
+        def arrays(m):
+            return [t.data for _, t in m.named_parameters()] + [b for _, b in m.named_buffers()]
+
+        if all(a.dtype == dtype for a in arrays(self)):
+            return self
+        cast = MatcherModel(self.in_channels, [b.spec for b in self.blocks], dtype=dtype)
+        for dst, src in zip(arrays(cast), arrays(self)):
+            dst[...] = src
+        return cast
+
     def block_bytes(self, size, itemsize):
         """Bytes of each block's output for one pair at input size (H, W)."""
         h, w = size
@@ -257,20 +275,16 @@ class IrisMatchModel:
     def width(self):
         return self.config.width
 
-    def pair_input(self, xq, xr):
-        """Concatenated bank responses of the two images: (B, 4F, H, W)."""
-        if xq.shape != xr.shape:
-            raise ShapeError(f"pair images disagree in shape: {xq.shape} vs {xr.shape}")
-        return T.concat([self.bank.forward(xq), self.bank.forward(xr)], axis=1)
-
-    def bank_features(self, images):
-        """Bank responses (N, 2F, H, W) of (N, H, W) images, outside the tape.
+    def bank_features(self, images, dtype):
+        """Bank responses (N, 2F, H, W) of (N, H, W) images, outside the tape,
+        computed in ``dtype`` (the bank's convolutions run in their input's
+        dtype, whatever their weights').
 
         The bank runs on ``_BANK_CHUNK`` images at a time, each chunk written
         into one preallocated array.
         """
-        images = np.asarray(images, dtype=np.float64)
-        out = np.empty((len(images), self.bank.out_channels) + images.shape[1:])
+        images = np.asarray(images, dtype=dtype)
+        out = np.empty((len(images), self.bank.out_channels) + images.shape[1:], dtype=dtype)
         with T.no_grad():
             for start in range(0, len(images), _BANK_CHUNK):
                 chunk = images[start:start + _BANK_CHUNK]
@@ -284,7 +298,8 @@ class IrisMatchModel:
     def pair_probabilities(self, feats, pairs):
         """Eval-mode match probability of each (query, reference) row of
         ``pairs``, indices into the (N, 2F, H, W) ``bank_features`` array
-        ``feats``.
+        ``feats``.  The matcher runs in ``feats.dtype``: its weights and
+        running statistics are cast once per call (``MatcherModel.astype``).
 
         Pairs go to the matcher as ``PairFeatures`` in consecutive chunks,
         each needing at most ``_HALF_BUDGET`` bytes of block-0 half outputs.
@@ -292,21 +307,24 @@ class IrisMatchModel:
         it lands in.
         """
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        half_bytes = (self.matcher.block_bytes(feats.shape[2:], feats.itemsize) or [1])[0]
+        matcher = self.matcher.astype(feats.dtype)
+        half_bytes = (matcher.block_bytes(feats.shape[2:], feats.itemsize) or [1])[0]
         scores = np.empty(len(pairs))
         for start, stop in _pair_chunks(pairs, max(2, _HALF_BUDGET // half_bytes)):
-            scores[start:stop] = self.matcher.forward(PairFeatures(feats, pairs[start:stop])).data
+            scores[start:stop] = matcher.forward(PairFeatures(feats, pairs[start:stop])).data
         return scores
 
     def match_probability(self, xq, xr):
-        """Eval-mode probability that two normalized irises match.
+        """Eval-mode probability that two normalized irises match, scored in
+        float32 like ``ModelScorer``'s default.
 
         Inputs are (H, W) arrays (or (1, 1, H, W) tensors) at the model's
         geometry; resize beforehand if the vertical resolution differs.  The
         score is the one ``pair_probabilities`` gives the pair.
         """
         images = np.stack([self._image(xq), self._image(xr)])
-        return float(self.pair_probabilities(self.bank_features(images).data, [[0, 1]])[0])
+        feats = self.bank_features(images, np.float32).data
+        return float(self.pair_probabilities(feats, [[0, 1]])[0])
 
     def _image(self, img):
         arr = np.asarray(img.data if isinstance(img, Tensor) else img, dtype=np.float64)
@@ -417,12 +435,3 @@ def _pair_chunks(pairs, max_halves):
         refs.add(r)
     if len(pairs):
         yield start, len(pairs)
-
-
-def parameter_count(model):
-    """Number of learnable scalars (conv weights/biases, batch-norm affine).
-
-    Running statistics are buffers, not parameters, and are excluded.
-    """
-    named = model.named_parameters() if hasattr(model, "named_parameters") else model
-    return int(sum(t.data.size for _, t in named))

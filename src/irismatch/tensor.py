@@ -6,11 +6,16 @@ l2-normalization, batch normalization, ELU/ReLU, dropout, sigmoid, global
 average pooling, binary cross-entropy) plus the elementwise arithmetic used
 to glue them together.
 
-Data lives in numpy arrays, float64 by default (float32 is accepted as an
-opt-in inference dtype).  Each operation records its inputs and a backward
-closure; ``Tensor.backward`` replays the recorded operations in reverse
-topological order and accumulates gradients into every tensor that requires
-them.
+Data lives in numpy arrays, float64 by default.  Training runs in float64;
+scoring runs in float32 from the same float64 checkpoint.  A wrap-padded
+(bank) convolution runs in its input's dtype whatever its weights' dtype.
+Every other op computes in its operands' dtype, so a float64 weight or
+running statistic would promote a float32 activation back to float64; the
+matcher is cast before a float32 call (``MatcherModel.astype``).
+
+Each operation records its inputs and a backward closure;
+``Tensor.backward`` replays the recorded operations in reverse topological
+order and accumulates gradients into every tensor that requires them.
 
 ``conv2d`` runs one of two algorithms, forward and backward:
 
@@ -692,7 +697,7 @@ def _wrap_conv2d(a, weight, bias, stride):
     if bias is None:
         data[...] = y
     else:
-        np.add(y, bias.data[:, None, None], out=data)
+        np.add(y, bias.data.astype(x.dtype, copy=False)[:, None, None], out=data)
     parents = (a, weight) if bias is None else (a, weight, bias)
 
     def backward(g):

@@ -10,7 +10,9 @@ configured FAR level.
 
 All randomness (initialization, splitting, epoch sampling, dropout) derives
 from the seed through fixed sub-stream indices, so the training log is a
-deterministic function of (seed, store, config).
+deterministic function of (seed, store, config).  Training, validation
+included, runs in float64, the determinism reference; only scoring outside
+training (``ModelScorer``'s default) runs in float32.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class TrainLog:
 
 
 def _validation_tar(model, store, val_pairs, far):
-    scores = collect_scores(ModelScorer(model), store, val_pairs)
+    scores = collect_scores(ModelScorer(model, np.float64), store, val_pairs)
     tar, _ = tar_at_far(scores, far)
     return tar
 
@@ -189,7 +191,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
         t0 = time.perf_counter()
         stage = 1 if epoch < config.stage1_epochs else 2
         if stage == 1 and cache is None and cache_fits:
-            cache = model.bank_features(store.images[pair_images])
+            cache = model.bank_features(store.images[pair_images], np.float64)
         if stage == 2:
             cache = None
 
@@ -209,7 +211,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
                 local = local.reshape(-1, 2)
                 # stage 2 runs the bank on the tape in one call per batch: chunks
                 # would reorder the sums of its weight gradients
-                feats = (model.bank_features(store.images[uniq]) if stage == 1 else
+                feats = (model.bank_features(store.images[uniq], np.float64) if stage == 1 else
                          model.bank.forward(Tensor(store.images[uniq][:, None])))
             batch_input = pair_batch(feats, local)
 

@@ -18,6 +18,11 @@ differently, so its features would move by rounding noise (about 1e-15)
 instead of shifting bitwise; the radial variant keeps the rotation
 equivariance exact.  ``wrap_pad`` followed by an unpadded conv is
 the explicit (im2col) form of the same layer, kept as the test oracle.
+
+A layer runs in its input's dtype: training feeds float64 images, scoring
+float32 ones, through the same float64 weights.  The float32 bank keeps the
+bitwise rotation equivariance (the argument above does not depend on the
+dtype).
 """
 
 from __future__ import annotations

@@ -234,7 +234,8 @@ def test_collect_scores_runs_bank_once_per_image(monkeypatch):
     monkeypatch.setattr(matcher, "_HALF_BUDGET", 1)        # one pair per chunk
     monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", 1)  # one pair per sub-batch
     scores = collect_scores(ModelScorer(model), store, pairs)
-    assert sorted(seen) == sorted(img.tobytes() for img in store.images)
+    # the float32 scorer runs the bank on float32 images
+    assert sorted(seen) == sorted(img.astype(np.float32).tobytes() for img in store.images)
     assert len(scores.authentic) == pairs.n_positive
     assert len(scores.imposter) == pairs.n_negative
 

@@ -7,7 +7,8 @@ from irismatch import checkpoint as ckpt
 from irismatch import tensor as T
 from gradcheck import check_gradients
 from irismatch.matcher import (ConvBlockSpec, IrisMatchModel, ModelConfig,
-                               default_matcher_blocks, pair_batch, parameter_count)
+                               default_matcher_blocks, pair_batch)
+from oracles import pair_input, parameter_count
 from irismatch.tensor import ShapeError, Tensor
 
 
@@ -34,14 +35,14 @@ def test_pair_input_channel_count_full_geometry():
     rng = np.random.default_rng(0)
     xq = rand_image(rng, 110, 512)
     xr = rand_image(rng, 110, 512)
-    pair = model.pair_input(xq, xr)
+    pair = pair_input(model, xq, xr)
     assert pair.shape == (1, 20, 110, 512)
 
 
 def test_pair_input_same_image_halves_equal():
     model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(51))
     x = rand_image(np.random.default_rng(1), 12, 24)
-    pair = model.pair_input(x, x).data
+    pair = pair_input(model, x, x).data
     half = pair.shape[1] // 2
     assert np.array_equal(pair[:, :half], pair[:, half:])
 
@@ -51,8 +52,8 @@ def test_pair_input_swap_swaps_halves():
     rng = np.random.default_rng(2)
     xq = rand_image(rng, 12, 24)
     xr = rand_image(rng, 12, 24)
-    ab = model.pair_input(xq, xr).data
-    ba = model.pair_input(xr, xq).data
+    ab = pair_input(model, xq, xr).data
+    ba = pair_input(model, xr, xq).data
     half = ab.shape[1] // 2
     assert np.array_equal(ab[:, :half], ba[:, half:])
     assert np.array_equal(ab[:, half:], ba[:, :half])
@@ -63,7 +64,7 @@ def test_pair_input_shape_mismatch():
     xq = rand_image(np.random.default_rng(3), 12, 24)
     xr = rand_image(np.random.default_rng(4), 12, 20)
     with pytest.raises(ShapeError):
-        model.pair_input(xq, xr)
+        pair_input(model, xq, xr)
 
 
 def test_pair_input_shares_the_bank():
@@ -72,9 +73,9 @@ def test_pair_input_shares_the_bank():
     rng = np.random.default_rng(5)
     xq = rand_image(rng, 12, 24)
     xr = rand_image(rng, 12, 24)
-    before = model.pair_input(xq, xr).data.copy()
+    before = pair_input(model, xq, xr).data.copy()
     model.bank.filters[0].weight.data[0, 0, 1, 1] += 0.37
-    after = model.pair_input(xq, xr).data
+    after = pair_input(model, xq, xr).data
     half = before.shape[1] // 2
     assert not np.array_equal(before[:, :half], after[:, :half])
     assert not np.array_equal(before[:, half:], after[:, half:])
@@ -90,7 +91,7 @@ def test_bank_features_bitwise_equal_to_one_image_at_a_time(chunk, monkeypatch):
     model = IrisMatchModel(ModelConfig.small(32, 128), rng=np.random.default_rng(51))
     images = np.random.default_rng(52).uniform(size=(7, 32, 128))
     monkeypatch.setattr(matcher, "_BANK_CHUNK", chunk)
-    feats = model.bank_features(images)
+    feats = model.bank_features(images, np.float64)
     assert not feats.requires_grad
     for i, img in enumerate(images):
         with T.no_grad():
@@ -131,7 +132,7 @@ def test_fully_convolutional_accepts_taller_inputs():
         xq = rand_image(rng, h, 24)
         xr = rand_image(rng, h, 24)
         with T.no_grad():
-            p = model.forward_pairs(model.pair_input(xq, xr), training=False)
+            p = model.forward_pairs(pair_input(model, xq, xr), training=False)
         assert p.shape == (1,)
         assert 0.0 < float(p.data[0]) < 1.0
 
@@ -189,7 +190,7 @@ def test_full_model_gradcheck_toy_geometry():
     xr = Tensor(rng.uniform(size=(1, 1, 12, 24)))
 
     def build():
-        return model.forward_pairs(model.pair_input(xq, xr), training=False).sum()
+        return model.forward_pairs(pair_input(model, xq, xr), training=False).sum()
 
     params = [t for _, t in model.named_parameters()]
     err = check_gradients(build, params)
@@ -300,7 +301,7 @@ def concat_scores(model, feats, pairs):
 def test_factorized_scores_match_concatenated_block0(config, n):
     model = IrisMatchModel(config, rng=np.random.default_rng(70))
     images = np.random.default_rng(71).uniform(size=(n, config.height, config.width))
-    feats = model.bank_features(images)
+    feats = model.bank_features(images, np.float64)
     pairs = np.array([(a, b) for a in range(n) for b in range(n) if a != b])
     got = model.pair_probabilities(feats.data, pairs)
     assert np.max(np.abs(got - concat_scores(model, feats, pairs))) <= 1e-12
@@ -314,15 +315,18 @@ def test_factorized_scores_bitwise_independent_of_chunk_and_sub_batch(
 
     model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(72))
     images = np.random.default_rng(73).uniform(size=(7, 16, 32))
-    feats = model.bank_features(images).data
     pairs = np.random.default_rng(74).integers(0, 7, size=(40, 2))
-    want = model.pair_probabilities(feats, pairs)
-    monkeypatch.setattr(matcher, "_HALF_BUDGET", half_budget)
-    monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", activation_budget)
-    assert model.pair_probabilities(feats, pairs).tobytes() == want.tobytes()
-    # and of the other pairs scored alongside
-    for k in (0, 17, 39):
-        assert model.pair_probabilities(feats, pairs[k:k + 1]).tobytes() == want[k].tobytes()
+    for dtype in (np.float64, np.float32):
+        feats = model.bank_features(images, dtype).data
+        with monkeypatch.context() as patch:
+            want = model.pair_probabilities(feats, pairs)
+            patch.setattr(matcher, "_HALF_BUDGET", half_budget)
+            patch.setattr(matcher, "_ACTIVATION_BUDGET", activation_budget)
+            assert model.pair_probabilities(feats, pairs).tobytes() == want.tobytes(), dtype
+            # and of the other pairs scored alongside
+            for k in (0, 17, 39):
+                got = model.pair_probabilities(feats, pairs[k:k + 1])
+                assert got.tobytes() == want[k].tobytes(), (dtype, k)
 
 
 def test_match_probability_bitwise_equals_model_scorer():
@@ -334,6 +338,64 @@ def test_match_probability_bitwise_equals_model_scorer():
     scores = ModelScorer(model).score_pairs(_store(images), pairs)
     for (a, b), score in zip(pairs, scores):
         assert model.match_probability(images[a], images[b]) == score
+
+
+def test_float32_scores_match_float64_default_model_full_geometry():
+    """Float32 scoring from the float64 weights, against float64 scoring,
+    within 1e-6 (the benchmark's probability tolerance), with non-trivial
+    batch-norm running statistics."""
+    from irismatch.evaluation import ModelScorer
+    from irismatch.synthetic import SynthSpec, generate
+
+    model = IrisMatchModel(rng=np.random.default_rng(83))
+    rng = np.random.default_rng(84)
+    for blk in model.matcher.blocks:
+        blk.running_mean[:] = rng.normal(scale=0.1, size=blk.running_mean.shape)
+        blk.running_var[:] = rng.uniform(0.5, 1.5, size=blk.running_var.shape)
+    store = generate(SynthSpec(identities=2, images_per_identity=2, height=110, width=512,
+                               seed=85))
+    pairs = np.stack(np.triu_indices(4, k=1), axis=1)
+    want = ModelScorer(model, np.float64).score_pairs(store, pairs)
+    got = ModelScorer(model).score_pairs(store, pairs)
+    assert np.max(np.abs(got - want)) <= 1e-6
+    assert model.match_probability(store.images[0], store.images[3]) == got[2]
+
+
+def test_float32_scoring_keeps_every_activation_float32(monkeypatch):
+    """A float64 operand anywhere on the float32 path (an uncast weight or
+    running statistic) would promote what follows back to float64: slower,
+    with every score still right."""
+    from irismatch.evaluation import ModelScorer
+
+    ops = ("conv2d", "elu", "batch_norm", "channel_l2_normalize", "concat",
+           "global_avg_pool", "sigmoid")
+    seen = {}
+    for op in ops:
+        def recording(*args, _op=op, _fn=getattr(T, op), **kwargs):
+            out = _fn(*args, **kwargs)
+            seen.setdefault(_op, set()).add(out.dtype)
+            return out
+
+        monkeypatch.setattr(T, op, recording)
+    model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(86))
+    images = np.random.default_rng(87).uniform(size=(4, 16, 32))
+    ModelScorer(model).score_pairs(_store(images), np.stack(np.triu_indices(4, k=1), axis=1))
+    assert seen == {op: {np.dtype(np.float32)} for op in ops}
+    seen.clear()
+    model.match_probability(images[0], images[1])
+    assert seen == {op: {np.dtype(np.float32)} for op in ops}
+
+
+def test_float32_bank_features_bitwise_independent_of_chunk_full_geometry(monkeypatch):
+    from irismatch import matcher
+
+    model = IrisMatchModel(rng=np.random.default_rng(88))
+    images = np.random.default_rng(89).uniform(size=(5, 110, 512))
+    want = model.bank_features(images, np.float32).data
+    assert want.dtype == np.float32
+    for chunk in (1, 2):
+        monkeypatch.setattr(matcher, "_BANK_CHUNK", chunk)
+        assert model.bank_features(images, np.float32).data.tobytes() == want.tobytes(), chunk
 
 
 def test_block0_runs_once_per_distinct_image_and_side(monkeypatch):
@@ -385,7 +447,7 @@ def test_factorized_input_refuses_training():
     from irismatch.matcher import PairFeatures
 
     model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(80))
-    feats = model.bank_features(np.zeros((2, 12, 24))).data
+    feats = model.bank_features(np.zeros((2, 12, 24)), np.float64).data
     with pytest.raises(ValueError, match="eval-mode"):
         model.matcher.forward(PairFeatures(feats, [[0, 1]]), training=True)
 

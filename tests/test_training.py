@@ -268,7 +268,7 @@ def golden_run(name):
     from irismatch.evaluation import ModelScorer
 
     store, pairs, model, log = golden_case(name)
-    scores = ModelScorer(model).score_pairs(store, pairs)
+    scores = ModelScorer(model, np.float64).score_pairs(store, pairs)
     return log.canonical_lines(), hashlib.sha256(np.asarray(scores).tobytes()).hexdigest()
 
 
@@ -281,11 +281,31 @@ def test_golden_scores_match_the_concatenated_block0(name):
     from irismatch.matcher import pair_batch
 
     store, pairs, model, _ = golden_case(name)
-    feats = model.bank_features(store.images)
+    feats = model.bank_features(store.images, np.float64)
     with T.no_grad():
         want = model.forward_pairs(pair_batch(feats, pairs)).data
-    got = ModelScorer(model).score_pairs(store, pairs)
+    got = ModelScorer(model, np.float64).score_pairs(store, pairs)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])
+def test_float32_scores_match_float64_on_golden_models(name):
+    """Float32 scoring of a trained golden model moves no score by more than
+    1e-6 and changes no TAR at any FAR an imposter count resolves, nor the
+    AUC."""
+    from irismatch.data import enumerate_pairs
+    from irismatch.evaluation import ModelScorer, auc, collect_scores, tar_at_far
+
+    store, _, model, _ = golden_case(name)
+    pairs = enumerate_pairs(store)
+    want = collect_scores(ModelScorer(model, np.float64), store, pairs)
+    got = collect_scores(ModelScorer(model), store, pairs)
+    for side in ("authentic", "imposter"):
+        assert np.max(np.abs(getattr(got, side) - getattr(want, side))) <= 1e-6, side
+    n_imp = len(want.imposter)
+    for far in np.arange(1, n_imp + 1) / n_imp:
+        assert tar_at_far(got, far)[0] == tar_at_far(want, far)[0], far
+    assert auc(got) == auc(want)
 
 
 @pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])

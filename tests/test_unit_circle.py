@@ -92,6 +92,21 @@ def test_wrap_conv_matches_wrap_pad_oracle_full_geometry(kh, kw):
     assert np.max(np.abs(got32 - want)) <= 1e-4 * np.max(np.abs(want))
 
 
+def test_wrap_conv_runs_in_its_input_dtype():
+    """Float64 weights on a float32 input give the bits of the same weights
+    cast to float32: the kernel spectra and the bias are cast, so no part of
+    the bank computes in float64 and rounds back."""
+    rng = np.random.default_rng(42)
+    f = uc.UnitCircleFilter(7, 17, rng=rng)
+    f.bias.data[:] = rng.normal(size=2)
+    x = rng.uniform(size=(2, 1, 32, 128)).astype(np.float32)
+    want = T.conv2d(Tensor(x), Tensor(f.weight.data.astype(np.float32)),
+                    Tensor(f.bias.data.astype(np.float32)), padding="wrap").data
+    got = T.conv2d(Tensor(x), f.weight, f.bias, padding="wrap").data
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 def test_wrap_conv_gradcheck_two_input_channels():
     rng = np.random.default_rng(42)
     x = Tensor(rng.normal(size=(2, 2, 5, 7)), requires_grad=True)
@@ -287,3 +302,40 @@ def test_bank_shift_equivariance_full_geometry():
     for s in (1, 33, 256, 511):
         shifted = bank.forward(Tensor(np.roll(x, s, axis=3))).data
         assert np.array_equal(shifted, np.roll(base, s, axis=3)), f"shift {s}"
+
+
+# ---------------------------------------------------------------- float32 bank
+
+
+def test_bank_shift_equivariance_float32_full_geometry():
+    """The float32 bank, as scoring runs it (float32 images, float64
+    weights), keeps the bitwise rotation equivariance."""
+    bank = uc.UnitCircleBank(rng=np.random.default_rng(44))
+    x = np.random.default_rng(6).uniform(size=(1, 1, 110, 512)).astype(np.float32)
+    with T.no_grad():
+        base = bank.forward(Tensor(x)).data
+        assert base.dtype == np.float32
+        for s in (1, 37, 256, 511):
+            shifted = bank.forward(Tensor(np.roll(x, s, axis=3))).data
+            assert np.array_equal(shifted, np.roll(base, s, axis=3)), f"shift {s}"
+
+
+def test_float32_bank_zeroes_the_pixels_float64_does(record_property):
+    """Pixels whose response norm falls under NORM_EPS map to (0, 0); on
+    synthetic irises at 110x512 the float32 bank finds the same ones as the
+    float64 bank.  Their fraction is recorded as a test property."""
+    from irismatch.synthetic import SynthSpec, generate
+
+    store = generate(SynthSpec(identities=3, images_per_identity=2, height=110, width=512,
+                               seed=1906))
+    bank = uc.UnitCircleBank(rng=np.random.default_rng(45))
+    dead = {}
+    with T.no_grad():
+        for dtype in (np.float64, np.float32):
+            out = bank.forward(Tensor(store.images[:, None].astype(dtype))).data
+            pairs = out.reshape(len(out), bank.num_filters, 2, 110, 512)
+            dead[dtype] = np.all(pairs == 0, axis=2)
+    fraction = float(dead[np.float32].mean())
+    record_property("float32_norm_eps_fraction", fraction)
+    print(f"float32 pixels under NORM_EPS: {fraction:.3g}")
+    assert np.array_equal(dead[np.float32], dead[np.float64])
