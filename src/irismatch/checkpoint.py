@@ -141,13 +141,13 @@ def save_model(model, path):
 def load_model(path):
     """Rebuild a model from a checkpoint; outputs match the saved model bitwise.
 
-    The model is allocated from the stored architecture with no RNG draws,
-    then every parameter and buffer is filled from its record."""
+    The model is built from the stored architecture with no RNG draws, then
+    ``restore`` fills every parameter and buffer from its record."""
     from .matcher import IrisMatchModel, ModelConfig
 
     meta, records = read_records(path, MODEL_MAGIC)
     try:
-        model = IrisMatchModel.allocate(ModelConfig.from_dict(meta))
+        model = IrisMatchModel(ModelConfig.from_dict(meta))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad architecture in meta: {exc!r}") from exc
     expected = dict(model.state_items())
@@ -159,10 +159,7 @@ def load_model(path):
     for name, arr in expected.items():
         if records[name].shape != arr.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name}")
-    for name, tens in model.named_parameters():
-        tens.data = records[name].copy()
-    for name, buf in model.named_buffers():
-        buf[...] = records[name]
+    model.restore(records)
     return model
 
 

@@ -213,8 +213,7 @@ def _model_config_from(cfg, height, width):
     dropout = cfg["matcher_dropout"]
     if not (len(channels) == len(strides) == len(dropout)):
         raise UsageError("matcher_channels, matcher_strides, matcher_dropout lengths differ")
-    blocks = tuple(ConvBlockSpec(c, (3, 3), (s, s), True, d)
-                   for c, s, d in zip(channels, strides, dropout))
+    blocks = tuple(ConvBlockSpec(c, (s, s), d) for c, s, d in zip(channels, strides, dropout))
     return ModelConfig(height=height, width=width,
                        bank_kernels=cfg["bank_kernels"], bank_bias=cfg["bank_bias"],
                        bank_mode=cfg["bank_nonlinearity"], matcher_blocks=blocks)
@@ -288,29 +287,30 @@ def _load_resume_state(out_dir):
     state_path = os.path.join(out_dir, "train_state.json")
     if not os.path.isfile(state_path):
         raise UsageError(f"resume requested but {state_path} does not exist")
-    with open(state_path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    model = load_model(os.path.join(out_dir, "last.ckpt"))
-    _, moments = load_optimizer_state(os.path.join(out_dir, "last.optim"))
+    try:
+        with open(state_path, encoding="utf-8") as fh:
+            state = json.load(fh)
+        resume = {
+            "steps": {str(n): int(s) for n, s in state["steps"].items()},
+            "start_epoch": int(state["next_epoch"]),
+            "records": [EpochRecord(int(epoch), int(stage), float(loss), float(tar),
+                                    float(wall))
+                        for epoch, stage, loss, tar, wall in state["records"]],
+            "best_tar": float(state["best_tar"]),
+            "best_epoch": int(state["best_epoch"]),
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{state_path}: malformed train state ({exc!r})") from exc
+    resume["model"] = load_model(os.path.join(out_dir, "last.ckpt"))
+    _, resume["moments"] = load_optimizer_state(os.path.join(out_dir, "last.optim"))
     best_path = os.path.join(out_dir, "best.ckpt")
-    best_state = load_model(best_path).snapshot() if os.path.isfile(best_path) else None
-    records = [EpochRecord(*row) for row in state["records"]]
-    return {
-        "model": model,
-        "moments": moments,
-        "steps": state["steps"],
-        "start_epoch": state["next_epoch"],
-        "records": records,
-        "best_state": best_state,
-        "best_tar": state["best_tar"],
-        "best_epoch": state["best_epoch"],
-    }, len(records)
+    resume["best_state"] = load_model(best_path).snapshot() if os.path.isfile(best_path) else None
+    return resume, len(resume["records"])
 
 
 def cmd_train(cfg):
     data_dir = _require(cfg, "data_dir", "train")
     out_dir = cfg["out_dir"] or "train_run"
-    os.makedirs(out_dir, exist_ok=True)
     store = read_store(data_dir)
     model_config = _model_config_from(cfg, store.height, store.width)
     tconf = TrainConfig(
@@ -326,6 +326,7 @@ def cmd_train(cfg):
             raise UsageError(f"resume: the model saved in {out_dir} has another architecture "
                              f"than the configured one; train into a new out_dir instead")
 
+    os.makedirs(out_dir, exist_ok=True)   # once the inputs have validated
     state_out = {}
     model, log = train(store, tconf, model_config, resume=resume_state, state_out=state_out)
 
@@ -385,12 +386,11 @@ def cmd_roc(cfg):
         raise UsageError("ROC curve is not monotone; the file is corrupt or not a curve")
     rows = []
     for far_target in cfg["far"]:
-        qualify = np.flatnonzero(curve.far <= far_target)
-        if qualify.size == 0:
+        point = curve.tar_at_far(far_target)
+        if point is None:
             print(f"{far_target:>12.6g} {'unattainable':>12}")
             continue
-        idx = qualify[np.argmax(curve.tar[qualify])]
-        rows.append((far_target, float(curve.tar[idx]), float(curve.thresholds[idx])))
+        rows.append((far_target,) + point)
     _print_far_table(rows)
     write_snapshot("roc", cfg, cfg["out_dir"] or ".")
     return 0

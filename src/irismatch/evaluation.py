@@ -4,8 +4,12 @@ Scores carry an explicit polarity: the network emits match probabilities
 (higher means match), the bitcode baseline emits Hamming distances (lower
 means match).  A pair is accepted when its score is strictly beyond the
 threshold on the match side; equality is a non-match.  For a FAR target the
-threshold is the strictest value whose empirical FAR does not exceed the
-target, among those maximizing TAR.
+threshold is the strictest observed score whose empirical FAR does not
+exceed the target, among those maximizing TAR (``RocCurve.tar_at_far``,
+which ``tar_at_far`` and the ``roc`` command share).
+
+The CNN scores come from ``ModelScorer``, which casts the whole model to its
+scoring dtype once per call; every op then computes in that dtype.
 """
 
 from __future__ import annotations
@@ -38,12 +42,25 @@ class ScoreSet:
 
 @dataclass
 class RocCurve:
+    """Operating points ordered strictest threshold first (non-decreasing FAR)."""
+
     thresholds: np.ndarray
     far: np.ndarray
     tar: np.ndarray
 
     def __len__(self):
         return len(self.thresholds)
+
+    def tar_at_far(self, far):
+        """(TAR, threshold) of the highest TAR among points with FAR <= ``far``,
+        ties to the strictest threshold, or None when no point qualifies.
+        Only observed scores are candidates: the accept-everything sentinel
+        (an infinite threshold) is not one."""
+        ok = np.flatnonzero((self.far <= far) & np.isfinite(self.thresholds))
+        if ok.size == 0:
+            return None
+        best = ok[np.argmax(self.tar[ok])]       # argmax takes the first (strictest) of ties
+        return float(self.tar[best]), float(self.thresholds[best])
 
 
 def _oriented(scores: ScoreSet):
@@ -53,14 +70,19 @@ def _oriented(scores: ScoreSet):
     return -scores.authentic, -scores.imposter, -1.0
 
 
-def tar_at_far(scores: ScoreSet, far):
-    """(TAR, threshold) at a FAR budget.
+def _sweep(scores: ScoreSet) -> RocCurve:
+    """The operating point of every distinct observed score, strictest first."""
+    scores.require_nonempty()
+    auth, imp, sign = _oriented(scores)
+    cand = np.unique(np.concatenate([auth, imp]))[::-1]     # strictest first
+    far = (imp.size - np.searchsorted(np.sort(imp), cand, side="right")) / imp.size
+    tar = (auth.size - np.searchsorted(np.sort(auth), cand, side="right")) / auth.size
+    return RocCurve(sign * cand, far, tar)
 
-    Candidate thresholds are the distinct observed scores; matches are
-    strictly beyond the threshold.  Among candidates with empirical FAR <=
-    ``far`` the one maximizing TAR is chosen, ties resolved toward the
-    strictest threshold.
-    """
+
+def tar_at_far(scores: ScoreSet, far):
+    """(TAR, threshold) at a FAR budget (``RocCurve.tar_at_far`` over the
+    observed scores); matches are strictly beyond the threshold."""
     scores.require_nonempty()
     if not 0.0 < far <= 1.0:
         raise ValueError(f"FAR target must be in (0, 1], got {far}")
@@ -68,18 +90,8 @@ def tar_at_far(scores: ScoreSet, far):
         warnings.warn(
             f"{scores.imposter.size} imposter scores cannot resolve FAR {far:g}; "
             f"need at least {int(np.ceil(1.0 / far))}")
-    auth, imp, sign = _oriented(scores)
-    cand = np.unique(np.concatenate([auth, imp]))          # ascending
-    imp_sorted = np.sort(imp)
-    auth_sorted = np.sort(auth)
-    far_at = (imp.size - np.searchsorted(imp_sorted, cand, side="right")) / imp.size
-    tar_at = (auth.size - np.searchsorted(auth_sorted, cand, side="right")) / auth.size
-    feasible = np.flatnonzero(far_at <= far)
-    # far_at is non-increasing in the candidate order, so feasible is a suffix
-    best_tar = tar_at[feasible].max()
-    ties = feasible[tar_at[feasible] == best_tar]
-    threshold = cand[ties.max()]                            # strictest qualifying
-    return float(best_tar), float(sign * threshold)
+    # the strictest observed score has FAR 0, so some point qualifies
+    return _sweep(scores).tar_at_far(far)
 
 
 def roc(scores: ScoreSet) -> RocCurve:
@@ -88,17 +100,10 @@ def roc(scores: ScoreSet) -> RocCurve:
     The final point uses an accept-everything sentinel threshold, so the
     curve always ends at (1, 1).
     """
-    scores.require_nonempty()
-    auth, imp, sign = _oriented(scores)
-    cand = np.unique(np.concatenate([auth, imp]))[::-1]     # strictest first
-    imp_sorted = np.sort(imp)
-    auth_sorted = np.sort(auth)
-    far = (imp.size - np.searchsorted(imp_sorted, cand, side="right")) / imp.size
-    tar = (auth.size - np.searchsorted(auth_sorted, cand, side="right")) / auth.size
-    thresholds = np.concatenate([cand, [-np.inf]])
-    far = np.concatenate([far, [1.0]])
-    tar = np.concatenate([tar, [1.0]])
-    return RocCurve(sign * thresholds, far, tar)
+    curve = _sweep(scores)
+    sentinel = -np.inf if scores.higher_is_match else np.inf
+    return RocCurve(np.append(curve.thresholds, sentinel), np.append(curve.far, 1.0),
+                    np.append(curve.tar, 1.0))
 
 
 def auc(scores: ScoreSet):
@@ -136,6 +141,8 @@ def collect_scores(scorer, store, pairs) -> ScoreSet:
 class ModelScorer:
     """Eval-mode CNN probability per pair, scored in ``dtype``.
 
+    Each call casts the whole model to ``dtype`` once
+    (``IrisMatchModel.astype``; every op then computes in that dtype).
     Scoring runs in float32 by default, from the model's float64 weights
     (training, which keeps float64 as its determinism reference, validates
     with ``dtype=np.float64``).  The bank runs once per distinct image
@@ -157,9 +164,10 @@ class ModelScorer:
             raise ValueError(
                 f"store geometry {store.height}x{store.width} does not match the model's "
                 f"{self.model.height}x{self.model.width}; resize first")
+        model = self.model.astype(self.dtype)
         used, local = np.unique(np.asarray(pair_array, dtype=np.intp), return_inverse=True)
-        feats = self.model.bank_features(store.images[used], self.dtype)
-        return self.model.pair_probabilities(feats.data, local.reshape(-1, 2))
+        feats = model.bank_features(store.images[used])
+        return model.pair_probabilities(feats.data, local.reshape(-1, 2))
 
 
 class BitcodeScorer:

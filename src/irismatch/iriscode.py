@@ -78,10 +78,6 @@ class Bitcode:
         if self.bits.shape != self.mask.shape:
             raise ValueError(f"bits {self.bits.shape} and mask {self.mask.shape} disagree")
 
-    @property
-    def samples_per_row(self):
-        return self.bits.shape[1] // 2
-
 
 def log_gabor_transfer(width, spec: LogGaborSpec):
     """One-sided frequency response on an FFT grid of ``width`` samples.

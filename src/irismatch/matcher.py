@@ -7,10 +7,11 @@ responses of two normalized irises to a single match probability per pair.
 Both irises pass through the same filter bank, so the matcher input has
 4F channels for a bank of F filters.
 
-Training runs in float64 and feeds the matcher the concatenation itself
-(``pair_batch``).  Scoring runs in float32 from the same float64 weights:
-``bank_features`` runs the bank on float32 images and ``pair_probabilities``
-runs a float32 copy of the matcher (``MatcherModel.astype``) made once per
+Every op computes in its operands' dtype, and the model computes in its
+own: whoever picks a dtype casts the whole model once
+(``IrisMatchModel.astype``).  Training runs in float64 and feeds the matcher
+the concatenation itself (``pair_batch``).  Scoring runs in float32 from the
+same float64 weights, through a float32 copy of the model made once per
 call and never kept.  Inference keeps the pair input factorized
 (``PairFeatures``): block 0's convolution over [f(q), f(r)] equals
 W_q*f(q) + b + W_r*f(r), so each distinct image of a chunk of pairs goes
@@ -46,10 +47,10 @@ _ACTIVATION_BUDGET = 1 << 24
 
 @dataclass(frozen=True)
 class ConvBlockSpec:
+    """One matcher block: 3x3 conv -> ELU -> batch norm (-> dropout)."""
+
     out_channels: int
-    kernel: tuple = (3, 3)
     stride: tuple = (1, 1)
-    batch_norm: bool = True
     dropout: float = 0.0
 
 
@@ -59,8 +60,7 @@ def default_matcher_blocks():
     channels = (32, 64, 96, 128, 160)
     strides = ((1, 1), (2, 2), (2, 2), (2, 2), (2, 2))
     dropouts = (0.0, 0.0, 0.3, 0.3, 0.0)
-    return tuple(ConvBlockSpec(c, (3, 3), s, True, d)
-                 for c, s, d in zip(channels, strides, dropouts))
+    return tuple(ConvBlockSpec(c, s, d) for c, s, d in zip(channels, strides, dropouts))
 
 
 def small_matcher_blocks():
@@ -68,26 +68,20 @@ def small_matcher_blocks():
     channels = (24, 32, 48, 64)
     strides = ((2, 2),) * 4
     dropouts = (0.0, 0.0, 0.1, 0.0)
-    return tuple(ConvBlockSpec(c, (3, 3), s, True, d)
-                 for c, s, d in zip(channels, strides, dropouts))
+    return tuple(ConvBlockSpec(c, s, d) for c, s, d in zip(channels, strides, dropouts))
 
 
 class ConvBlock:
-    """conv -> ELU -> batch-norm (optional) -> dropout (optional)."""
+    """3x3 conv -> ELU -> batch-norm -> dropout (when its rate is positive)."""
 
     def __init__(self, in_channels, spec: ConvBlockSpec, rng, dtype=np.float64):
-        kh, kw = spec.kernel
         self.spec = spec
-        self.weight, self.bias = uc.init_conv(rng, (spec.out_channels, in_channels, kh, kw),
+        self.weight, self.bias = uc.init_conv(rng, (spec.out_channels, in_channels, 3, 3),
                                               True, dtype)
-        if spec.batch_norm:
-            self.gamma = Tensor(np.ones(spec.out_channels, dtype=dtype), requires_grad=True)
-            self.beta = Tensor(np.zeros(spec.out_channels, dtype=dtype), requires_grad=True)
-            self.running_mean = np.zeros(spec.out_channels, dtype=dtype)
-            self.running_var = np.ones(spec.out_channels, dtype=dtype)
-        else:
-            self.gamma = self.beta = None
-            self.running_mean = self.running_var = None
+        self.gamma = Tensor(np.ones(spec.out_channels, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(spec.out_channels, dtype=dtype), requires_grad=True)
+        self.running_mean = np.zeros(spec.out_channels, dtype=dtype)
+        self.running_var = np.ones(spec.out_channels, dtype=dtype)
 
     def forward(self, x, training, rng=None):
         """``x`` is a (B, Cin, H, W) tensor, or ``PairFeatures`` for block 0
@@ -97,9 +91,8 @@ class ConvBlock:
         else:
             h = T.conv2d(x, self.weight, self.bias, stride=self.spec.stride, padding="zero")
         h = T.elu(h)
-        if self.spec.batch_norm:
-            h = T.batch_norm(h, self.gamma, self.beta,
-                             self.running_mean, self.running_var, training=training)
+        h = T.batch_norm(h, self.gamma, self.beta,
+                         self.running_mean, self.running_var, training=training)
         if self.spec.dropout > 0.0:
             h = T.dropout(h, self.spec.dropout, training=training, rng=rng)
         return h
@@ -151,27 +144,13 @@ class MatcherModel:
         h = T.global_avg_pool(h)           # (B, 1)
         return T.sigmoid(h.reshape((x.shape[0],)))
 
-    def astype(self, dtype):
-        """This matcher with its parameters and batch-norm running statistics
-        in ``dtype``: itself if they already are, else a copy that the model
-        does not keep."""
-        def arrays(m):
-            return [t.data for _, t in m.named_parameters()] + [b for _, b in m.named_buffers()]
-
-        if all(a.dtype == dtype for a in arrays(self)):
-            return self
-        cast = MatcherModel(self.in_channels, [b.spec for b in self.blocks], dtype=dtype)
-        for dst, src in zip(arrays(cast), arrays(self)):
-            dst[...] = src
-        return cast
-
     def block_bytes(self, size, itemsize):
         """Bytes of each block's output for one pair at input size (H, W)."""
         h, w = size
         out = []
         for block in self.blocks:
             sh, sw = block.spec.stride
-            h, w = (h - 1) // sh + 1, (w - 1) // sw + 1   # "zero" padding, odd kernel
+            h, w = (h - 1) // sh + 1, (w - 1) // sw + 1   # "zero" padding, 3x3 kernel
             out.append(block.spec.out_channels * h * w * itemsize)
         return out
 
@@ -181,9 +160,8 @@ class MatcherModel:
             prefix = f"matcher.block{i}"
             out.append((f"{prefix}.weight", blk.weight))
             out.append((f"{prefix}.bias", blk.bias))
-            if blk.gamma is not None:
-                out.append((f"{prefix}.bn.gamma", blk.gamma))
-                out.append((f"{prefix}.bn.beta", blk.beta))
+            out.append((f"{prefix}.bn.gamma", blk.gamma))
+            out.append((f"{prefix}.bn.beta", blk.beta))
         out.append(("matcher.head.weight", self.head_weight))
         out.append(("matcher.head.bias", self.head_bias))
         return out
@@ -191,9 +169,8 @@ class MatcherModel:
     def named_buffers(self):
         out = []
         for i, blk in enumerate(self.blocks):
-            if blk.running_mean is not None:
-                out.append((f"matcher.block{i}.bn.running_mean", blk.running_mean))
-                out.append((f"matcher.block{i}.bn.running_var", blk.running_var))
+            out.append((f"matcher.block{i}.bn.running_mean", blk.running_mean))
+            out.append((f"matcher.block{i}.bn.running_var", blk.running_var))
         return out
 
 
@@ -226,46 +203,52 @@ class ModelConfig:
                 "mode": self.bank_mode,
             },
             "matcher": [
-                {"out": b.out_channels, "kernel": list(b.kernel), "stride": list(b.stride),
-                 "bn": b.batch_norm, "dropout": b.dropout}
+                {"out": b.out_channels, "stride": list(b.stride), "dropout": b.dropout}
                 for b in self.matcher_blocks
             ],
         }
 
     @staticmethod
     def from_dict(d):
+        """The inverse of ``to_dict``.  A block's "kernel" and "bn" keys, which
+        older checkpoints carry, are ignored: every block is 3x3 with batch
+        norm, and a checkpoint of another block fails its record checks."""
         return ModelConfig(
             height=int(d["height"]), width=int(d["width"]),
             bank_kernels=tuple(tuple(k) for k in d["bank"]["kernels"]),
             bank_bias=bool(d["bank"]["bias"]),
             bank_mode=str(d["bank"]["mode"]),
             matcher_blocks=tuple(
-                ConvBlockSpec(int(b["out"]), tuple(b["kernel"]), tuple(b["stride"]),
-                              bool(b["bn"]), float(b["dropout"]))
+                ConvBlockSpec(int(b["out"]), tuple(b["stride"]), float(b["dropout"]))
                 for b in d["matcher"]),
         )
 
 
 class IrisMatchModel:
-    """Shared unit-circle bank plus matcher, bound to an input geometry."""
+    """Shared unit-circle bank plus matcher, bound to an input geometry, with
+    every parameter and buffer in one dtype."""
 
     def __init__(self, config: ModelConfig = None, rng=None, dtype=np.float64):
-        self._build(config or ModelConfig(), rng or np.random.default_rng(0), dtype)
-
-    @classmethod
-    def allocate(cls, config: ModelConfig, dtype=np.float64):
-        """A model of ``config`` with zero weights and no RNG draws, for a
-        checkpoint to fill."""
-        model = cls.__new__(cls)
-        model._build(config, None, dtype)
-        return model
-
-    def _build(self, config, rng, dtype):
-        self.config = config
-        self.bank = uc.UnitCircleBank(config.bank_kernels, bias=config.bank_bias,
-                                      mode=config.bank_mode, rng=rng, dtype=dtype)
-        self.matcher = MatcherModel(2 * self.bank.out_channels, config.matcher_blocks,
+        """``rng=None`` draws nothing: the weights are zero until ``restore``
+        fills them."""
+        self.config = config or ModelConfig()
+        self.bank = uc.UnitCircleBank(self.config.bank_kernels, bias=self.config.bank_bias,
+                                      mode=self.config.bank_mode, rng=rng, dtype=dtype)
+        self.matcher = MatcherModel(2 * self.bank.out_channels, self.config.matcher_blocks,
                                     rng=rng, dtype=dtype)
+
+    @property
+    def dtype(self):
+        return self.matcher.head_weight.dtype
+
+    def astype(self, dtype):
+        """This model in ``dtype``: itself if it already is, else a copy with
+        every parameter and buffer cast, which this model does not keep."""
+        if self.dtype == dtype:
+            return self
+        cast = IrisMatchModel(self.config, dtype=dtype)
+        cast.restore(dict(self.state_items()))
+        return cast
 
     @property
     def height(self):
@@ -275,31 +258,26 @@ class IrisMatchModel:
     def width(self):
         return self.config.width
 
-    def bank_features(self, images, dtype):
+    def bank_features(self, images):
         """Bank responses (N, 2F, H, W) of (N, H, W) images, outside the tape,
-        computed in ``dtype`` (the bank's convolutions run in their input's
-        dtype, whatever their weights').
+        in the model's dtype.
 
         The bank runs on ``_BANK_CHUNK`` images at a time, each chunk written
         into one preallocated array.
         """
-        images = np.asarray(images, dtype=dtype)
-        out = np.empty((len(images), self.bank.out_channels) + images.shape[1:], dtype=dtype)
+        images = np.asarray(images, dtype=self.dtype)
+        out = np.empty((len(images), self.bank.out_channels) + images.shape[1:],
+                       dtype=self.dtype)
         with T.no_grad():
             for start in range(0, len(images), _BANK_CHUNK):
                 chunk = images[start:start + _BANK_CHUNK]
                 out[start:start + len(chunk)] = self.bank.forward(Tensor(chunk[:, None])).data
         return Tensor(out)
 
-    def forward_pairs(self, pair, training=False, rng=None):
-        """Score an already-assembled (B, 4F, H, W) pair tensor."""
-        return self.matcher.forward(pair, training=training, rng=rng)
-
     def pair_probabilities(self, feats, pairs):
         """Eval-mode match probability of each (query, reference) row of
         ``pairs``, indices into the (N, 2F, H, W) ``bank_features`` array
-        ``feats``.  The matcher runs in ``feats.dtype``: its weights and
-        running statistics are cast once per call (``MatcherModel.astype``).
+        ``feats``.  The matcher runs in the model's dtype.
 
         Pairs go to the matcher as ``PairFeatures`` in consecutive chunks,
         each needing at most ``_HALF_BUDGET`` bytes of block-0 half outputs.
@@ -307,24 +285,24 @@ class IrisMatchModel:
         it lands in.
         """
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        matcher = self.matcher.astype(feats.dtype)
-        half_bytes = (matcher.block_bytes(feats.shape[2:], feats.itemsize) or [1])[0]
+        half_bytes = (self.matcher.block_bytes(feats.shape[2:], feats.itemsize) or [1])[0]
         scores = np.empty(len(pairs))
         for start, stop in _pair_chunks(pairs, max(2, _HALF_BUDGET // half_bytes)):
-            scores[start:stop] = matcher.forward(PairFeatures(feats, pairs[start:stop])).data
+            scores[start:stop] = self.matcher.forward(PairFeatures(feats, pairs[start:stop])).data
         return scores
 
     def match_probability(self, xq, xr):
-        """Eval-mode probability that two normalized irises match, scored in
-        float32 like ``ModelScorer``'s default.
+        """Eval-mode probability that two normalized irises match, scored by
+        a float32 copy of the model (``astype``), like ``ModelScorer``'s
+        default.
 
         Inputs are (H, W) arrays (or (1, 1, H, W) tensors) at the model's
         geometry; resize beforehand if the vertical resolution differs.  The
         score is the one ``pair_probabilities`` gives the pair.
         """
-        images = np.stack([self._image(xq), self._image(xr)])
-        feats = self.bank_features(images, np.float32).data
-        return float(self.pair_probabilities(feats, [[0, 1]])[0])
+        model = self.astype(np.float32)
+        feats = model.bank_features(np.stack([self._image(xq), self._image(xr)])).data
+        return float(model.pair_probabilities(feats, [[0, 1]])[0])
 
     def _image(self, img):
         arr = np.asarray(img.data if isinstance(img, Tensor) else img, dtype=np.float64)
@@ -355,10 +333,10 @@ class IrisMatchModel:
         return {name: arr.copy() for name, arr in self.state_items()}
 
     def restore(self, state):
-        for name, tens in self.named_parameters():
-            tens.data = state[name].copy()
-        for name, buf in self.named_buffers():
-            buf[...] = state[name]
+        """Write ``state`` (name -> array, as ``snapshot`` returns) into every
+        parameter and buffer in place, cast to the model's dtype."""
+        for name, arr in self.state_items():
+            arr[...] = state[name]
 
 
 def pair_batch(feats, pairs):

@@ -6,12 +6,11 @@ l2-normalization, batch normalization, ELU/ReLU, dropout, sigmoid, global
 average pooling, binary cross-entropy) plus the elementwise arithmetic used
 to glue them together.
 
-Data lives in numpy arrays, float64 by default.  Training runs in float64;
-scoring runs in float32 from the same float64 checkpoint.  A wrap-padded
-(bank) convolution runs in its input's dtype whatever its weights' dtype.
-Every other op computes in its operands' dtype, so a float64 weight or
-running statistic would promote a float32 activation back to float64; the
-matcher is cast before a float32 call (``MatcherModel.astype``).
+Data lives in numpy arrays, float64 by default.  Every op computes in its
+operands' dtype, so a float64 weight or running statistic promotes a
+float32 activation to float64.  Whoever picks a dtype casts the whole model
+once (``IrisMatchModel.astype``): training runs in float64, scoring in
+float32 from the same float64 checkpoint.
 
 Each operation records its inputs and a backward closure;
 ``Tensor.backward`` replays the recorded operations in reverse topological
@@ -292,19 +291,15 @@ def concat(tensors, axis=0):
     return _make(data, tuple(tensors), backward)
 
 
-def index_select(a, indices, axis=0):
-    """Gather rows along ``axis``; backward scatter-adds duplicate indices."""
+def index_select(a, indices):
+    """Gather rows (axis 0); backward scatter-adds duplicate indices."""
     idx = np.asarray(indices, dtype=np.intp)
-    data = np.take(a.data, idx, axis=axis)
+    data = np.take(a.data, idx, axis=0)
     shape = a.data.shape
 
     def backward(g):
         ga = np.zeros(shape, dtype=g.dtype)
-        if axis == 0:
-            np.add.at(ga, idx, g)
-        else:
-            ga_m = np.moveaxis(ga, axis, 0)
-            np.add.at(ga_m, idx, np.moveaxis(g, axis, 0))
+        np.add.at(ga, idx, g)
         return (ga,)
 
     return _make(data, (a,), backward)
@@ -471,7 +466,7 @@ def pad2d(a, pad_top, pad_bottom, pad_left, pad_right, mode="zero"):
     and columns circularly (the angular axis of a polar image): the left pad
     copies the rightmost columns and vice versa.  ``conv2d`` does not call
     it: "zero" is the test oracle of the padding ``_im2col`` writes into its
-    columns, and "wrap" serves ``unit_circle.wrap_pad``, the FFT bank's.
+    columns, and "wrap" of the FFT bank's.
     """
     x = a.data
     if x.ndim != 4:
@@ -648,7 +643,7 @@ def _wrap_conv(x, w):
     correlation is linear; columns take kw direct circular taps on the row
     spectra.  Every output column sees the same arithmetic on its own
     (shifted) inputs, so a circular column shift of ``x`` shifts the output
-    bitwise.  The output has ``x``'s dtype.
+    bitwise.
     """
     B, C, H, W = x.shape
     Cout, _, kh, kw = w.shape
@@ -658,7 +653,7 @@ def _wrap_conv(x, w):
     xf = np.concatenate([xf[..., W - pw:], xf, xf[..., :pw]], axis=3)
     taps = sliding_window_view(xf, W, axis=3)                       # (B, C, F, kw, W)
     # correlation along rows is convolution with the row-flipped kernel
-    kf = np.fft.rfft(w[:, :, ::-1].astype(x.dtype), n=L, axis=2)    # (Cout, C, F, kw)
+    kf = np.fft.rfft(w[:, :, ::-1], n=L, axis=2)                    # (Cout, C, F, kw)
     kf = kf.transpose(1, 2, 0, 3)                                   # (C, F, Cout, kw)
     yf = np.matmul(kf[0], taps[:, 0])
     for c in range(1, C):
@@ -692,18 +687,19 @@ def _wrap_conv2d(a, weight, bias, stride):
         raise ValueError(f"wrap padding needs stride 1, got {stride}")
     if kw // 2 > x.shape[3]:
         raise ShapeError(f"wrap pad of {kw // 2} columns exceeds image width {x.shape[3]}")
-    data = np.empty((x.shape[0], Cout) + x.shape[2:], dtype=x.dtype)
+    parents = (a, weight) if bias is None else (a, weight, bias)
+    data = np.empty((x.shape[0], Cout) + x.shape[2:],
+                    dtype=np.result_type(*(p.data for p in parents)))
     y = _wrap_conv(x, w)
     if bias is None:
         data[...] = y
     else:
-        np.add(y, bias.data.astype(x.dtype, copy=False)[:, None, None], out=data)
-    parents = (a, weight) if bias is None else (a, weight, bias)
+        np.add(y, bias.data[:, None, None], out=data)
 
     def backward(g):
         # the transposed correlation: channels swapped, kernel flipped both ways
         gx = _wrap_conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if a.requires_grad else None
-        grads = (gx, _wrap_weight_grad(g, x, kh, kw).astype(w.dtype, copy=False))
+        grads = (gx, _wrap_weight_grad(g, x, kh, kw))
         return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
 
     return _make(data, parents, backward)

@@ -12,7 +12,8 @@ All randomness (initialization, splitting, epoch sampling, dropout) derives
 from the seed through fixed sub-stream indices, so the training log is a
 deterministic function of (seed, store, config).  Training, validation
 included, runs in float64, the determinism reference; only scoring outside
-training (``ModelScorer``'s default) runs in float32.
+training (``ModelScorer``'s default) runs in float32, on a cast copy of the
+model.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
         t0 = time.perf_counter()
         stage = 1 if epoch < config.stage1_epochs else 2
         if stage == 1 and cache is None and cache_fits:
-            cache = model.bank_features(store.images[pair_images], np.float64)
+            cache = model.bank_features(store.images[pair_images])
         if stage == 2:
             cache = None
 
@@ -211,12 +212,12 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
                 local = local.reshape(-1, 2)
                 # stage 2 runs the bank on the tape in one call per batch: chunks
                 # would reorder the sums of its weight gradients
-                feats = (model.bank_features(store.images[uniq], np.float64) if stage == 1 else
+                feats = (model.bank_features(store.images[uniq]) if stage == 1 else
                          model.bank.forward(Tensor(store.images[uniq][:, None])))
             batch_input = pair_batch(feats, local)
 
-            probs = model.forward_pairs(batch_input, training=True,
-                                        rng=rng_stream(config.seed, 4, epoch, step))
+            probs = model.matcher.forward(batch_input, training=True,
+                                          rng=rng_stream(config.seed, 4, epoch, step))
             loss = T.bce_loss(probs, batch_labels)
             value = loss.item()
             if not np.isfinite(value):

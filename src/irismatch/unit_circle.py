@@ -16,13 +16,13 @@ angular axis, an inverse FFT.  A 2-D FFT would be faster still, but under
 a column transform a shifted iris has a phase-rotated spectrum that rounds
 differently, so its features would move by rounding noise (about 1e-15)
 instead of shifting bitwise; the radial variant keeps the rotation
-equivariance exact.  ``wrap_pad`` followed by an unpadded conv is
-the explicit (im2col) form of the same layer, kept as the test oracle.
+equivariance exact.  ``T.pad2d(mode="wrap")`` followed by an unpadded conv
+is the explicit (im2col) form of the same layer, kept as the test oracle.
 
-A layer runs in its input's dtype: training feeds float64 images, scoring
-float32 ones, through the same float64 weights.  The float32 bank keeps the
-bitwise rotation equivariance (the argument above does not depend on the
-dtype).
+Like every op, a layer computes in its operands' dtype: float64 in
+training, float32 in a model cast for scoring (``IrisMatchModel.astype``).
+The float32 bank keeps the bitwise rotation equivariance (the argument
+above does not depend on the dtype).
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ NORM_EPS = 1e-12
 DEFAULT_KERNELS = ((7, 9), (7, 17), (11, 17), (11, 33), (15, 33))
 
 MODES = ("unit-circle", "relu", "elu")
-
-
-def wrap_pad(image, kh, kw):
-    """Pad a (B, 1, H, W) polar image for a kh x kw kernel.
-
-    Rows get floor(kh/2) zero rows on top and bottom.  Columns continue
-    circularly: with h = floor(kw/2), the h rightmost columns are copied to
-    the left edge and the h leftmost columns to the right edge.
-
-    The layers do not call it (``uc_forward`` uses ``conv2d(padding="wrap")``);
-    it is the reference the tests compare that path against.
-    """
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"kernel extents must be odd, got {kh}x{kw}")
-    W = image.shape[3]
-    if kw > 2 * W + 1:
-        raise ShapeError(f"kernel width {kw} exceeds 2*W+1 = {2 * W + 1}")
-    return T.pad2d(image, kh // 2, kh // 2, kw // 2, kw // 2, mode="wrap")
 
 
 def kaiming_uniform(rng, shape, fan_in):

@@ -156,10 +156,12 @@ def test_train_resume_with_another_architecture_exits_2(dataset, run_dir, tmp_pa
     assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
 
 
-def test_train_missing_dataset_exits_2(tmp_path, capsys):
+def test_train_missing_dataset_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)     # where the default out_dir would go
     code = main(["train", "--data_dir", str(tmp_path / "nope")] + TRAIN_ARGS)
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_requires_data_dir(capsys):
@@ -241,6 +243,39 @@ def test_roc_command_reads_eval_output(dataset, run_dir, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "threshold" in printed
     assert len(printed.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline"])
+def test_roc_on_a_curve_prints_its_tar_at_far_table(command, dataset, run_dir, tmp_path,
+                                                    capsys):
+    """``roc`` on the roc.csv of ``eval`` or ``baseline`` gives the rows of
+    their own tar_at_far.csv, FAR 1 included."""
+    out = tmp_path / command
+    fars = "1,0.5,0.25,0.1"
+    args = (["--checkpoint", str(run_dir / "best.ckpt")] if command == "eval" else
+            ["--max_shift", "3", "--gabor_wavelength", "8", "--row_step", "1"])
+    assert main([command, "--data_dir", str(dataset), "--out_dir", str(out),
+                 "--far", fars] + args) == 0
+    table = capsys.readouterr().out
+    assert main(["roc", "--roc_csv", str(out / "roc.csv"), "--far", fars,
+                 "--out_dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == table
+    rows = [[float(v) for v in line.split(",")]
+            for line in (out / "tar_at_far.csv").read_text().splitlines()[1:]]
+    assert [f"{far:>12.6g} {tar:>12.6g} {thr:>24.17g}" for far, tar, thr in rows] == \
+        table.splitlines()[1:]
+
+
+def test_roc_ignores_the_accept_everything_row(tmp_path, capsys):
+    """The lowest score is authentic, so only the sentinel row reaches TAR 1;
+    at FAR 1 ``roc`` picks what ``tar_at_far`` picks (TAR 2/3 at 0.5)."""
+    from irismatch.evaluation import ScoreSet, emit_roc_csv, roc
+
+    emit_roc_csv(roc(ScoreSet([0.1, 0.8, 0.9], [0.3, 0.5], True)), tmp_path / "roc.csv")
+    assert main(["roc", "--roc_csv", str(tmp_path / "roc.csv"), "--far", "1",
+                 "--out_dir", str(tmp_path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row == ["1", "0.666667", "0.5"]
 
 
 def test_roc_rejects_corrupt_curve(tmp_path, capsys):
@@ -341,6 +376,28 @@ def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_pa
                  "--resume", "true"] + args)
     assert code == 2
     _one_line_error(capsys, optim)
+
+
+@pytest.mark.parametrize("malformed", [lambda state: {"next_epoch": 3},
+                                       lambda state: {**state, "records": [[0, 1, 0.5]]},
+                                       lambda state: {**state, "records": [["a", 1, 0, 0, 0]]},
+                                       lambda state: [state]],
+                         ids=["no-records", "short-row", "text-epoch", "list"])
+def test_train_resume_with_a_malformed_state_exits_2(dataset, run_dir, tmp_path, capsys,
+                                                     malformed):
+    import json
+    import shutil
+
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    path = resumed / "train_state.json"
+    path.write_text(json.dumps(malformed(json.loads(path.read_text()))))
+    args = list(TRAIN_ARGS)
+    args[args.index("--epochs") + 1] = "3"
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed),
+                 "--resume", "true"] + args)
+    assert code == 2
+    _one_line_error(capsys, path)
 
 
 def test_match_accepts_pgm(dataset, run_dir, tmp_path):

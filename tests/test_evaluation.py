@@ -211,24 +211,37 @@ def test_collect_scores_lengths_and_order_independence():
     assert sorted(s.imposter) == sorted(s2.imposter)
 
 
+@pytest.mark.parametrize("higher", [True, False])
+def test_tar_at_far_and_roc_curve_agree_at_far_one(higher):
+    """The accept-everything row ends the curve at TAR 1, but it is not an
+    observed score: at FAR 1 both pick TAR 2/3 at the score 0.5."""
+    sign = 1.0 if higher else -1.0
+    scores = ScoreSet(sign * np.array([0.1, 0.8, 0.9]), sign * np.array([0.3, 0.5]), higher)
+    assert tar_at_far(scores, 1.0) == (2 / 3, sign * 0.5)
+    assert roc(scores).tar_at_far(1.0) == (2 / 3, sign * 0.5)
+    assert roc(scores).tar[-1] == 1.0
+
+
 def test_collect_scores_runs_bank_once_per_image(monkeypatch):
     from irismatch import matcher
     from irismatch.data import enumerate_pairs
     from irismatch.evaluation import ModelScorer
     from irismatch.matcher import IrisMatchModel, ModelConfig
     from irismatch.synthetic import SynthSpec, generate
+    from irismatch.unit_circle import UnitCircleBank
 
     store = generate(SynthSpec(identities=3, images_per_identity=3, height=16, width=32,
                                seed=4))
     model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(5))
     seen = []
-    forward = model.bank.forward
+    forward = UnitCircleBank.forward
 
-    def counting_forward(x):
+    def counting_forward(bank, x):
         seen.extend(img.tobytes() for img in x.data[:, 0])
-        return forward(x)
+        return forward(bank, x)
 
-    model.bank.forward = counting_forward
+    # on the class: the scorer runs the bank of a float32 copy of the model
+    monkeypatch.setattr(UnitCircleBank, "forward", counting_forward)
     pairs = enumerate_pairs(store)
     monkeypatch.setattr(matcher, "_BANK_CHUNK", 4)
     monkeypatch.setattr(matcher, "_HALF_BUDGET", 1)        # one pair per chunk

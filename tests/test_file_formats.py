@@ -16,8 +16,7 @@ FUZZ = settings(max_examples=150, deadline=None,
 
 def tiny_model():
     config = ModelConfig(height=12, width=24, bank_kernels=((3, 3), (3, 5)),
-                         matcher_blocks=(ConvBlockSpec(4, (3, 3), (2, 2), True, 0.0),
-                                         ConvBlockSpec(6, (3, 3), (2, 2), False, 0.0)))
+                         matcher_blocks=(ConvBlockSpec(4, (2, 2)), ConvBlockSpec(6, (2, 2))))
     return IrisMatchModel(config, rng=np.random.default_rng(90))
 
 

@@ -18,8 +18,8 @@ def tiny_config(height=12, width=24, mode="unit-circle"):
         bank_kernels=((3, 3), (3, 5)),
         bank_bias=True, bank_mode=mode,
         matcher_blocks=(
-            ConvBlockSpec(4, (3, 3), (2, 2), True, 0.0),
-            ConvBlockSpec(6, (3, 3), (2, 2), False, 0.0),
+            ConvBlockSpec(4, (2, 2)),
+            ConvBlockSpec(6, (2, 2)),
         ))
 
 
@@ -91,7 +91,7 @@ def test_bank_features_bitwise_equal_to_one_image_at_a_time(chunk, monkeypatch):
     model = IrisMatchModel(ModelConfig.small(32, 128), rng=np.random.default_rng(51))
     images = np.random.default_rng(52).uniform(size=(7, 32, 128))
     monkeypatch.setattr(matcher, "_BANK_CHUNK", chunk)
-    feats = model.bank_features(images, np.float64)
+    feats = model.bank_features(images)
     assert not feats.requires_grad
     for i, img in enumerate(images):
         with T.no_grad():
@@ -132,7 +132,7 @@ def test_fully_convolutional_accepts_taller_inputs():
         xq = rand_image(rng, h, 24)
         xr = rand_image(rng, h, 24)
         with T.no_grad():
-            p = model.forward_pairs(pair_input(model, xq, xr), training=False)
+            p = model.matcher.forward(pair_input(model, xq, xr), training=False)
         assert p.shape == (1,)
         assert 0.0 < float(p.data[0]) < 1.0
 
@@ -159,7 +159,7 @@ def test_parameter_count_block_increment():
     grown = ModelConfig(
         height=cfg.height, width=cfg.width, bank_kernels=cfg.bank_kernels,
         bank_bias=cfg.bank_bias, bank_mode=cfg.bank_mode,
-        matcher_blocks=cfg.matcher_blocks + (ConvBlockSpec(5, (3, 3), (1, 1), True, 0.0),))
+        matcher_blocks=cfg.matcher_blocks + (ConvBlockSpec(5, (1, 1)),))
     bigger = parameter_count(IrisMatchModel(grown, rng=np.random.default_rng(60)))
     c_in, c_out = 6, 5
     # 3x3 conv + bias + bn affine, minus the head re-sized from 6 to 5 inputs
@@ -183,14 +183,13 @@ def test_full_model_gradcheck_toy_geometry():
     rng = np.random.default_rng(9)
     # non-trivial running stats so the eval batch-norm path is exercised
     for blk in model.matcher.blocks:
-        if blk.running_mean is not None:
-            blk.running_mean[:] = rng.normal(scale=0.1, size=blk.running_mean.shape)
-            blk.running_var[:] = rng.uniform(0.5, 1.5, size=blk.running_var.shape)
+        blk.running_mean[:] = rng.normal(scale=0.1, size=blk.running_mean.shape)
+        blk.running_var[:] = rng.uniform(0.5, 1.5, size=blk.running_var.shape)
     xq = Tensor(rng.uniform(size=(1, 1, 12, 24)))
     xr = Tensor(rng.uniform(size=(1, 1, 12, 24)))
 
     def build():
-        return model.forward_pairs(pair_input(model, xq, xr), training=False).sum()
+        return model.matcher.forward(pair_input(model, xq, xr), training=False).sum()
 
     params = [t for _, t in model.named_parameters()]
     err = check_gradients(build, params)
@@ -205,9 +204,8 @@ def test_checkpoint_round_trip_bytes_and_outputs(tmp_path):
     rng = np.random.default_rng(10)
     # make running stats non-default so they must survive the round trip
     for blk in model.matcher.blocks:
-        if blk.running_mean is not None:
-            blk.running_mean[:] = rng.normal(size=blk.running_mean.shape)
-            blk.running_var[:] = rng.uniform(0.5, 2.0, size=blk.running_var.shape)
+        blk.running_mean[:] = rng.normal(size=blk.running_mean.shape)
+        blk.running_var[:] = rng.uniform(0.5, 2.0, size=blk.running_var.shape)
 
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
@@ -219,6 +217,56 @@ def test_checkpoint_round_trip_bytes_and_outputs(tmp_path):
     a = rng.uniform(size=(12, 24))
     b = rng.uniform(size=(12, 24))
     assert model.match_probability(a, b) == loaded.match_probability(a, b)
+
+
+def _old_format_meta(model, block1):
+    """The model's meta as checkpoints wrote it when a block stored its
+    kernel and batch-norm flag, block 1's keys updated from ``block1``."""
+    meta = model.config.to_dict()
+    for block in meta["matcher"]:
+        block.update(kernel=[3, 3], bn=True)
+    meta["matcher"][1].update(block1)
+    return meta
+
+
+def test_checkpoint_with_block_kernel_and_bn_keys_loads(tmp_path):
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(67))
+    path = tmp_path / "old.ckpt"
+    ckpt.write_records(path, ckpt.MODEL_MAGIC, _old_format_meta(model, {}), model.state_items())
+    loaded = ckpt.load_model(path)
+    assert loaded.config.to_dict() == model.config.to_dict()
+    a, b = np.random.default_rng(68).uniform(size=(2, 12, 24))
+    assert loaded.match_probability(a, b) == model.match_probability(a, b)
+
+
+@pytest.mark.parametrize("block1,error", [({"bn": False}, "record mismatch"),
+                                          ({"kernel": [5, 5]}, "shape mismatch")],
+                         ids=["no-bn", "5x5"])
+def test_checkpoint_of_a_block_without_bn_or_3x3_rejected(tmp_path, block1, error):
+    """Blocks are 3x3 with batch norm; a checkpoint of another block fails
+    its record checks with a one-line error."""
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(69))
+    items = dict(model.state_items())
+    if "bn" in block1:
+        items = {n: a for n, a in items.items() if not n.startswith("matcher.block1.bn.")}
+    else:
+        items["matcher.block1.weight"] = np.zeros((6, 4, 5, 5))
+    path = tmp_path / "other.ckpt"
+    ckpt.write_records(path, ckpt.MODEL_MAGIC, _old_format_meta(model, block1), items.items())
+    with pytest.raises(ckpt.CheckpointError, match=error) as err:
+        ckpt.load_model(path)
+    assert str(path) in str(err.value) and "\n" not in str(err.value)
+
+
+def test_astype_casts_every_array_into_a_copy():
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(70))
+    assert model.astype(np.float64) is model
+    cast = model.astype(np.float32)
+    assert cast.dtype == np.float32
+    for (name, a), (cast_name, b) in zip(model.state_items(), cast.state_items()):
+        assert name == cast_name and b.dtype == np.float32
+        assert b.tobytes() == a.astype(np.float32).tobytes(), name
+    assert model.dtype == np.float64
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -292,7 +340,7 @@ def concat_scores(model, feats, pairs):
     """The training path as the oracle: ``pair_batch`` and the concatenated
     block 0, one pair at a time."""
     with T.no_grad():
-        return np.concatenate([model.forward_pairs(pair_batch(feats, pairs[k:k + 1])).data
+        return np.concatenate([model.matcher.forward(pair_batch(feats, pairs[k:k + 1])).data
                                for k in range(len(pairs))])
 
 
@@ -301,7 +349,7 @@ def concat_scores(model, feats, pairs):
 def test_factorized_scores_match_concatenated_block0(config, n):
     model = IrisMatchModel(config, rng=np.random.default_rng(70))
     images = np.random.default_rng(71).uniform(size=(n, config.height, config.width))
-    feats = model.bank_features(images, np.float64)
+    feats = model.bank_features(images)
     pairs = np.array([(a, b) for a in range(n) for b in range(n) if a != b])
     got = model.pair_probabilities(feats.data, pairs)
     assert np.max(np.abs(got - concat_scores(model, feats, pairs))) <= 1e-12
@@ -317,15 +365,16 @@ def test_factorized_scores_bitwise_independent_of_chunk_and_sub_batch(
     images = np.random.default_rng(73).uniform(size=(7, 16, 32))
     pairs = np.random.default_rng(74).integers(0, 7, size=(40, 2))
     for dtype in (np.float64, np.float32):
-        feats = model.bank_features(images, dtype).data
+        cast = model.astype(dtype)
+        feats = cast.bank_features(images).data
         with monkeypatch.context() as patch:
-            want = model.pair_probabilities(feats, pairs)
+            want = cast.pair_probabilities(feats, pairs)
             patch.setattr(matcher, "_HALF_BUDGET", half_budget)
             patch.setattr(matcher, "_ACTIVATION_BUDGET", activation_budget)
-            assert model.pair_probabilities(feats, pairs).tobytes() == want.tobytes(), dtype
+            assert cast.pair_probabilities(feats, pairs).tobytes() == want.tobytes(), dtype
             # and of the other pairs scored alongside
             for k in (0, 17, 39):
-                got = model.pair_probabilities(feats, pairs[k:k + 1])
+                got = cast.pair_probabilities(feats, pairs[k:k + 1])
                 assert got.tobytes() == want[k].tobytes(), (dtype, k)
 
 
@@ -389,13 +438,13 @@ def test_float32_scoring_keeps_every_activation_float32(monkeypatch):
 def test_float32_bank_features_bitwise_independent_of_chunk_full_geometry(monkeypatch):
     from irismatch import matcher
 
-    model = IrisMatchModel(rng=np.random.default_rng(88))
+    model = IrisMatchModel(rng=np.random.default_rng(88)).astype(np.float32)
     images = np.random.default_rng(89).uniform(size=(5, 110, 512))
-    want = model.bank_features(images, np.float32).data
+    want = model.bank_features(images).data
     assert want.dtype == np.float32
     for chunk in (1, 2):
         monkeypatch.setattr(matcher, "_BANK_CHUNK", chunk)
-        assert model.bank_features(images, np.float32).data.tobytes() == want.tobytes(), chunk
+        assert model.bank_features(images).data.tobytes() == want.tobytes(), chunk
 
 
 def test_block0_runs_once_per_distinct_image_and_side(monkeypatch):
@@ -447,7 +496,7 @@ def test_factorized_input_refuses_training():
     from irismatch.matcher import PairFeatures
 
     model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(80))
-    feats = model.bank_features(np.zeros((2, 12, 24)), np.float64).data
+    feats = model.bank_features(np.zeros((2, 12, 24))).data
     with pytest.raises(ValueError, match="eval-mode"):
         model.matcher.forward(PairFeatures(feats, [[0, 1]]), training=True)
 

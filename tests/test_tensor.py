@@ -551,7 +551,7 @@ def test_gradcheck_concat_index_select():
 
     def build():
         cat = T.concat([a, b], axis=1)
-        sel = T.index_select(cat, idx, axis=0)
+        sel = T.index_select(cat, idx)
         return square_sum(sel)
 
     err = check_gradients(build, [a, b])

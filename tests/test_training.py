@@ -44,7 +44,7 @@ def toy_model_config(h=8, w=16):
     return ModelConfig(
         height=h, width=w, bank_kernels=((3, 3),), bank_bias=True,
         bank_mode="unit-circle",
-        matcher_blocks=(ConvBlockSpec(4, (3, 3), (2, 2), True, 0.0),))
+        matcher_blocks=(ConvBlockSpec(4, (2, 2)),))
 
 
 def toy_train_config(**over):
@@ -263,13 +263,17 @@ def golden_case(name):
 
 
 def golden_run(name):
-    """(canonical log lines, sha256 of the trained model's ModelScorer scores
-    over every pair, as bytes) of one golden config."""
+    """(canonical log lines, {golden key: sha256 of the trained model's
+    ModelScorer scores over every pair, as bytes}) of one golden config:
+    ``scores_sha256`` scored in float64, ``scores32_sha256`` in float32."""
     from irismatch.evaluation import ModelScorer
 
     store, pairs, model, log = golden_case(name)
-    scores = ModelScorer(model, np.float64).score_pairs(store, pairs)
-    return log.canonical_lines(), hashlib.sha256(np.asarray(scores).tobytes()).hexdigest()
+    hashes = {}
+    for key, dtype in (("scores_sha256", np.float64), ("scores32_sha256", np.float32)):
+        scores = ModelScorer(model, dtype).score_pairs(store, pairs)
+        hashes[key] = hashlib.sha256(np.asarray(scores).tobytes()).hexdigest()
+    return log.canonical_lines(), hashes
 
 
 @pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])
@@ -281,9 +285,9 @@ def test_golden_scores_match_the_concatenated_block0(name):
     from irismatch.matcher import pair_batch
 
     store, pairs, model, _ = golden_case(name)
-    feats = model.bank_features(store.images, np.float64)
+    feats = model.bank_features(store.images)
     with T.no_grad():
-        want = model.forward_pairs(pair_batch(feats, pairs)).data
+        want = model.matcher.forward(pair_batch(feats, pairs)).data
     got = ModelScorer(model, np.float64).score_pairs(store, pairs)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -312,9 +316,10 @@ def test_float32_scores_match_float64_on_golden_models(name):
 def test_training_log_and_scores_match_golden(name):
     with open(GOLDEN_PATH, encoding="ascii") as fh:
         golden = json.load(fh)[name]
-    lines, scores_sha = golden_run(name)
+    lines, hashes = golden_run(name)
     assert lines == golden["log"]
-    assert scores_sha == golden["scores_sha256"]
+    assert hashes["scores_sha256"] == golden["scores_sha256"]
+    assert hashes["scores32_sha256"] == golden["scores32_sha256"]
 
 
 @pytest.mark.parametrize("name", ["toy-8x16", "small-16x32"])
@@ -324,9 +329,10 @@ def test_stage1_without_feature_cache_gives_the_same_log(name, monkeypatch):
     with open(GOLDEN_PATH, encoding="ascii") as fh:
         golden = json.load(fh)[name]
     monkeypatch.setattr(training, "_CACHE_BUDGET", 0)
-    lines, scores_sha = golden_run(name)
+    lines, hashes = golden_run(name)
     assert lines == golden["log"]
-    assert scores_sha == golden["scores_sha256"]
+    assert hashes["scores_sha256"] == golden["scores_sha256"]
+    assert hashes["scores32_sha256"] == golden["scores32_sha256"]
 
 
 def test_log_csv_format(tmp_path):

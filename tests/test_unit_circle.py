@@ -30,13 +30,13 @@ def modular_conv2d(x, w, b=None):
     return out
 
 
-# ---------------------------------------------------------------- wrap_pad
+# ---------------------------------------------------------------- wrap padding
 
 
 def test_wrap_pad_kw5_column_order():
     W = 512
     img = Tensor(np.arange(W, dtype=float).reshape(1, 1, 1, W))
-    padded = uc.wrap_pad(img, 1, 5).data[0, 0, 0]
+    padded = T.pad2d(img, 0, 0, 2, 2, mode="wrap").data[0, 0, 0]
     # h = 2: [c510, c511, c0, ..., c511, c0, c1]
     assert padded[0] == 510 and padded[1] == 511
     assert np.array_equal(padded[2:2 + W], np.arange(W))
@@ -46,13 +46,13 @@ def test_wrap_pad_kw5_column_order():
 @pytest.mark.parametrize("kw,h", [(7, 3), (1, 0), (3, 1)])
 def test_wrap_pad_half_widths(kw, h):
     img = Tensor(np.arange(10, dtype=float).reshape(1, 1, 1, 10))
-    padded = uc.wrap_pad(img, 1, kw).data
+    padded = T.pad2d(img, 0, 0, kw // 2, kw // 2, mode="wrap").data
     assert padded.shape[3] == 10 + 2 * h
 
 
 def test_wrap_pad_vertical_zeros():
     img = Tensor(np.ones((1, 1, 4, 6)))
-    padded = uc.wrap_pad(img, 5, 3).data[0, 0]
+    padded = T.pad2d(img, 2, 2, 1, 1, mode="wrap").data[0, 0]
     assert padded.shape == (8, 8)
     assert np.all(padded[:2] == 0) and np.all(padded[-2:] == 0)
     assert np.all(padded[2:6] == 1)
@@ -61,7 +61,7 @@ def test_wrap_pad_vertical_zeros():
 def test_wrap_pad_too_wide():
     img = Tensor(np.ones((1, 1, 2, 4)))
     with pytest.raises(ShapeError):
-        uc.wrap_pad(img, 1, 11)  # 11 > 2*4+1
+        T.pad2d(img, 0, 0, 5, 5, mode="wrap")  # a 1x11 kernel's pad: 5 > 4 columns
 
 
 def test_wrap_conv_equals_modular_reference():
@@ -71,7 +71,7 @@ def test_wrap_conv_equals_modular_reference():
         w = rng.normal(size=(2, 1, 3, 5))
         b = rng.normal(size=2)
         xt = Tensor(x.reshape(1, 1, 6, 10))
-        padded = uc.wrap_pad(xt, 3, 5)
+        padded = T.pad2d(xt, 1, 1, 2, 2, mode="wrap")
         got = T.conv2d(padded, Tensor(w), Tensor(b)).data[0]
         want = modular_conv2d(x, w, b)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -82,7 +82,8 @@ def test_wrap_conv_matches_wrap_pad_oracle_full_geometry(kh, kw):
     rng = np.random.default_rng(41)
     f = uc.UnitCircleFilter(kh, kw, rng=rng)
     x = rng.uniform(size=(2, 1, 110, 512))
-    want = T.conv2d(uc.wrap_pad(Tensor(x), kh, kw), f.weight, f.bias, padding="none").data
+    padded = T.pad2d(Tensor(x), kh // 2, kh // 2, kw // 2, kw // 2, mode="wrap")
+    want = T.conv2d(padded, f.weight, f.bias, padding="none").data
     got = T.conv2d(Tensor(x), f.weight, f.bias, padding="wrap").data
     assert got.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -90,21 +91,6 @@ def test_wrap_conv_matches_wrap_pad_oracle_full_geometry(kh, kw):
                      Tensor(f.bias.data.astype(np.float32)), padding="wrap").data
     assert got32.dtype == np.float32
     assert np.max(np.abs(got32 - want)) <= 1e-4 * np.max(np.abs(want))
-
-
-def test_wrap_conv_runs_in_its_input_dtype():
-    """Float64 weights on a float32 input give the bits of the same weights
-    cast to float32: the kernel spectra and the bias are cast, so no part of
-    the bank computes in float64 and rounds back."""
-    rng = np.random.default_rng(42)
-    f = uc.UnitCircleFilter(7, 17, rng=rng)
-    f.bias.data[:] = rng.normal(size=2)
-    x = rng.uniform(size=(2, 1, 32, 128)).astype(np.float32)
-    want = T.conv2d(Tensor(x), Tensor(f.weight.data.astype(np.float32)),
-                    Tensor(f.bias.data.astype(np.float32)), padding="wrap").data
-    got = T.conv2d(Tensor(x), f.weight, f.bias, padding="wrap").data
-    assert got.dtype == np.float32
-    assert got.tobytes() == want.tobytes()
 
 
 def test_wrap_conv_gradcheck_two_input_channels():
@@ -308,9 +294,9 @@ def test_bank_shift_equivariance_full_geometry():
 
 
 def test_bank_shift_equivariance_float32_full_geometry():
-    """The float32 bank, as scoring runs it (float32 images, float64
-    weights), keeps the bitwise rotation equivariance."""
-    bank = uc.UnitCircleBank(rng=np.random.default_rng(44))
+    """The float32 bank, as scoring runs it (float32 images, the float64
+    weights cast to float32), keeps the bitwise rotation equivariance."""
+    bank = uc.UnitCircleBank(rng=np.random.default_rng(44), dtype=np.float32)
     x = np.random.default_rng(6).uniform(size=(1, 1, 110, 512)).astype(np.float32)
     with T.no_grad():
         base = bank.forward(Tensor(x)).data
@@ -328,10 +314,10 @@ def test_float32_bank_zeroes_the_pixels_float64_does(record_property):
 
     store = generate(SynthSpec(identities=3, images_per_identity=2, height=110, width=512,
                                seed=1906))
-    bank = uc.UnitCircleBank(rng=np.random.default_rng(45))
     dead = {}
     with T.no_grad():
         for dtype in (np.float64, np.float32):
+            bank = uc.UnitCircleBank(rng=np.random.default_rng(45), dtype=dtype)
             out = bank.forward(Tensor(store.images[:, None].astype(dtype))).data
             pairs = out.reshape(len(out), bank.num_filters, 2, 110, 512)
             dead[dtype] = np.all(pairs == 0, axis=2)
