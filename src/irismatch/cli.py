@@ -6,6 +6,11 @@ Unknown keys are rejected.  Every command writes a ``key = value`` snapshot
 of its resolved configuration next to its outputs, sufficient to reproduce
 them bit-for-bit with the same seed.
 
+``train`` writes its run directory through ``training.train``, then its
+snapshot; ``--resume true`` refuses, before any write, a directory without a
+snapshot or a train key that differs from it (bar ``epochs``, ``data_dir``,
+``out_dir``).
+
 Exit codes: 0 success (or match), 1 non-match, 2 usage or data error,
 3 numerical abort (training divergence).
 """
@@ -13,23 +18,23 @@ Exit codes: 0 success (or match), 1 non-match, 2 usage or data error,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import atomic_open, load_model, load_optimizer_state, save_model, save_optimizer
+from .checkpoint import load_model
 from .data import IdentityStore, enumerate_pairs
 from .evaluation import (BitcodeScorer, ModelScorer, collect_scores, emit_roc_csv,
                          read_roc_csv, roc, tar_at_far)
 from .iris_io import read_image
 from .iriscode import LogGaborSpec
-from .matcher import ConvBlockSpec, IrisMatchModel, ModelConfig
+from .matcher import ConvBlockSpec, ModelConfig
 from .normalize import resize_vertical
 from .synthetic import SynthSpec, generate, read_store, write_store
-from .training import EpochRecord, TrainConfig, train
+from .training import TrainConfig, train
 
 
 class UsageError(ValueError):
@@ -48,6 +53,13 @@ def _parse_bool(text):
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
+def _parse_fars(text):
+    fars = tuple(float(v) for v in text.split(","))
+    if not all(0.0 < far <= 1.0 for far in fars):    # NaN fails too
+        raise UsageError("FAR targets must be finite and in (0, 1]")
+    return fars
+
+
 def _parse_kernels(text):
     out = []
     for item in text.split(","):
@@ -58,22 +70,15 @@ def _parse_kernels(text):
     return tuple(out)
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
-def _parse_ints(text):
-    return tuple(int(v) for v in text.split(","))
-
-
 _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
     "bool": _parse_bool,
     "kernels": _parse_kernels,
-    "floats": _parse_floats,
-    "ints": _parse_ints,
+    "floats": lambda text: tuple(float(v) for v in text.split(",")),
+    "ints": lambda text: tuple(int(v) for v in text.split(",")),
+    "fars": _parse_fars,
 }
 
 # key -> (type tag, default, help)
@@ -109,7 +114,7 @@ SCHEMA = {
     "matcher_dropout": ("floats", (0.0, 0.0, 0.3, 0.3, 0.0), "matcher dropout rates"),
     "resume": ("bool", False, "continue a previous run found in out_dir"),
     "checkpoint": ("str", None, "model checkpoint path"),
-    "far": ("floats", (1e-1, 1e-2, 1e-3, 1e-4), "FAR targets, comma separated"),
+    "far": ("fars", (1e-1, 1e-2, 1e-3, 1e-4), "FAR targets in (0, 1], comma separated"),
     "threshold": ("float", 0.5, "match decision threshold on the probability"),
     "gabor_wavelength": ("float", 18.0, "log-Gabor center wavelength in pixels"),
     "gabor_sigma_ratio": ("float", 0.5, "log-Gabor sigma/f0 bandwidth ratio"),
@@ -191,10 +196,8 @@ def write_snapshot(command, cfg, out_dir):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command = {command}\n")
         for key in COMMAND_KEYS[command]:
-            value = cfg.get(key)
-            if value is None:
-                continue
-            fh.write(f"{key} = {_format_value(value)}\n")
+            if cfg.get(key) is not None:
+                fh.write(f"{key} = {_format_value(cfg[key])}\n")
     return path
 
 
@@ -207,10 +210,13 @@ def _require(cfg, key, command):
 # ---------------------------------------------------------------- helpers
 
 
+def _from_cfg(spec_class, cfg):
+    """A dataclass built from the config keys named like its fields."""
+    return spec_class(**{f.name: cfg[f.name] for f in dataclasses.fields(spec_class)})
+
+
 def _model_config_from(cfg, height, width):
-    channels = cfg["matcher_channels"]
-    strides = cfg["matcher_strides"]
-    dropout = cfg["matcher_dropout"]
+    channels, strides, dropout = (cfg[f"matcher_{k}"] for k in ("channels", "strides", "dropout"))
     if not (len(channels) == len(strides) == len(dropout)):
         raise UsageError("matcher_channels, matcher_strides, matcher_dropout lengths differ")
     blocks = tuple(ConvBlockSpec(c, (s, s), d) for c, s, d in zip(channels, strides, dropout))
@@ -219,26 +225,24 @@ def _model_config_from(cfg, height, width):
                        bank_mode=cfg["bank_nonlinearity"], matcher_blocks=blocks)
 
 
-def _resize_store(store, target_height):
-    print(f"notice: resizing images from {store.height} to {target_height} rows "
+def _match_store_to_model(store, model):
+    if store.width != model.width:
+        raise UsageError(f"dataset width {store.width} does not match the model's {model.width}")
+    if store.height == model.height:
+        return store
+    print(f"notice: resizing images from {store.height} to {model.height} rows "
           f"(linear interpolation)", file=sys.stderr)
-    images = np.stack([resize_vertical(img, target_height) for img in store.images])
+    images = np.stack([resize_vertical(img, model.height) for img in store.images])
     return IdentityStore(images=images, identity_of=store.identity_of.copy(),
                          identity_ids=list(store.identity_ids))
 
 
-def _match_store_to_model(store, model):
-    if store.width != model.width:
-        raise UsageError(f"dataset width {store.width} does not match the model's {model.width}")
-    if store.height != model.height:
-        return _resize_store(store, model.height)
-    return store
-
-
 def _print_far_table(rows):
+    """rows: (far, tar, threshold), with tar None where the FAR is unattainable."""
     print(f"{'far':>12} {'tar':>12} {'threshold':>24}")
     for far_target, tar, thr in rows:
-        print(f"{far_target:>12.6g} {tar:>12.6g} {thr:>24.17g}")
+        cells = f"{'unattainable':>12}" if tar is None else f"{tar:>12.6g} {thr:>24.17g}"
+        print(f"{far_target:>12.6g} {cells}")
 
 
 def _write_far_table(rows, path):
@@ -249,14 +253,10 @@ def _write_far_table(rows, path):
 
 
 def _evaluate_pairs(scorer, store, out_dir, far_targets, command, cfg):
-    pairs = enumerate_pairs(store)
-    scores = collect_scores(scorer, store, pairs)
+    scores = collect_scores(scorer, store, enumerate_pairs(store))
     os.makedirs(out_dir, exist_ok=True)
     emit_roc_csv(roc(scores), os.path.join(out_dir, "roc.csv"))
-    rows = []
-    for far_target in far_targets:
-        tar, thr = tar_at_far(scores, far_target)
-        rows.append((far_target, tar, thr))
+    rows = [(far_target,) + tar_at_far(scores, far_target) for far_target in far_targets]
     _print_far_table(rows)
     _write_far_table(rows, os.path.join(out_dir, "tar_at_far.csv"))
     write_snapshot(command, cfg, out_dir)
@@ -268,14 +268,7 @@ def _evaluate_pairs(scorer, store, out_dir, far_targets, command, cfg):
 
 def cmd_synth(cfg):
     data_dir = _require(cfg, "data_dir", "synth")
-    spec = SynthSpec(
-        identities=cfg["identities"], images_per_identity=cfg["images_per_identity"],
-        height=cfg["height"], width=cfg["width"], texture_bands=cfg["texture_bands"],
-        rotation_range=cfg["rotation_range"], noise_sigma=cfg["noise_sigma"],
-        occlusion_prob=cfg["occlusion_prob"], occlusion_max_rows=cfg["occlusion_max_rows"],
-        seed=cfg["seed"])
-    spec.validate()
-    store = generate(spec)
+    store = generate(_from_cfg(SynthSpec, cfg))
     manifest = write_store(store, data_dir)
     write_snapshot("synth", cfg, data_dir)
     print(f"wrote {store.num_identities} identities x {cfg['images_per_identity']} images "
@@ -283,75 +276,28 @@ def cmd_synth(cfg):
     return 0
 
 
-def _load_resume_state(out_dir):
-    state_path = os.path.join(out_dir, "train_state.json")
-    if not os.path.isfile(state_path):
-        raise UsageError(f"resume requested but {state_path} does not exist")
-    try:
-        with open(state_path, encoding="utf-8") as fh:
-            state = json.load(fh)
-        resume = {
-            "steps": {str(n): int(s) for n, s in state["steps"].items()},
-            "start_epoch": int(state["next_epoch"]),
-            "records": [EpochRecord(int(epoch), int(stage), float(loss), float(tar),
-                                    float(wall))
-                        for epoch, stage, loss, tar, wall in state["records"]],
-            "best_tar": float(state["best_tar"]),
-            "best_epoch": int(state["best_epoch"]),
-        }
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{state_path}: malformed train state ({exc!r})") from exc
-    resume["model"] = load_model(os.path.join(out_dir, "last.ckpt"))
-    _, resume["moments"] = load_optimizer_state(os.path.join(out_dir, "last.optim"))
-    best_path = os.path.join(out_dir, "best.ckpt")
-    resume["best_state"] = load_model(best_path).snapshot() if os.path.isfile(best_path) else None
-    return resume, len(resume["records"])
+def _check_resumed_config(cfg, out_dir):
+    """A resumed run keeps every train key of its ``train_snapshot.cfg`` but
+    how far it trains and where its files are."""
+    path = os.path.join(out_dir, "train_snapshot.cfg")
+    if not os.path.isfile(path):
+        raise UsageError(f"resume: {out_dir} holds no run ({path} does not exist)")
+    saved = resolve_config("train", {}, path)
+    for key in COMMAND_KEYS["train"]:
+        if key not in ("epochs", "resume", "out_dir", "data_dir") and cfg[key] != saved[key]:
+            raise UsageError(
+                f"resume: {key} = {_format_value(cfg[key])}, not {_format_value(saved[key])} "
+                f"as in {path}; a run keeps its architecture and training config")
 
 
 def cmd_train(cfg):
-    data_dir = _require(cfg, "data_dir", "train")
+    store = read_store(_require(cfg, "data_dir", "train"))
     out_dir = cfg["out_dir"] or "train_run"
-    store = read_store(data_dir)
     model_config = _model_config_from(cfg, store.height, store.width)
-    tconf = TrainConfig(
-        lr=cfg["lr"], batch_size=cfg["batch_size"], stage1_epochs=cfg["stage1_epochs"],
-        epochs=cfg["epochs"], seed=cfg["seed"], selection_far=cfg["selection_far"],
-        beta1=cfg["beta1"], beta2=cfg["beta2"], adam_eps=cfg["adam_eps"])
-    tconf.validate()
-
-    resume_state, n_prior = (None, 0)
     if cfg["resume"]:
-        resume_state, n_prior = _load_resume_state(out_dir)
-        if resume_state["model"].config.to_dict() != model_config.to_dict():
-            raise UsageError(f"resume: the model saved in {out_dir} has another architecture "
-                             f"than the configured one; train into a new out_dir instead")
-
-    os.makedirs(out_dir, exist_ok=True)   # once the inputs have validated
-    state_out = {}
-    model, log = train(store, tconf, model_config, resume=resume_state, state_out=state_out)
-
-    best_snapshot = model.snapshot()
-    model.restore(state_out["last_state"])
-    save_model(model, os.path.join(out_dir, "last.ckpt"))
-    optimizer = state_out["optimizer"]
-    optimizer_meta_steps = {n: int(s) for n, s in optimizer.steps.items()}
-    save_optimizer(optimizer, os.path.join(out_dir, "last.optim"))
-    model.restore(best_snapshot)
-    save_model(model, os.path.join(out_dir, "best.ckpt"))
-
-    with atomic_open(os.path.join(out_dir, "train_state.json"), "w", encoding="utf-8") as fh:
-        json.dump({
-            "next_epoch": state_out["next_epoch"],
-            "best_epoch": log.best_epoch,
-            "best_tar": log.best_val_tar(),
-            "records": [[r.epoch, r.stage, r.train_loss, r.val_tar, r.wall_seconds]
-                        for r in log.records],
-            "steps": optimizer_meta_steps,
-        }, fh, indent=1)
-
-    new_log = type(log)(selection_far=log.selection_far, records=log.records[n_prior:],
-                        best_epoch=log.best_epoch, aborted=log.aborted)
-    new_log.write_csv(os.path.join(out_dir, "log.csv"), append=n_prior > 0)
+        _check_resumed_config(cfg, out_dir)
+    _, log = train(store, _from_cfg(TrainConfig, cfg), model_config, out_dir,
+                   resume=cfg["resume"])
     write_snapshot("train", cfg, out_dir)
 
     if log.aborted:
@@ -384,14 +330,8 @@ def cmd_roc(cfg):
     curve = read_roc_csv(_require(cfg, "roc_csv", "roc"))
     if np.any(np.diff(curve.far) < 0) or np.any(np.diff(curve.tar) < 0):
         raise UsageError("ROC curve is not monotone; the file is corrupt or not a curve")
-    rows = []
-    for far_target in cfg["far"]:
-        point = curve.tar_at_far(far_target)
-        if point is None:
-            print(f"{far_target:>12.6g} {'unattainable':>12}")
-            continue
-        rows.append((far_target,) + point)
-    _print_far_table(rows)
+    _print_far_table([(far_target,) + (curve.tar_at_far(far_target) or (None, None))
+                      for far_target in cfg["far"]])
     write_snapshot("roc", cfg, cfg["out_dir"] or ".")
     return 0
 

@@ -157,17 +157,40 @@ def write_store(store: IdentityStore, root):
     return os.path.join(root, MANIFEST_NAME)
 
 
+def read_manifest(path):
+    """The parsed manifest of a store, checked for what ``read_store`` needs;
+    a file that is not such a manifest raises a one-line ``ValueError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        entries = manifest["identities"]
+        usable = (entries and all(type(manifest[k]) is int and manifest[k] > 0
+                                  for k in ("height", "width"))
+                  and all(isinstance(e["id"], str) and isinstance(e["files"], list)
+                          and e["files"] and all(isinstance(f, str) for f in e["files"])
+                          for e in entries))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed manifest ({exc!r})") from exc
+    if not usable:
+        raise ValueError(f"{path}: malformed manifest: it needs a positive integer height and "
+                         f"width and a non-empty identities list, each with an id and files")
+    return manifest
+
+
 def read_store(root) -> IdentityStore:
     manifest_path = os.path.join(root, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_manifest(manifest_path)
+    shape = (manifest["height"], manifest["width"])
     images, identity_of, labels = [], [], []
     for j, entry in enumerate(manifest["identities"]):
         labels.append(entry["id"])
         for rel in entry["files"]:
-            images.append(read_iris_raw(os.path.join(root, rel)))
+            path = os.path.join(root, rel)
+            images.append(read_iris_raw(path))
+            if images[-1].shape != shape:
+                raise ValueError(f"{path}: shape {images[-1].shape} is not the manifest's {shape}")
             identity_of.append(j)
     return IdentityStore(images=np.stack(images), identity_of=np.array(identity_of),
                          identity_ids=labels)

@@ -14,16 +14,26 @@ deterministic function of (seed, store, config).  Training, validation
 included, runs in float64, the determinism reference; only scoring outside
 training (``ModelScorer``'s default) runs in float32, on a cast copy of the
 model.
+
+With an ``out_dir``, ``train`` writes the run there once training ends (a
+run that raises before then leaves nothing): ``last.ckpt``, ``last.optim``,
+``best.ckpt`` (the returned model), ``train_state.json`` (the epoch records,
+next epoch and Adam step counts) and ``log.csv``.  A resumed run continues
+from these files to the same files as an uninterrupted run; a missing or
+malformed file, or another architecture, is refused before any write.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import atomic_open, load_model, load_optimizer_state, save_model, save_optimizer
 from .data import enumerate_pairs, rebalance_epoch, rng_stream, split_train_val
 from .evaluation import ModelScorer, collect_scores, tar_at_far
 from .matcher import IrisMatchModel, ModelConfig, pair_batch
@@ -114,8 +124,13 @@ class EpochRecord:
 class TrainLog:
     selection_far: float
     records: list = field(default_factory=list)
-    best_epoch: int = -1
     aborted: bool = False
+
+    @property
+    def best_epoch(self):
+        """The first epoch with the highest validation TAR; -1 before any."""
+        tars = [r.val_tar for r in self.records]
+        return self.records[tars.index(max(tars))].epoch if tars else -1
 
     def best_val_tar(self):
         return max((r.val_tar for r in self.records), default=float("-inf"))
@@ -127,12 +142,12 @@ class TrainLog:
             lines.append(f"{r.epoch},{r.stage},{r.train_loss:.17g},{r.val_tar:.17g}")
         return lines
 
-    def write_csv(self, path, append=False):
-        mode = "a" if append else "w"
-        with open(path, mode, encoding="ascii", newline="\n") as fh:
-            if not append:
+    def write_csv(self, path, start=0):
+        """Write ``records[start:]``: from 0 a new file with its header, else appended."""
+        with open(path, "a" if start else "w", encoding="ascii", newline="\n") as fh:
+            if not start:
                 fh.write("epoch,stage,train_loss,val_tar_at_far,wall_seconds\n")
-            for r in self.records:
+            for r in self.records[start:]:
                 fh.write(f"{r.epoch},{r.stage},{r.train_loss:.17g},"
                          f"{r.val_tar:.17g},{r.wall_seconds:.3f}\n")
 
@@ -143,16 +158,43 @@ def _validation_tar(model, store, val_pairs, far):
     return tar
 
 
-def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=None,
-          state_out=None):
+def _load_run(out_dir, model, optimizer, log):
+    """Fill ``model``, ``optimizer`` and ``log`` from the run saved in
+    ``out_dir``; returns (first epoch to train, best state or None)."""
+    state_path = os.path.join(out_dir, "train_state.json")
+    if not os.path.isfile(state_path):
+        raise ValueError(f"resume requested but {state_path} does not exist")
+    try:
+        with open(state_path, encoding="utf-8") as fh:
+            state = json.load(fh)
+        steps = {str(n): int(s) for n, s in state["steps"].items()}
+        start_epoch = int(state["next_epoch"])
+        records = [EpochRecord(int(epoch), int(stage), float(loss), float(tar), float(wall))
+                   for epoch, stage, loss, tar, wall in state["records"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{state_path}: malformed train state ({exc!r})") from exc
+    last = load_model(os.path.join(out_dir, "last.ckpt"))
+    if last.config.to_dict() != model.config.to_dict():
+        raise ValueError(f"resume: the model saved in {out_dir} has another architecture "
+                         f"than the configured one; train into a new out_dir instead")
+    _, moments = load_optimizer_state(os.path.join(out_dir, "last.optim"))
+    best_path = os.path.join(out_dir, "best.ckpt")
+    best_state = load_model(best_path).snapshot() if os.path.isfile(best_path) else None
+    model.restore(last.snapshot())
+    optimizer.load_moments(moments, steps)
+    log.records.extend(records)
+    return start_epoch, best_state
+
+
+def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=None,
+          resume=False):
     """Train on an identity store; returns (best model, TrainLog).
 
-    ``resume``, if given, is a dict with keys model, moments, steps,
-    start_epoch, records, best_state, best_tar, best_epoch (see the CLI).
-    ``state_out``, if given, is a dict that receives the final (not best)
-    state for checkpoint/resume purposes: last_state, optimizer, next_epoch.
-    On divergence (non-finite loss) training stops and the best checkpoint
-    so far is returned with ``log.aborted`` set.
+    With ``out_dir`` the run's files are written there (see the module
+    docstring); with ``resume`` the run saved there continues up to
+    ``config.epochs``.  On divergence (non-finite loss) training stops, the
+    files are still written, and the best model so far is returned with
+    ``log.aborted`` set.
     """
     config.validate()
     model_config = model_config or ModelConfig()
@@ -164,29 +206,17 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
     pairs = enumerate_pairs(store)
     train_pairs, val_pairs = split_train_val(pairs, config.seed)
 
-    if resume is None:
-        model = IrisMatchModel(model_config, rng=rng_stream(config.seed, 0))
-        optimizer = Adam(model.named_parameters(), config)
-        start_epoch = 0
-        log = TrainLog(selection_far=config.selection_far)
-        best_state, best_tar, best_epoch = None, float("-inf"), -1
-    else:
-        model = resume["model"]
-        optimizer = Adam(model.named_parameters(), config)
-        optimizer.load_moments(resume.get("moments", {}), resume.get("steps", {}))
-        start_epoch = resume["start_epoch"]
-        log = TrainLog(selection_far=config.selection_far,
-                       records=list(resume.get("records", [])))
-        best_state = resume.get("best_state")
-        best_tar = resume.get("best_tar", float("-inf"))
-        best_epoch = resume.get("best_epoch", -1)
+    model = IrisMatchModel(model_config, rng=rng_stream(config.seed, 0))
+    optimizer = Adam(model.named_parameters(), config)
+    log = TrainLog(selection_far=config.selection_far)
+    start_epoch, best_state = (_load_run(out_dir, model, optimizer, log) if resume
+                               else (0, None))
+    n_prior = len(log.records)
 
     pair_images = np.unique(np.concatenate([train_pairs.authentic, train_pairs.imposter]))
     cache_fits = (len(pair_images) * model.bank.out_channels * store.height * store.width * 8
                   <= _CACHE_BUDGET)
     cache = None
-    diverged = False
-    next_epoch = start_epoch
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.perf_counter()
@@ -197,8 +227,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
             cache = None
 
         sample, labels = rebalance_epoch(train_pairs, rng_stream(config.seed, 3, epoch))
-        loss_sum = 0.0
-        n_seen = 0
+        loss_sum, n_seen = 0.0, 0
         for step, start in enumerate(range(0, len(sample), config.batch_size)):
             batch_pairs = sample[start:start + config.batch_size]
             batch_labels = labels[start:start + config.batch_size]
@@ -221,7 +250,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
             loss = T.bce_loss(probs, batch_labels)
             value = loss.item()
             if not np.isfinite(value):
-                diverged = True
+                log.aborted = True
                 break
             model.zero_grad()
             loss.backward()
@@ -229,25 +258,32 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, resume=N
             loss_sum += value * len(batch_pairs)
             n_seen += len(batch_pairs)
 
-        if diverged:
-            log.aborted = True
+        if log.aborted:
             break
 
         val_tar = _validation_tar(model, store, val_pairs, config.selection_far)
-        log.records.append(EpochRecord(
-            epoch=epoch, stage=stage,
-            train_loss=loss_sum / max(n_seen, 1), val_tar=val_tar,
-            wall_seconds=time.perf_counter() - t0))
-        if val_tar > best_tar:
-            best_tar, best_epoch = val_tar, epoch
+        log.records.append(EpochRecord(epoch, stage, loss_sum / max(n_seen, 1), val_tar,
+                                       time.perf_counter() - t0))
+        if log.best_epoch == epoch:
             best_state = model.snapshot()
-        log.best_epoch = best_epoch
-        next_epoch = epoch + 1
 
-    if state_out is not None:
-        state_out["last_state"] = model.snapshot()
-        state_out["optimizer"] = optimizer
-        state_out["next_epoch"] = next_epoch
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        save_model(model, os.path.join(out_dir, "last.ckpt"))
+        save_optimizer(optimizer, os.path.join(out_dir, "last.optim"))
     if best_state is not None:
         model.restore(best_state)
+    if out_dir is not None:
+        save_model(model, os.path.join(out_dir, "best.ckpt"))
+        with atomic_open(os.path.join(out_dir, "train_state.json"), "w",
+                         encoding="utf-8") as fh:
+            json.dump({
+                "next_epoch": start_epoch + len(log.records) - n_prior,
+                "best_epoch": log.best_epoch,
+                "best_tar": log.best_val_tar(),
+                "records": [[r.epoch, r.stage, r.train_loss, r.val_tar, r.wall_seconds]
+                            for r in log.records],
+                "steps": optimizer.steps,
+            }, fh, indent=1)
+        log.write_csv(os.path.join(out_dir, "log.csv"), n_prior)
     return model, log

@@ -138,6 +138,19 @@ def test_train_resume_equals_uninterrupted_run(tmp_path):
                 + args) == 0
     assert len(_canonical_log(whole)) == 5
     assert _canonical_log(split) == _canonical_log(whole)
+    for name in ("last.ckpt", "last.optim", "best.ckpt"):
+        assert (split / name).read_bytes() == (whole / name).read_bytes(), name
+    assert _train_state(split) == _train_state(whole)
+
+
+def _train_state(out_dir):
+    """train_state.json with its wall-clock timings zeroed."""
+    import json
+
+    state = json.loads((out_dir / "train_state.json").read_text())
+    for row in state["records"]:
+        row[4] = 0.0
+    return state
 
 
 def test_train_resume_with_another_architecture_exits_2(dataset, run_dir, tmp_path, capsys):
@@ -156,6 +169,51 @@ def test_train_resume_with_another_architecture_exits_2(dataset, run_dir, tmp_pa
     assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
 
 
+def _resume_args(changes):
+    """TRAIN_ARGS with three epochs and the given flag values, for a resume."""
+    args = dict(zip(TRAIN_ARGS[::2], TRAIN_ARGS[1::2]))
+    args.update({"--epochs": "3", "--resume": "true", **changes})
+    return [item for pair in args.items() for item in pair]
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "9"), ("--lr", "0.5"),
+                                        ("--batch_size", "4"), ("--stage1_epochs", "2"),
+                                        ("--selection_far", "0.5")])
+def test_train_resume_with_a_changed_training_key_exits_2(dataset, run_dir, tmp_path, capsys,
+                                                          flag, value):
+    import shutil
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed)]
+                + _resume_args({flag: value}))
+    assert code == 2
+    assert flag[2:] in _one_line_error(capsys, resumed / "train_snapshot.cfg")
+    assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
+def test_train_resume_without_a_run_exits_2_and_creates_nothing(dataset, tmp_path, capsys):
+    out = tmp_path / "nothing_here"
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(out)]
+                + _resume_args({}))
+    assert code == 2
+    _one_line_error(capsys, out)
+    assert not out.exists()
+
+
+def test_train_resume_without_a_train_state_exits_2(dataset, run_dir, tmp_path, capsys):
+    import shutil
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    (resumed / "train_state.json").unlink()
+    before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed)]
+                + _resume_args({}))
+    assert code == 2
+    _one_line_error(capsys, resumed / "train_state.json")
+    assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)     # where the default out_dir would go
     code = main(["train", "--data_dir", str(tmp_path / "nope")] + TRAIN_ARGS)
@@ -167,6 +225,31 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys, monkeypatch):
 def test_train_requires_data_dir(capsys):
     assert main(["train"] + TRAIN_ARGS) == 2
     assert "requires --data_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda m: {"height": m["height"], "width": m["width"]}, "manifest.json"),
+    (lambda m: {**m, "identities": [{"id": e["id"]} for e in m["identities"]]},
+     "manifest.json"),
+    (lambda m: [m], "manifest.json"),
+    (lambda m: {**m, "identities": []}, "manifest.json"),
+    (lambda m: {**m, "height": m["height"] + 1}, "identity_000/img_000"),
+], ids=["no-identities", "no-files", "list", "no-identity", "wrong-height"])
+def test_malformed_manifest_exits_2(dataset, run_dir, tmp_path, capsys, edit, named):
+    import json
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    out = tmp_path / "out"
+    for command, args in (("train", TRAIN_ARGS),
+                          ("eval", ["--checkpoint", str(run_dir / "best.ckpt")]),
+                          ("baseline", [])):
+        assert main([command, "--data_dir", str(data), "--out_dir", str(out)] + args) == 2
+        _one_line_error(capsys, data / named)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- eval
@@ -330,6 +413,7 @@ def _one_line_error(capsys, path):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and str(path) in err
     assert len(err.splitlines()) == 1
+    return err
 
 
 @pytest.mark.parametrize("name,content", [("neg.pgm", b"P5\n-4 -4\n255\n" + bytes(16)),
@@ -407,6 +491,39 @@ def test_match_accepts_pgm(dataset, run_dir, tmp_path):
     code = main(["match", "--checkpoint", str(run_dir / "best.ckpt"),
                  "--out_dir", str(tmp_path), str(pgm), str(pgm)])
     assert code in (0, 1)
+
+
+def test_roc_prints_unattainable_rows_in_place(tmp_path, capsys):
+    curve = tmp_path / "roc.csv"
+    curve.write_text("threshold,far,tar\n0.75,0.5,0.5\n0.25,1,1\n")
+    assert main(["roc", "--roc_csv", str(curve), "--far", "0.25,1",
+                 "--out_dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'far':>12} {'tar':>12} {'threshold':>24}",
+        f"{0.25:>12.6g} {'unattainable':>12}",
+        f"{1.0:>12.6g} {1.0:>12.6g} {0.25:>24.17g}"]
+
+
+@pytest.mark.parametrize("command,far", [("eval", "0.5,0"), ("baseline", "0.5,0"),
+                                         ("roc", "-1,0,0.5,2"), ("roc", "0.5,nan")],
+                         ids=["eval", "baseline", "roc", "roc-nan"])
+def test_bad_far_target_exits_2_before_any_work(command, far, dataset, run_dir, tmp_path,
+                                                capsys):
+    from irismatch.evaluation import ScoreSet, emit_roc_csv, roc
+
+    curve = tmp_path / "roc.csv"
+    emit_roc_csv(roc(ScoreSet([0.1, 0.8, 0.9], [0.3, 0.5], True)), curve)
+    args = {"eval": ["--checkpoint", str(run_dir / "best.ckpt"), "--data_dir", str(dataset)],
+            "baseline": ["--data_dir", str(dataset)],
+            "roc": ["--roc_csv", str(curve)]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--out_dir", str(out), f"--far={far}"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: bad value for far") and "FAR target" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- baseline

@@ -1,6 +1,8 @@
 """Malformed input files: every truncation and random byte flips of each
 format give the format's typed error naming the file, or a valid result."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from irismatch import checkpoint as ckpt
 from irismatch.iris_io import FileFormatError, read_iris_raw, read_pgm, write_iris_raw, write_pgm
 from irismatch.matcher import ConvBlockSpec, IrisMatchModel, ModelConfig
+from irismatch.synthetic import read_manifest
 from irismatch.training import Adam, TrainConfig
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -42,6 +45,15 @@ def write_optim_file(path):
     ckpt.save_optimizer(optimizer, path)
 
 
+def write_manifest_file(path):
+    # no trailing newline: a prefix that drops only whitespace would still be
+    # the whole manifest
+    manifest = {"height": 3, "width": 4,
+                "identities": [{"id": "a", "files": ["a/img_000", "a/img_001"]},
+                               {"id": "b", "files": ["b/img_000"]}]}
+    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+
 def valid_image(img):
     return img.ndim == 2 and img.size > 0 and np.all((img >= 0) & (img <= 1))
 
@@ -59,11 +71,16 @@ def valid_moments(result):
     return all(m.shape == v.shape for m, v in moments.values())
 
 
+def valid_manifest(manifest):
+    return isinstance(manifest, dict) and len(manifest["identities"]) > 0
+
+
 FORMATS = {
     "pgm": (write_pgm_file, read_pgm, FileFormatError, valid_image),
     "iris": (write_iris_file, read_iris_raw, FileFormatError, valid_raw),
     "imcn": (write_model_file, ckpt.load_model, ckpt.CheckpointError, valid_model),
     "imos": (write_optim_file, ckpt.load_optimizer_state, ckpt.CheckpointError, valid_moments),
+    "manifest": (write_manifest_file, read_manifest, ValueError, valid_manifest),
 }
 
 

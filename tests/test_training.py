@@ -204,18 +204,30 @@ def test_best_checkpoint_contract():
     assert got == log.best_val_tar()
 
 
-def test_nan_parameters_abort_with_flag():
-    from irismatch.data import rng_stream
+def test_nan_parameters_abort_with_flag(tmp_path):
+    """A resumed run whose last model has a NaN head bias stops at its first
+    batch: exit 3, no new epoch record, the best checkpoint kept."""
+    from irismatch import checkpoint
+    from irismatch.cli import main
+    from irismatch.synthetic import write_store
 
-    store = toy_store()
-    config = toy_train_config()
-    poisoned = IrisMatchModel(toy_model_config(), rng=rng_stream(config.seed, 0))
+    write_store(toy_store(), tmp_path / "data")
+    run = tmp_path / "run"
+    args = ["train", "--data_dir", str(tmp_path / "data"), "--out_dir", str(run),
+            "--bank_kernels", "3x3", "--matcher_channels", "4", "--matcher_strides", "2",
+            "--matcher_dropout", "0", "--stage1_epochs", "2", "--batch_size", "8",
+            "--selection_far", "0.25", "--seed", "1"]
+    assert main(args + ["--epochs", "2"]) == 0
+    prior = json.loads((run / "train_state.json").read_text())
+    best = (run / "best.ckpt").read_bytes()
+    poisoned = checkpoint.load_model(run / "last.ckpt")
     poisoned.matcher.head_bias.data[:] = np.nan
-    model, log = train(store, config, toy_model_config(),
-                       resume={"model": poisoned, "start_epoch": 0})
-    assert log.aborted
-    assert log.records == []
-    assert model is not None
+    checkpoint.save_model(poisoned, run / "last.ckpt")
+    assert main(args + ["--epochs", "3", "--resume", "true"]) == 3
+    state = json.loads((run / "train_state.json").read_text())
+    assert state["records"] == prior["records"]
+    assert state["best_epoch"] == prior["best_epoch"] >= 0
+    assert (run / "best.ckpt").read_bytes() == best
 
 
 def test_epoch_class_balance():
@@ -346,7 +358,8 @@ def test_log_csv_format(tmp_path):
     assert lines[0] == "epoch,stage,train_loss,val_tar_at_far,wall_seconds"
     assert len(lines) == 3
     assert lines[1].startswith("0,1,")
-    more = TrainLog(selection_far=0.01)
-    more.records.append(EpochRecord(2, 2, 0.4, 0.8, 1.0))
-    more.write_csv(path, append=True)
-    assert len(path.read_text().splitlines()) == 4
+    log.records.append(EpochRecord(2, 2, 0.4, 0.8, 1.0))
+    log.write_csv(path, 2)      # a resumed run appends its new records
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[3].startswith("2,2,")
