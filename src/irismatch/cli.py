@@ -9,7 +9,7 @@ them bit-for-bit with the same seed.
 ``train`` writes its run directory through ``training.train``, then its
 snapshot; ``--resume true`` refuses, before any write, a directory without a
 snapshot or a train key that differs from it (bar ``epochs``, ``data_dir``,
-``out_dir``).
+``out_dir``), and ``training.train`` refuses a store other than the run's.
 
 Exit codes: 0 success (or match), 1 non-match, 2 usage or data error,
 3 numerical abort (training divergence).

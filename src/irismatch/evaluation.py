@@ -206,12 +206,28 @@ def emit_roc_csv(curve: RocCurve, path):
 
 
 def read_roc_csv(path) -> RocCurve:
-    with open(path, encoding="ascii") as fh:
+    """Read what ``emit_roc_csv`` writes.  Every row is three numbers: a
+    threshold that is not NaN (the accept-everything row's is infinite),
+    then FAR and TAR in [0, 1]; any other row (a byte that is not ASCII
+    included) is refused naming its line."""
+    rows = []
+    with open(path, encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip()
         if header != "threshold,far,tar":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 3 or np.isnan(row[0]) or not all(0.0 <= v <= 1.0 for v in row[1:]):
+                raise ValueError(f"{path}:{lineno}: expected threshold,far,tar with FAR and TAR "
+                                 f"in [0, 1] and a threshold that is not NaN, got "
+                                 f"{line.strip()!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty ROC curve")
-    data = np.array([[float(v) for v in row] for row in rows])
+    data = np.array(rows)
     return RocCurve(data[:, 0], data[:, 1], data[:, 2])

@@ -39,8 +39,8 @@ BITCODE_MAGIC = b"IBIT"
 BITCODE_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
 
-# uint64 words per workspace array of the packed matcher (512 KB); pairs are
-# scored a few at a time so the workspace stays in cache
+# uint64 words per scratch array of the packed matcher (512 KB); pairs are
+# scored a few at a time so the scratch arrays stay in cache
 _PAIR_BUDGET = 1 << 16
 
 

@@ -16,8 +16,10 @@ call and never kept.  Inference keeps the pair input factorized
 (``PairFeatures``): block 0's convolution over [f(q), f(r)] equals
 W_q*f(q) + b + W_r*f(r), so each distinct image of a chunk of pairs goes
 through the half of the weight its side needs once, and a pair costs one
-add.  The blocks after that run on sub-batches of pairs
-sized so that the largest activation stays under ``_ACTIVATION_BUDGET``.
+add.  ``MatcherModel.forward`` has one body for both inputs;
+``IrisMatchModel.pair_probabilities`` owns the batching of inference: chunks
+of pairs whose half outputs fit ``_HALF_BUDGET``, and within a chunk
+sub-batches whose largest activation fits ``_ACTIVATION_BUDGET``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import unit_circle as uc
 from .tensor import ShapeError, Tensor
 
 # images per bank call in ``IrisMatchModel.bank_features``; the bank's
-# output does not depend on it, only its FFT workspace does
+# output does not depend on it, only its FFT buffers do
 _BANK_CHUNK = 16
 
 # bytes of block-0 half outputs one chunk of pairs may hold in
@@ -104,6 +106,8 @@ class MatcherModel:
     def __init__(self, in_channels, blocks=None, rng=None, dtype=np.float64):
         """``rng=None`` draws nothing: the weights are zero until loaded."""
         blocks = tuple(blocks) if blocks is not None else default_matcher_blocks()
+        if not blocks:
+            raise ValueError("a matcher needs at least one conv block")
         self.in_channels = int(in_channels)
         self.blocks = []
         c = in_channels
@@ -115,28 +119,13 @@ class MatcherModel:
     def forward(self, x, training=False, rng=None):
         """(B, in_channels, H, W) -> (B,) match probabilities.
 
-        ``x`` may be ``PairFeatures`` (eval mode, outside the tape, in one
-        ``T.workspace``): block 0 then runs factorized, and block 0 through
-        the head run on sub-batches of as many pairs as keep the largest
-        activation within ``_ACTIVATION_BUDGET`` bytes.
+        ``x`` may be ``PairFeatures`` in eval mode; block 0 then runs
+        factorized (``PairFeatures.first_conv``).
         """
         if x.shape[1] != self.in_channels:
             raise ShapeError(f"matcher expects {self.in_channels} input channels, got {x.shape[1]}")
-        if not isinstance(x, PairFeatures):
-            return self._forward(x, training, rng)
-        if training:
+        if training and isinstance(x, PairFeatures):
             raise ValueError("factorized pair features are for eval-mode scoring only")
-        with T.no_grad(), T.workspace():
-            if not self.blocks:
-                return self._forward(pair_batch(Tensor(x.feats), x.pairs), False)
-            out = np.empty(x.shape[0], dtype=x.feats.dtype)
-            largest = max(self.block_bytes(x.shape[2:], x.feats.itemsize))
-            step = max(1, _ACTIVATION_BUDGET // largest)
-            for start in range(0, len(out), step):
-                out[start:start + step] = self._forward(x.rows(start, start + step), False).data
-        return Tensor(out)
-
-    def _forward(self, x, training, rng=None):
         h = x
         for block in self.blocks:
             h = block.forward(h, training, rng)
@@ -280,15 +269,21 @@ class IrisMatchModel:
         ``feats``.  The matcher runs in the model's dtype.
 
         Pairs go to the matcher as ``PairFeatures`` in consecutive chunks,
-        each needing at most ``_HALF_BUDGET`` bytes of block-0 half outputs.
-        A pair's probability does not depend on the chunk or the sub-batch
-        it lands in.
+        each needing at most ``_HALF_BUDGET`` bytes of block-0 half outputs,
+        and each chunk in sub-batches whose largest activation fits
+        ``_ACTIVATION_BUDGET`` bytes.  A pair's probability does not depend
+        on the chunk or the sub-batch it lands in.
         """
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        half_bytes = (self.matcher.block_bytes(feats.shape[2:], feats.itemsize) or [1])[0]
+        sizes = self.matcher.block_bytes(feats.shape[2:], feats.itemsize)
+        step = max(1, _ACTIVATION_BUDGET // max(sizes))
         scores = np.empty(len(pairs))
-        for start, stop in _pair_chunks(pairs, max(2, _HALF_BUDGET // half_bytes)):
-            scores[start:stop] = self.matcher.forward(PairFeatures(feats, pairs[start:stop])).data
+        with T.no_grad():
+            for start, stop in _pair_chunks(pairs, max(2, _HALF_BUDGET // sizes[0])):
+                x = PairFeatures(feats, pairs[start:stop])
+                for lo in range(start, stop, step):
+                    hi = min(lo + step, stop)
+                    scores[lo:hi] = self.matcher.forward(x.rows(lo - start, hi - start)).data
         return scores
 
     def match_probability(self, xq, xr):

@@ -20,10 +20,9 @@ order and accumulates gradients into every tensor that requires them.
 
 * zero or no padding (the matcher): im2col in channel-major layout,
   ``(n, C*kh*kw, oh*ow)``, so ``weight @ cols`` lands in NCHW with no
-  transpose; batches are chunked to bound the column workspace.  The
+  transpose; batches are chunked to bound the column buffer.  The
   zero padding is written into the columns, so no padded copy of the input
-  is built, and inside a ``workspace`` block the columns of every batch
-  step reuse one buffer instead of a freshly mapped, page-zeroed one.
+  is built and every column element is written before it is read.
 * wrap padding (the unit-circle bank): one real FFT along the rows (zero
   padded, so the radial correlation is linear), kw direct circular taps
   along the angular axis on the row spectra, one inverse FFT; the weight
@@ -53,11 +52,8 @@ class ShapeError(ValueError):
 
 _FLOAT_DTYPES = (np.float64, np.float32)
 
-# elements per im2col block; keeps convolution workspaces < ~128 MB of f64
+# elements per im2col block; keeps convolution column buffers < ~128 MB of f64
 _COL_BUDGET = 1 << 24
-
-# dtype -> the reused im2col buffer inside a ``workspace`` block, else None
-_workspace_buffers = None
 
 # elements per slice of the ELU temporary (512 KB of f64)
 _ELU_SLICE = 1 << 16
@@ -499,39 +495,10 @@ def pad2d(a, pad_top, pad_bottom, pad_left, pad_right, mode="zero"):
     return _make(data, (a,), backward)
 
 
-class workspace:
-    """Context manager: inside it, the im2col convolutions write their
-    columns into one reused buffer per dtype, which grows to the largest
-    request and is freed when the outermost ``workspace`` exits.  Outside
-    any, each batch step allocates its own columns.
-
-    Reuse spares a fresh allocation per batch step: above glibc's mmap
-    threshold (at most 32 MB) each one is mapped again and the kernel zeroes
-    every page.  Every convolution overwrites the columns it reads, so
-    nothing carries over from one to the next.
-    """
-
-    def __enter__(self):
-        global _workspace_buffers
-        self._outer = _workspace_buffers
-        if _workspace_buffers is None:
-            _workspace_buffers = {}
-        return self
-
-    def __exit__(self, *exc):
-        global _workspace_buffers
-        _workspace_buffers = self._outer
-        return False
-
-
 def _columns(size, dtype):
-    """A buffer of ``size`` elements for im2col columns (see ``workspace``)."""
-    if _workspace_buffers is None:
-        return np.empty(size, dtype=dtype)
-    buf = _workspace_buffers.get(dtype)
-    if buf is None or buf.size < size:
-        buf = _workspace_buffers[dtype] = np.empty(size, dtype=dtype)
-    return buf[:size]
+    """An uninitialized buffer of ``size`` elements for im2col columns (the
+    tests fill it with NaN to show that ``_im2col`` writes every element)."""
+    return np.empty(size, dtype=dtype)
 
 
 def _tap_range(k, pad, size, out, stride):

@@ -18,14 +18,17 @@ model.
 With an ``out_dir``, ``train`` writes the run there once training ends (a
 run that raises before then leaves nothing): ``last.ckpt``, ``last.optim``,
 ``best.ckpt`` (the returned model), ``train_state.json`` (the epoch records,
-next epoch and Adam step counts) and ``log.csv``.  A resumed run continues
-from these files to the same files as an uninterrupted run; a missing or
-malformed file, or another architecture, is refused before any write.
+next epoch, Adam step counts and the store's SHA-256) and ``log.csv``.  A
+resumed run continues from these files to the same files as an
+uninterrupted run; a missing or malformed file, another architecture or
+another store is refused before any write.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -56,16 +59,18 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def validate(self):
-        if self.lr <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("lr, batch size, and epochs must be positive")
+        if not 0.0 < self.lr < math.inf:                 # NaN fails too
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if self.batch_size <= 0 or self.epochs <= 0:
+            raise ValueError("batch size and epochs must be positive")
         if not 0 <= self.stage1_epochs <= self.epochs:
             raise ValueError(f"stage-1 epochs {self.stage1_epochs} must lie in [0, {self.epochs}]")
         if not 0.0 < self.selection_far <= 1.0:
             raise ValueError("selection FAR must be in (0, 1]")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("Adam moment coefficients must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("Adam epsilon must be positive")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"Adam epsilon must be finite and positive, got {self.adam_eps}")
 
 
 class Adam:
@@ -158,9 +163,19 @@ def _validation_tar(model, store, val_pairs, far):
     return tar
 
 
-def _load_run(out_dir, model, optimizer, log):
+def _store_sha256(store):
+    """SHA-256 of the store's images as ``<f8`` followed by its identity
+    labels as ``<i8``."""
+    digest = hashlib.sha256(np.ascontiguousarray(store.images, dtype="<f8"))
+    digest.update(np.ascontiguousarray(store.identity_of, dtype="<i8"))
+    return digest.hexdigest()
+
+
+def _load_run(out_dir, model, optimizer, log, store_sha256):
     """Fill ``model``, ``optimizer`` and ``log`` from the run saved in
-    ``out_dir``; returns (first epoch to train, best state or None)."""
+    ``out_dir``, which must have been trained on the store whose
+    ``_store_sha256`` is ``store_sha256``; returns (first epoch to train,
+    best state or None)."""
     state_path = os.path.join(out_dir, "train_state.json")
     if not os.path.isfile(state_path):
         raise ValueError(f"resume requested but {state_path} does not exist")
@@ -171,8 +186,12 @@ def _load_run(out_dir, model, optimizer, log):
         start_epoch = int(state["next_epoch"])
         records = [EpochRecord(int(epoch), int(stage), float(loss), float(tar), float(wall))
                    for epoch, stage, loss, tar, wall in state["records"]]
+        saved_sha256 = str(state["store_sha256"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{state_path}: malformed train state ({exc!r})") from exc
+    if saved_sha256 != store_sha256:
+        raise ValueError(f"resume: {state_path} was trained on another store (SHA-256 "
+                         f"{saved_sha256}, this store's is {store_sha256}); a run keeps its data")
     last = load_model(os.path.join(out_dir, "last.ckpt"))
     if last.config.to_dict() != model.config.to_dict():
         raise ValueError(f"resume: the model saved in {out_dir} has another architecture "
@@ -209,8 +228,9 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
     model = IrisMatchModel(model_config, rng=rng_stream(config.seed, 0))
     optimizer = Adam(model.named_parameters(), config)
     log = TrainLog(selection_far=config.selection_far)
-    start_epoch, best_state = (_load_run(out_dir, model, optimizer, log) if resume
-                               else (0, None))
+    store_sha256 = _store_sha256(store) if out_dir is not None else None
+    start_epoch, best_state = (_load_run(out_dir, model, optimizer, log, store_sha256)
+                               if resume else (0, None))
     n_prior = len(log.records)
 
     pair_images = np.unique(np.concatenate([train_pairs.authentic, train_pairs.imposter]))
@@ -284,6 +304,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
                 "records": [[r.epoch, r.stage, r.train_loss, r.val_tar, r.wall_seconds]
                             for r in log.records],
                 "steps": optimizer.steps,
+                "store_sha256": store_sha256,
             }, fh, indent=1)
         log.write_csv(os.path.join(out_dir, "log.csv"), n_prior)
     return model, log

@@ -124,6 +124,8 @@ def _canonical_log(out_dir):
 
 
 def test_train_resume_equals_uninterrupted_run(tmp_path):
+    import shutil
+
     data = tmp_path / "data"
     assert main(["synth", "--data_dir", str(data), "--identities", "4",
                  "--images_per_identity", "4", "--height", "16", "--width", "32",
@@ -134,8 +136,10 @@ def test_train_resume_equals_uninterrupted_run(tmp_path):
     whole, split = tmp_path / "whole", tmp_path / "split"
     assert main(["train", "--out_dir", str(whole), "--epochs", "4"] + args) == 0
     assert main(["train", "--out_dir", str(split), "--epochs", "2"] + args) == 0
+    # the same store at another path resumes: the run keeps its data, not its path
+    shutil.copytree(data, tmp_path / "moved")
     assert main(["train", "--out_dir", str(split), "--epochs", "4", "--resume", "true"]
-                + args) == 0
+                + args + ["--data_dir", str(tmp_path / "moved")]) == 0
     assert len(_canonical_log(whole)) == 5
     assert _canonical_log(split) == _canonical_log(whole)
     for name in ("last.ckpt", "last.optim", "best.ckpt"):
@@ -190,6 +194,46 @@ def test_train_resume_with_a_changed_training_key_exits_2(dataset, run_dir, tmp_
     assert code == 2
     assert flag[2:] in _one_line_error(capsys, resumed / "train_snapshot.cfg")
     assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
+def test_train_resume_on_another_store_exits_2(run_dir, tmp_path, capsys):
+    import shutil
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+    other = tmp_path / "other"
+    synth_args = dict(zip(SYNTH_ARGS[::2], SYNTH_ARGS[1::2]))
+    synth_args["--seed"] = "4"
+    assert main(["synth", "--data_dir", str(other)]
+                + [item for pair in synth_args.items() for item in pair]) == 0
+    capsys.readouterr()
+    code = main(["train", "--data_dir", str(other), "--out_dir", str(resumed)]
+                + _resume_args({}))
+    assert code == 2
+    assert "another store" in _one_line_error(capsys, resumed / "train_state.json")
+    assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                        ("--adam_eps", "nan")])
+def test_train_non_finite_step_size_exits_2_before_any_epoch(dataset, tmp_path, capsys,
+                                                            monkeypatch, flag, value):
+    from irismatch import training
+
+    def no_epoch(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(training, "rebalance_epoch", no_epoch)
+    args = dict(zip(TRAIN_ARGS[::2], TRAIN_ARGS[1::2]))
+    args[flag] = value
+    out = tmp_path / "out"
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(out)]
+                + [item for pair in args.items() for item in pair])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "finite and positive" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_train_resume_without_a_run_exits_2_and_creates_nothing(dataset, tmp_path, capsys):
@@ -349,6 +393,32 @@ def test_roc_on_a_curve_prints_its_tar_at_far_table(command, dataset, run_dir, t
         table.splitlines()[1:]
 
 
+def test_eval_roc_csv_round_trips(dataset, run_dir, tmp_path):
+    """``read_roc_csv`` reads the roc.csv of ``eval``, its accept-everything
+    row (an infinite threshold) included, back to the same bytes."""
+    from irismatch.evaluation import emit_roc_csv, read_roc_csv
+
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
+                 "--data_dir", str(dataset), "--out_dir", str(out), "--far", "0.5"]) == 0
+    curve = read_roc_csv(out / "roc.csv")
+    assert curve.thresholds[-1] == -np.inf
+    emit_roc_csv(curve, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (out / "roc.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row", ["0.5,x,0.5", "0.5,0.5", "0.5,0.5,0.5,0.5", "nan,nan,nan",
+                                 "nan,0.5,0.5", "0.5,inf,1", "0.5,0.5,1.5", "0.5,-0.5,0.5",
+                                 "0.5,0.5,\xff"],
+                         ids=["text", "two", "four", "nan", "nan-threshold", "inf-far",
+                              "tar-above-1", "negative-far", "not-ascii"])
+def test_roc_rejects_a_bad_row_naming_its_line(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(f"threshold,far,tar\n0.75,0,0.5\n{row}\n-inf,1,1\n".encode("latin-1"))
+    assert main(["roc", "--roc_csv", str(bad), "--out_dir", str(tmp_path)]) == 2
+    assert f"{bad}:3:" in _one_line_error(capsys, bad)
+
+
 def test_roc_ignores_the_accept_everything_row(tmp_path, capsys):
     """The lowest score is authentic, so only the sentinel row reaches TAR 1;
     at FAR 1 ``roc`` picks what ``tar_at_far`` picks (TAR 2/3 at 0.5)."""
@@ -442,6 +512,21 @@ def test_match_checkpoint_with_bad_architecture_exits_2(dataset, run_dir, tmp_pa
     _one_line_error(capsys, bad)
 
 
+def test_checkpoint_without_matcher_blocks_exits_2(dataset, run_dir, tmp_path, capsys):
+    from irismatch import checkpoint
+    from test_matcher import zero_block_checkpoint
+
+    bad = tmp_path / "no_blocks.ckpt"
+    zero_block_checkpoint(checkpoint.load_model(run_dir / "best.ckpt"), bad)
+    img = str(dataset / "identity_000" / "img_000")
+    out = tmp_path / "out"
+    for args in (["eval", "--data_dir", str(dataset), "--out_dir", str(out)],
+                 ["match", "--out_dir", str(out), img, img]):
+        assert main(args[:1] + ["--checkpoint", str(bad)] + args[1:]) == 2
+        _one_line_error(capsys, bad)
+        assert not out.exists()
+
+
 def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_path, capsys):
     import shutil
 
@@ -465,8 +550,11 @@ def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_pa
 @pytest.mark.parametrize("malformed", [lambda state: {"next_epoch": 3},
                                        lambda state: {**state, "records": [[0, 1, 0.5]]},
                                        lambda state: {**state, "records": [["a", 1, 0, 0, 0]]},
-                                       lambda state: [state]],
-                         ids=["no-records", "short-row", "text-epoch", "list"])
+                                       lambda state: [state],
+                                       lambda state: {k: v for k, v in state.items()
+                                                      if k != "store_sha256"}],
+                         ids=["no-records", "short-row", "text-epoch", "list",
+                              "no-store-sha256"])
 def test_train_resume_with_a_malformed_state_exits_2(dataset, run_dir, tmp_path, capsys,
                                                      malformed):
     import json

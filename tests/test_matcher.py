@@ -6,7 +6,7 @@ import pytest
 from irismatch import checkpoint as ckpt
 from irismatch import tensor as T
 from gradcheck import check_gradients
-from irismatch.matcher import (ConvBlockSpec, IrisMatchModel, ModelConfig,
+from irismatch.matcher import (ConvBlockSpec, IrisMatchModel, MatcherModel, ModelConfig,
                                default_matcher_blocks, pair_batch)
 from oracles import pair_input, parameter_count
 from irismatch.tensor import ShapeError, Tensor
@@ -254,6 +254,29 @@ def test_checkpoint_of_a_block_without_bn_or_3x3_rejected(tmp_path, block1, erro
     path = tmp_path / "other.ckpt"
     ckpt.write_records(path, ckpt.MODEL_MAGIC, _old_format_meta(model, block1), items.items())
     with pytest.raises(ckpt.CheckpointError, match=error) as err:
+        ckpt.load_model(path)
+    assert str(path) in str(err.value) and "\n" not in str(err.value)
+
+
+def test_matcher_without_blocks_rejected():
+    with pytest.raises(ValueError, match="at least one conv block"):
+        MatcherModel(8, blocks=())
+
+
+def zero_block_checkpoint(model, path):
+    """``model``'s checkpoint with its matcher blocks dropped from the meta
+    and the records, and a head that reads the pair input directly."""
+    meta = model.config.to_dict()
+    meta["matcher"] = []
+    items = {n: a for n, a in model.state_items() if not n.startswith("matcher.block")}
+    items["matcher.head.weight"] = np.ones((1, model.matcher.in_channels, 1, 1))
+    ckpt.write_records(path, ckpt.MODEL_MAGIC, meta, items.items())
+
+
+def test_checkpoint_without_matcher_blocks_rejected(tmp_path):
+    path = tmp_path / "no_blocks.ckpt"
+    zero_block_checkpoint(IrisMatchModel(tiny_config(), rng=np.random.default_rng(71)), path)
+    with pytest.raises(ckpt.CheckpointError, match="at least one conv block") as err:
         ckpt.load_model(path)
     assert str(path) in str(err.value) and "\n" not in str(err.value)
 

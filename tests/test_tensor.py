@@ -5,8 +5,6 @@ before the engine was used for anything; gradients are checked against
 central finite differences (see gradcheck.py).
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -123,8 +121,7 @@ def test_conv2d_chunked_batches_match_loop():
 
 def im2col_oracle_conv(x, w, b, g, stride, padding):
     """Forward, weight gradient and input gradient of the im2col convolution
-    as it was before the reused workspace: each sample's columns from an
-    ``as_strided`` view of a ``pad2d``-padded copy, the same GEMMs, and the
+    built the plain way: each sample's columns from an ``as_strided`` view of a ``pad2d``-padded copy, the same GEMMs, and the
     per-sample weight gradients summed in sample order."""
     from numpy.lib.stride_tricks import as_strided
 
@@ -155,22 +152,18 @@ def im2col_oracle_conv(x, w, b, g, stride, padding):
 @pytest.mark.parametrize("padding", ["zero", "none"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("reused", [False, True], ids=["fresh", "workspace"])
-def test_conv2d_columns_bitwise_equal_padded_im2col(padding, stride, batch, reused):
+def test_conv2d_columns_bitwise_equal_padded_im2col(padding, stride, batch, monkeypatch):
     rng = np.random.default_rng(100 + 4 * batch + stride)
     x = rng.normal(size=(batch, 3, 7, 10))
     w = rng.normal(size=(4, 3, 3, 5))
     b = rng.normal(size=4)
     xt = T.Tensor(x, requires_grad=True)
     wt = T.Tensor(w, requires_grad=True)
-    with T.workspace() if reused else contextlib.nullcontext():
-        if reused:
-            # a buffer full of NaN: any column element read unwritten shows
-            T._columns(1 << 16, x.dtype)[:] = np.nan
-        out = T.conv2d(xt, wt, T.Tensor(b), stride=stride, padding=padding)
-        g = rng.normal(size=out.shape)
-        (out * T.Tensor(g)).sum().backward()
-    assert T._workspace_buffers is None
+    # columns full of NaN: any column element read before it is written shows
+    monkeypatch.setattr(T, "_columns", lambda size, dtype: np.full(size, np.nan, dtype=dtype))
+    out = T.conv2d(xt, wt, T.Tensor(b), stride=stride, padding=padding)
+    g = rng.normal(size=out.shape)
+    (out * T.Tensor(g)).sum().backward()
     want_y, want_gw, want_gx = im2col_oracle_conv(x, w, b, g, stride, padding)
     assert out.data.tobytes() == want_y.tobytes()
     assert wt.grad.tobytes() == want_gw.tobytes()

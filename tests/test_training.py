@@ -126,8 +126,12 @@ def test_adam_class_updates_only_params_with_grads():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(stage1_epochs=10, epochs=5).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.0).validate()
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            TrainConfig(lr=bad).validate()
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            TrainConfig(adam_eps=bad).validate()
     with pytest.raises(ValueError):
         TrainConfig(selection_far=0.0).validate()
     TrainConfig().validate()
