@@ -18,8 +18,9 @@ W_q*f(q) + b + W_r*f(r), so each distinct image of a chunk of pairs goes
 through the half of the weight its side needs once, and a pair costs one
 add.  ``MatcherModel.forward`` has one body for both inputs;
 ``IrisMatchModel.pair_probabilities`` owns the batching of inference: chunks
-of pairs whose half outputs fit ``_HALF_BUDGET``, and within a chunk
-sub-batches whose largest activation fits ``_ACTIVATION_BUDGET``.
+of pairs, taken in query x reference tiles, whose half outputs fit
+``_HALF_BUDGET``, and within a chunk sub-batches whose largest activation
+fits ``_ACTIVATION_BUDGET``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .tensor import ShapeError, Tensor
 _BANK_CHUNK = 16
 
 # bytes of block-0 half outputs one chunk of pairs may hold in
-# ``IrisMatchModel.pair_probabilities`` (17 images' halves at 110x512)
+# ``IrisMatchModel.pair_probabilities`` (18 images' halves at 110x512 in
+# float64, 37 in float32)
 _HALF_BUDGET = 1 << 28
 
 # bytes of the largest per-pair activation of one inference sub-batch; under
@@ -268,22 +270,27 @@ class IrisMatchModel:
         ``pairs``, indices into the (N, 2F, H, W) ``bank_features`` array
         ``feats``.  The matcher runs in the model's dtype.
 
-        Pairs go to the matcher as ``PairFeatures`` in consecutive chunks,
-        each needing at most ``_HALF_BUDGET`` bytes of block-0 half outputs,
-        and each chunk in sub-batches whose largest activation fits
-        ``_ACTIVATION_BUDGET`` bytes.  A pair's probability does not depend
-        on the chunk or the sub-batch it lands in.
+        Pairs go to the matcher as ``PairFeatures`` in chunks, each needing
+        at most ``_HALF_BUDGET`` bytes of block-0 half outputs, and each
+        chunk in sub-batches whose largest activation fits
+        ``_ACTIVATION_BUDGET`` bytes.  The chunks are consecutive runs of the
+        pairs in ``_tile_order``, so a chunk shares its half outputs among
+        many pairs.  A pair's probability does not depend on the chunk or
+        the sub-batch it lands in.
         """
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         sizes = self.matcher.block_bytes(feats.shape[2:], feats.itemsize)
         step = max(1, _ACTIVATION_BUDGET // max(sizes))
+        max_halves = max(2, _HALF_BUDGET // sizes[0])
+        order = _tile_order(pairs, max_halves)
+        tiled = pairs[order]
         scores = np.empty(len(pairs))
         with T.no_grad():
-            for start, stop in _pair_chunks(pairs, max(2, _HALF_BUDGET // sizes[0])):
-                x = PairFeatures(feats, pairs[start:stop])
+            for start, stop in _pair_chunks(tiled, max_halves):
+                x = PairFeatures(feats, tiled[start:stop])
                 for lo in range(start, stop, step):
                     hi = min(lo + step, stop)
-                    scores[lo:hi] = self.matcher.forward(x.rows(lo - start, hi - start)).data
+                    scores[order[lo:hi]] = self.matcher.forward(x.rows(lo - start, hi - start)).data
         return scores
 
     def match_probability(self, xq, xr):
@@ -392,6 +399,14 @@ class PairFeatures:
         for k, (q, r) in enumerate(zip(iq[rows], ir[rows])):
             np.add(hq[q], hr[r], out=out[k])
         return Tensor(out)
+
+
+def _tile_order(pairs, max_halves):
+    """The order of ``pairs`` by query x reference tiles of ``max_halves // 2``
+    query images by the rest in reference images, tile rows first; pairs of
+    one tile keep their order."""
+    tq = max_halves // 2
+    return np.lexsort((pairs[:, 1] // (max_halves - tq), pairs[:, 0] // tq))
 
 
 def _pair_chunks(pairs, max_halves):

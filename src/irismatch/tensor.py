@@ -19,10 +19,24 @@ order and accumulates gradients into every tensor that requires them.
 ``conv2d`` runs one of two algorithms, forward and backward:
 
 * zero or no padding (the matcher): im2col in channel-major layout,
-  ``(n, C*kh*kw, oh*ow)``, so ``weight @ cols`` lands in NCHW with no
-  transpose; batches are chunked to bound the column buffer.  The
-  zero padding is written into the columns, so no padded copy of the input
-  is built and every column element is written before it is read.
+  ``(n, C*kh*kw, rows*ow)``, so ``weight @ cols`` lands in NCHW with no
+  transpose.  The forward unrolls at most ``_TILE_BYTES`` of columns per
+  GEMM: several whole samples when one fits, else a range of output rows of
+  one sample, whose GEMM writes straight into those rows of the output
+  (Chellapilla, Puri & Simard, "High Performance Convolutional Neural
+  Networks for Document Processing", 2006; Anderson et al., "Low-memory
+  GEMM-based convolution algorithms for deep neural networks",
+  arXiv:1709.03395).  A tile's buffer stays in cache and under the mmap
+  threshold, so it is not mapped and page-faulted afresh on every call.
+  A BLAS GEMM's rounding depends on which micro-kernel computes a column:
+  full column blocks take one, a short last block another.  Tiles start at
+  multiples of 64 output positions, so every column falls in the same kind
+  of block as in one whole-sample GEMM, and the output does not depend on
+  the tiling (tested bitwise).  The backward unrolls whole samples under
+  ``_COL_BUDGET``: the weight gradient sums over every output position of
+  a sample inside one GEMM, and row tiles would reorder that sum.  The zero
+  padding is written into the columns, so no padded copy of the input is
+  built and every column element is written before it is read.
 * wrap padding (the unit-circle bank): one real FFT along the rows (zero
   padded, so the radial correlation is linear), kw direct circular taps
   along the angular axis on the row spectra, one inverse FFT; the weight
@@ -52,8 +66,14 @@ class ShapeError(ValueError):
 
 _FLOAT_DTYPES = (np.float64, np.float32)
 
-# elements per im2col block; keeps convolution column buffers < ~128 MB of f64
+# elements of im2col columns per backward GEMM (128 MB of f64): whole
+# samples, so each weight gradient sums a sample's positions in one GEMM
 _COL_BUDGET = 1 << 24
+
+# bytes of im2col columns per forward GEMM (at least the output rows of 64
+# positions): a cache-sized tile, far under glibc's largest mmap threshold
+# (32 MB), so its buffer is a reused heap block
+_TILE_BYTES = 1 << 22
 
 # elements per slice of the ELU temporary (512 KB of f64)
 _ELU_SLICE = 1 << 16
@@ -295,7 +315,9 @@ def index_select(a, indices):
 
     def backward(g):
         ga = np.zeros(shape, dtype=g.dtype)
-        np.add.at(ga, idx, g)
+        # row by row in index order: np.add.at's order, without its overhead
+        for k, i in enumerate(idx.tolist()):
+            ga[i] += g[k]
         return (ga,)
 
     return _make(data, (a,), backward)
@@ -501,25 +523,30 @@ def _columns(size, dtype):
     return np.empty(size, dtype=dtype)
 
 
-def _tap_range(k, pad, size, out, stride):
-    """Outputs [lo, hi) whose kernel tap ``k`` reads an input row (or
-    column) ``o * stride + k - pad`` inside [0, size), and the input of ``lo``."""
-    lo = min(max(0, -((k - pad) // stride)), out)
+def _tap_range(k, pad, size, out, stride, start=0):
+    """Outputs [lo, hi) within [start, out) whose kernel tap ``k`` reads an
+    input row (or column) ``o * stride + k - pad`` inside [0, size), and the
+    input of ``lo``."""
+    lo = min(max(start, -((k - pad) // stride)), out)
     hi = max(min(out, (size - 1 + pad - k) // stride + 1), lo)
     return lo, hi, lo * stride + k - pad
 
 
-def _im2col(x, kh, kw, sh, sw, ph, pw, oh, ow):
-    """Channel-major columns (n, C*kh*kw, oh*ow) of ``x`` zero-padded by
-    (ph, pw) on each side, so ``wmat @ cols`` is NCHW.
+def _im2col(x, kh, kw, sh, sw, ph, pw, oh, ow, r0=0, r1=None):
+    """Channel-major columns (n, C*kh*kw, rows*ow) of output rows [r0, r1)
+    (all ``oh`` by default) of ``x`` zero-padded by (ph, pw) on each side,
+    so ``wmat @ cols`` is those rows in NCHW.
 
     The zero padding is written into the columns directly, so the padded
     input is never built.
     """
+    r1 = oh if r1 is None else r1
     n, C, H, W = x.shape
-    cols = _columns(n * C * kh * kw * oh * ow, x.dtype).reshape(n, C, kh, kw, oh, ow)
+    cols = _columns(n * C * kh * kw * (r1 - r0) * ow, x.dtype).reshape(
+        n, C, kh, kw, r1 - r0, ow)
     for i in range(kh):
-        y0, y1, yi = _tap_range(i, ph, H, oh, sh)
+        y0, y1, yi = _tap_range(i, ph, H, r1, sh, r0)
+        y0, y1 = y0 - r0, y1 - r0
         for j in range(kw):
             x0, x1, xj = _tap_range(j, pw, W, ow, sw)
             tap = cols[:, :, i, j]
@@ -529,7 +556,7 @@ def _im2col(x, kh, kw, sh, sw, ph, pw, oh, ow):
             tap[:, :, y0:y1, x1:] = 0.0
             tap[:, :, y0:y1, x0:x1] = x[:, :, yi:yi + sh * (y1 - y0):sh,
                                         xj:xj + sw * (x1 - x0):sw]
-    return cols.reshape(n, C * kh * kw, oh * ow)
+    return cols.reshape(n, C * kh * kw, (r1 - r0) * ow)
 
 
 def _conv_out_size(H, W, kh, kw, sh, sw):
@@ -549,11 +576,18 @@ def _conv_forward(x, w, b, sh, sw, ph, pw):
     oh, ow = _conv_out_size(H + 2 * ph, W + 2 * pw, kh, kw, sh, sw)
     wmat = w.reshape(Cout, -1)
     out = np.empty((B, Cout, oh, ow), dtype=x.dtype)
-    step = _conv_batch_step(oh, ow, C, kh, kw)
-    for b0 in range(0, B, step):
-        xb = x[b0:b0 + step]
-        y = out[b0:b0 + step].reshape(xb.shape[0], Cout, oh * ow)
-        np.matmul(wmat, _im2col(xb, kh, kw, sh, sw, ph, pw, oh, ow), out=y)
+    # output rows per tile: a whole number of 64-position steps, so a tile's
+    # GEMM column blocks fall where a whole sample's would
+    align = 64 // math.gcd(ow, 64)
+    rows = max(align, _TILE_BYTES // (C * kh * kw * ow * x.itemsize) // align * align)
+    if rows >= oh:      # tiles (n0, n1, r0, r1): samples n0:n1, output rows r0:r1
+        tiles = [(n, min(n + rows // oh, B), 0, oh) for n in range(0, B, rows // oh)]
+    else:
+        tiles = [(n, n + 1, r, min(r + rows, oh)) for n in range(B) for r in range(0, oh, rows)]
+    for n0, n1, r0, r1 in tiles:
+        # a view: rows r0:r1 of each channel are contiguous
+        y = out[n0:n1, :, r0:r1].reshape(n1 - n0, Cout, (r1 - r0) * ow)
+        np.matmul(wmat, _im2col(x[n0:n1], kh, kw, sh, sw, ph, pw, oh, ow, r0, r1), out=y)
         if b is not None:
             y += b[:, None]
     return out

@@ -515,6 +515,61 @@ def test_pair_chunks_cover_the_pairs_within_the_half_budget(max_halves):
     assert list(_pair_chunks(pairs[:0], max_halves)) == []
 
 
+def test_tiled_chunks_cut_block0_halves_on_the_default_set():
+    """The default synthetic set's pairs, in the order ``collect_scores``
+    passes them, at the float32 budget of 37 halves per chunk: block-0 half
+    convolutions, counted from the chunks, fall from 1.01 per pair to 0.12."""
+    from irismatch.data import IdentityStore, enumerate_pairs
+    from irismatch.matcher import _HALF_BUDGET, _pair_chunks, _tile_order
+    from irismatch.synthetic import SynthSpec
+
+    spec = SynthSpec()
+    n = spec.identities * spec.images_per_identity
+    store = IdentityStore(images=np.zeros((n, 1, 1)),
+                          identity_of=np.arange(n) // spec.images_per_identity,
+                          identity_ids=[f"id{j}" for j in range(spec.identities)])
+    pairs = enumerate_pairs(store)
+    both = np.concatenate([pairs.authentic, pairs.imposter])
+    half = MatcherModel(20).block_bytes((spec.height, spec.width), np.float32().itemsize)[0]
+    max_halves = _HALF_BUDGET // half
+    assert (len(both), max_halves) == (51040, 37)
+
+    def halves(p):
+        return sum(len(set(p[a:b, 0])) + len(set(p[a:b, 1]))
+                   for a, b in _pair_chunks(p, max_halves))
+
+    assert halves(both) == 51656
+    order = _tile_order(both, max_halves)
+    assert sorted(order) == list(range(len(both)))
+    assert halves(both[order]) == 6199
+
+
+def test_forward_columns_stay_within_a_tile_full_geometry(monkeypatch):
+    """No forward im2col buffer at 110x512, float32 scoring or float64
+    matcher, is larger than a tile (or one output row's columns, were a row
+    larger).  A buffer above glibc's mmap threshold (32 MB) is mapped and
+    page-faulted afresh on every call."""
+    from irismatch.evaluation import ModelScorer
+
+    model = IrisMatchModel(rng=np.random.default_rng(90))
+    images = np.random.default_rng(91).uniform(size=(3, 110, 512))
+    seen = []
+    columns = T._columns
+
+    def recording(size, dtype):
+        seen.append((size * np.dtype(dtype).itemsize, np.dtype(dtype)))
+        return columns(size, dtype)
+
+    monkeypatch.setattr(T, "_columns", recording)
+    ModelScorer(model).score_pairs(_store(images), np.array([[0, 1], [0, 2], [1, 2]]))
+    with T.no_grad():
+        model.matcher.forward(pair_batch(model.bank_features(images[:2]), np.array([[0, 1]])))
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32), np.dtype(np.float64)}
+    # the widest output row of any matcher convolution: block 0 over a pair, in float64
+    row = 2 * model.bank.out_channels * 9 * 512 * 8
+    assert max(nbytes for nbytes, _ in seen) <= max(T._TILE_BYTES, row)
+
+
 def test_factorized_input_refuses_training():
     from irismatch.matcher import PairFeatures
 

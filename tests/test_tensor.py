@@ -105,18 +105,24 @@ def test_conv2d_shape_errors():
         T.conv2d(x, even)
 
 
-def test_conv2d_chunked_batches_match_loop():
-    # force the im2col chunking path with a tiny budget
+def test_conv2d_chunked_batches_match_loop(monkeypatch):
+    # force the backward's sample chunks and the forward's row tiles with
+    # tiny budgets (one sample; two of a sample's four output rows of 64)
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(5, 2, 6, 6))
+    x = rng.normal(size=(5, 2, 6, 66))
     w = rng.normal(size=(3, 2, 3, 3))
-    old = T._COL_BUDGET
-    T._COL_BUDGET = 64
-    try:
-        got = T.conv2d(T.Tensor(x), T.Tensor(w)).data
-    finally:
-        T._COL_BUDGET = old
-    assert np.max(np.abs(got - loop_conv2d(x, w))) <= 1e-12
+    monkeypatch.setattr(T, "_COL_BUDGET", 64)
+    monkeypatch.setattr(T, "_TILE_BYTES", 2 * 2 * 9 * 64 * 8)
+    xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+    got = T.conv2d(xt, wt)
+    assert np.max(np.abs(got.data - loop_conv2d(x, w))) <= 1e-12
+    square_sum(got).backward()
+    xe, we = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+    monkeypatch.setattr(T, "_COL_BUDGET", 1 << 24)
+    monkeypatch.setattr(T, "_TILE_BYTES", 1 << 22)
+    square_sum(T.conv2d(xe, we)).backward()
+    assert np.max(np.abs(wt.grad - we.grad)) <= 1e-12
+    assert np.max(np.abs(xt.grad - xe.grad)) <= 1e-12
 
 
 def im2col_oracle_conv(x, w, b, g, stride, padding):
@@ -168,6 +174,73 @@ def test_conv2d_columns_bitwise_equal_padded_im2col(padding, stride, batch, monk
     assert out.data.tobytes() == want_y.tobytes()
     assert wt.grad.tobytes() == want_gw.tobytes()
     assert xt.grad.tobytes() == np.ascontiguousarray(want_gx).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("tile_rows", [1, 2])
+@pytest.mark.parametrize("padding", ["zero", "none"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_conv2d_row_tiles_bitwise_equal_padded_im2col(batch, stride, padding, tile_rows,
+                                                      dtype, monkeypatch):
+    """A forward of ``tile_rows`` output rows per GEMM (the last tile ragged
+    where they do not divide the rows) writes every column it reads and
+    gives the oracle's bits.  Output rows are 128 or 64 positions wide, so
+    a tile can be one row."""
+    rng = np.random.default_rng(200 + 4 * batch + stride)
+    width = 128 if padding == "zero" else 132
+    x = rng.normal(size=(batch, 3, 7, width)).astype(dtype)
+    w = rng.normal(size=(4, 3, 3, 5)).astype(dtype)
+    b = rng.normal(size=4).astype(dtype)
+    ph, pw = (1, 2) if padding == "zero" else (0, 0)
+    oh, ow = (7 + 2 * ph - 3) // stride + 1, (width + 2 * pw - 5) // stride + 1
+    assert ow % 64 == 0
+    want = im2col_oracle_conv(x, w, b, np.zeros((batch, 4, oh, ow)), stride, padding)[0]
+    monkeypatch.setattr(T, "_TILE_BYTES", tile_rows * 3 * 3 * 5 * ow * x.itemsize)
+    monkeypatch.setattr(T, "_columns", lambda size, dtype: np.full(size, np.nan, dtype=dtype))
+    got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=padding).data
+    assert want.dtype == got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_row_tiles_of_an_unaligned_width_bitwise_equal_untiled(dtype, monkeypatch):
+    """Rows of 20 positions: a tile budget of one row gives tiles of 16 rows
+    (320 positions, a multiple of 64), 16 + 16 + 8 of the 40."""
+    rng = np.random.default_rng(24)
+    x = T.Tensor(rng.normal(size=(2, 5, 40, 20)).astype(dtype))
+    w = T.Tensor(rng.normal(size=(4, 5, 3, 3)).astype(dtype))
+    b = T.Tensor(rng.normal(size=4).astype(dtype))
+    whole = T.conv2d(x, w, b, padding="zero").data
+    monkeypatch.setattr(T, "_TILE_BYTES", 5 * 9 * 20 * x.data.itemsize)
+    seen = []
+    im2col = T._im2col
+
+    def recording(*args):
+        seen.append(args[-2:])
+        return im2col(*args)
+
+    monkeypatch.setattr(T, "_im2col", recording)
+    tiled = T.conv2d(x, w, b, padding="zero").data
+    assert seen == [(0, 16), (16, 32), (32, 40)] * 2
+    assert tiled.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin,cout,stride", [(20, 32, 1), (32, 64, 2)],
+                         ids=["block0-half", "block1"])
+def test_conv2d_row_tiles_bitwise_equal_untiled_full_geometry(cin, cout, stride, dtype,
+                                                              monkeypatch):
+    rng = np.random.default_rng(cin + stride)
+    x = T.Tensor(rng.normal(size=(2, cin, 110, 512)).astype(dtype))
+    w = T.Tensor(rng.normal(scale=0.1, size=(cout, cin, 3, 3)).astype(dtype))
+    b = T.Tensor(rng.normal(size=cout).astype(dtype))
+    # more than one tile per sample at the default budget
+    assert cin * 9 * (512 // stride) * (110 // stride) * x.data.itemsize > T._TILE_BYTES
+    tiled = T.conv2d(x, w, b, stride=stride, padding="zero").data
+    monkeypatch.setattr(T, "_TILE_BYTES", 1 << 40)
+    whole = T.conv2d(x, w, b, stride=stride, padding="zero").data
+    assert tiled.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------- backward
@@ -549,6 +622,20 @@ def test_gradcheck_concat_index_select():
 
     err = check_gradients(build, [a, b])
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_index_select_backward_bitwise_equals_add_at(dtype):
+    rng = np.random.default_rng(22)
+    a = T.Tensor(rng.normal(size=(6, 2, 3, 4)).astype(dtype), requires_grad=True)
+    idx = np.array([4, 1, 4, 0, 4, 1, 5])
+    out = T.index_select(a, idx)
+    g = rng.normal(size=out.shape).astype(dtype)
+    (got,) = out._backward_fn(g)
+    want = np.zeros(a.shape, dtype=dtype)
+    np.add.at(want, idx, g)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gradcheck_composite_pipeline():
