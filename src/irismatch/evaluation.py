@@ -1,4 +1,4 @@
-"""Verification metrics: score collection, TAR@FAR, ROC curves, AUC.
+"""Verification metrics: score collection, TAR@FAR and ROC curves.
 
 Scores carry an explicit polarity: the network emits match probabilities
 (higher means match), the bitcode baseline emits Hamming distances (lower
@@ -104,21 +104,6 @@ def roc(scores: ScoreSet) -> RocCurve:
     sentinel = -np.inf if scores.higher_is_match else np.inf
     return RocCurve(np.append(curve.thresholds, sentinel), np.append(curve.far, 1.0),
                     np.append(curve.tar, 1.0))
-
-
-def auc(scores: ScoreSet):
-    """Area under the ROC curve via the rank statistic (ties count half)."""
-    scores.require_nonempty()
-    auth, imp, _ = _oriented(scores)
-    _, inverse, counts = np.unique(np.concatenate([auth, imp]), return_inverse=True,
-                                   return_counts=True)
-    # a value whose copies sit at sorted positions first..last (0-based) gets
-    # the average rank 0.5 * (first + last) + 1
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
-    ranks = (0.5 * (first + last) + 1.0)[inverse]
-    n, m = auth.size, imp.size
-    return float((ranks[:n].sum() - n * (n + 1) / 2.0) / (n * m))
 
 
 def collect_scores(scorer, store, pairs) -> ScoreSet:

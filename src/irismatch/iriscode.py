@@ -26,7 +26,6 @@ shifts are popcounts of ``(bits_a ^ bits_b) & mask_a & mask_b`` and of
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,6 @@ import numpy as np
 MAGNITUDE_FLOOR = 1e-4
 # absolute guard for rows whose response is numerically zero everywhere
 _ABS_FLOOR = 1e-12
-
-BITCODE_MAGIC = b"IBIT"
-BITCODE_VERSION = 1
-_HEADER = struct.Struct("<4sHII")
 
 # uint64 words per scratch array of the packed matcher (512 KB); pairs are
 # scored a few at a time so the scratch arrays stay in cache
@@ -259,49 +254,3 @@ def match_with_shifts(a: Bitcode, b: Bitcode, max_shift):
     negative one.  Returns (score, shift)."""
     scores, shifts = match_pairs([a, b], [(0, 1)], max_shift)
     return float(scores[0]), int(shifts[0])
-
-
-def decide(score, threshold):
-    """Match iff score < threshold (strict)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    return score < threshold
-
-
-# ---------------------------------------------------------------- file I/O
-
-
-def save_bitcode(code: Bitcode, path):
-    """IBIT container: magic, u16 version, u32 H', u32 W', then the bit rows
-    and mask rows packed little-endian-first into bytes."""
-    h, w2 = code.bits.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(BITCODE_MAGIC, BITCODE_VERSION, h, w2 // 2))
-        fh.write(np.packbits(code.bits, axis=1, bitorder="little").tobytes())
-        fh.write(np.packbits(code.mask, axis=1, bitorder="little").tobytes())
-
-
-def load_bitcode(path):
-    """Read an IBIT file; any malformed file raises ValueError naming it."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != BITCODE_MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header: {len(raw)} of {_HEADER.size} bytes")
-    _, version, h, w = _HEADER.unpack_from(raw)
-    if version != BITCODE_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    w2 = 2 * w
-    row_bytes = (w2 + 7) // 8
-    off = _HEADER.size
-    expected = 2 * h * row_bytes
-    if len(raw) - off != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, got {len(raw) - off}")
-
-    def unpack(start):
-        packed = np.frombuffer(raw, dtype=np.uint8, count=h * row_bytes, offset=start)
-        rows = np.unpackbits(packed.reshape(h, row_bytes), axis=1, bitorder="little")
-        return rows[:, :w2].copy()
-
-    return Bitcode(unpack(off), unpack(off + h * row_bytes))

@@ -298,18 +298,16 @@ class IrisMatchModel:
         a float32 copy of the model (``astype``), like ``ModelScorer``'s
         default.
 
-        Inputs are (H, W) arrays (or (1, 1, H, W) tensors) at the model's
-        geometry; resize beforehand if the vertical resolution differs.  The
-        score is the one ``pair_probabilities`` gives the pair.
+        Inputs are (H, W) arrays at the model's geometry; resize beforehand
+        if the vertical resolution differs.  The score is the one
+        ``pair_probabilities`` gives the pair.
         """
         model = self.astype(np.float32)
         feats = model.bank_features(np.stack([self._image(xq), self._image(xr)])).data
         return float(model.pair_probabilities(feats, [[0, 1]])[0])
 
     def _image(self, img):
-        arr = np.asarray(img.data if isinstance(img, Tensor) else img, dtype=np.float64)
-        if arr.ndim == 4 and arr.shape[:2] == (1, 1):
-            arr = arr[0, 0]
+        arr = np.asarray(img, dtype=np.float64)
         if arr.shape != (self.height, self.width):
             raise ShapeError(f"expected {self.height}x{self.width} images, got shape {arr.shape}")
         return arr

@@ -97,8 +97,8 @@ class no_grad:
 
 
 def _as_array(data, dtype=None):
-    if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES and dtype is None:
-        return data
+    if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES and dtype is None:
+        return np.asarray(data)
     return np.asarray(data, dtype=dtype or np.float64)
 
 

@@ -108,10 +108,6 @@ class UnitCircleBank:
                         for kh, kw in kernels]
 
     @property
-    def num_filters(self):
-        return len(self.filters)
-
-    @property
     def out_channels(self):
         return 2 * len(self.filters)
 

@@ -1,12 +1,10 @@
 """End-to-end CLI tests on a tiny synthetic dataset."""
 
-import os
-
 import numpy as np
 import pytest
 
 from irismatch.cli import main, resolve_config, load_config_file, UsageError
-from irismatch.iris_io import write_iris_raw, write_pgm
+from irismatch.iris_io import write_pgm
 
 
 SYNTH_ARGS = ["--identities", "4", "--images_per_identity", "4",

@@ -1,9 +1,9 @@
-"""Tests for TAR@FAR, ROC, and AUC against exhaustive sweep oracles."""
+"""Tests for TAR@FAR and ROC against exhaustive sweep oracles."""
 
 import numpy as np
 import pytest
 
-from irismatch.evaluation import (RocCurve, ScoreSet, auc, collect_scores, emit_roc_csv,
+from irismatch.evaluation import (RocCurve, ScoreSet, collect_scores, emit_roc_csv,
                                   read_roc_csv, roc, tar_at_far)
 
 
@@ -144,42 +144,6 @@ def test_roc_invariant_under_monotone_transform():
     c2 = roc(ScoreSet(np.exp(3 * a), np.exp(3 * b), True))
     assert np.allclose(c1.far, c2.far)
     assert np.allclose(c1.tar, c2.tar)
-
-
-# ---------------------------------------------------------------- auc
-
-
-def auc_loop(scores: ScoreSet):
-    auth, imp = scores.authentic, scores.imposter
-    if not scores.higher_is_match:
-        auth, imp = -auth, -imp
-    wins = ties = 0
-    for x in auth:
-        for y in imp:
-            wins += x > y
-            ties += x == y
-    return (wins + 0.5 * ties) / (len(auth) * len(imp))
-
-
-def test_auc_matches_pairwise_loop():
-    rng = np.random.default_rng(115)
-    for higher in (True, False):
-        s = ScoreSet(rng.integers(0, 8, size=25) / 8.0,
-                     rng.integers(0, 8, size=40) / 8.0, higher)
-        assert abs(auc(s) - auc_loop(s)) < 1e-12
-
-
-def test_auc_chance_level():
-    rng = np.random.default_rng(116)
-    s = ScoreSet(rng.uniform(size=5000), rng.uniform(size=5000), True)
-    assert abs(auc(s) - 0.5) < 0.02
-
-
-def test_auc_perfect():
-    s = ScoreSet([0.9, 0.8], [0.1, 0.2], True)
-    assert auc(s) == 1.0
-    s = ScoreSet([0.1, 0.2], [0.8, 0.9], False)
-    assert auc(s) == 1.0
 
 
 # ---------------------------------------------------------------- collect

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from irismatch.data import IdentityStore, enumerate_pairs
 from irismatch.evaluation import BitcodeScorer, collect_scores
-from irismatch.iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, decide, encode,
-                                load_bitcode, log_gabor_transfer, masked_hamming,
-                                match_pairs, match_with_shifts, save_bitcode, shift_bitcode)
+from irismatch.iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, encode,
+                                log_gabor_transfer, masked_hamming, match_pairs,
+                                match_with_shifts, shift_bitcode)
 from irismatch.synthetic import SynthSpec, generate
 
 
@@ -380,69 +380,3 @@ def test_bitcode_scorer_with_masks_bitwise_equals_loop():
     # masks are used: without them the scores change
     assert not np.array_equal(got, BitcodeScorer(spec, max_shift=4).score_pairs(store, pairs))
 
-
-# ---------------------------------------------------------------- decide
-
-
-def test_decide_strict_threshold():
-    assert decide(0.2, 0.32) is True
-    assert decide(0.32, 0.32) is False
-    with pytest.raises(ValueError):
-        decide(0.2, 1.5)
-
-
-# ---------------------------------------------------------------- file I/O
-
-
-def test_bitcode_round_trip(tmp_path):
-    rng = np.random.default_rng(94)
-    code = random_bitcode(rng, h=5, w=13)
-    path = tmp_path / "code.ibit"
-    save_bitcode(code, path)
-    back = load_bitcode(path)
-    assert np.array_equal(back.bits, code.bits)
-    assert np.array_equal(back.mask, code.mask)
-    assert path.read_bytes()[:4] == b"IBIT"
-
-
-def test_bitcode_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.ibit"
-    path.write_bytes(b"JUNK" + b"\x00" * 20)
-    with pytest.raises(ValueError):
-        load_bitcode(path)
-
-
-@pytest.mark.parametrize("size", [5, 9, 13])
-def test_bitcode_load_short_header_names_the_file(tmp_path, size):
-    path = tmp_path / "short.ibit"
-    save_bitcode(random_bitcode(np.random.default_rng(98)), path)
-    path.write_bytes(path.read_bytes()[:size])
-    with pytest.raises(ValueError, match="short.ibit: truncated header"):
-        load_bitcode(path)
-
-
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.data())
-def test_bitcode_load_fuzz_truncations_and_flips(tmp_path, data):
-    code = random_bitcode(np.random.default_rng(99), h=3, w=11)
-    path = tmp_path / "fuzz.ibit"
-    save_bitcode(code, path)
-    raw = path.read_bytes()
-    cut = data.draw(st.integers(0, len(raw) - 1), label="truncate to")
-    path.write_bytes(raw[:cut])
-    with pytest.raises(ValueError, match="fuzz.ibit"):
-        load_bitcode(path)
-    flipped = bytearray(raw)
-    for pos in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=3),
-                         label="flip at"):
-        flipped[pos] ^= data.draw(st.integers(1, 255), label="flip bits")
-    path.write_bytes(bytes(flipped))
-    try:
-        back = load_bitcode(path)
-    except ValueError as exc:
-        assert "fuzz.ibit" in str(exc)
-    else:
-        assert back.bits.dtype == back.mask.dtype == np.uint8
-        assert back.bits.shape == back.mask.shape and back.bits.shape[1] % 2 == 0
-        assert set(np.unique(back.bits)) <= {0, 1} and set(np.unique(back.mask)) <= {0, 1}

@@ -253,6 +253,18 @@ def test_backward_quadratic():
     assert np.allclose(w.grad, 2 * w.data)
 
 
+@pytest.mark.parametrize("axis", [None, 0])
+def test_scalar_sum_keeps_float32_forward_and_backward(axis):
+    """A sum down to a scalar is a numpy scalar, which keeps its operand's
+    dtype like any other op's output."""
+    w = T.Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
+    loss = (w * w).sum(axis=axis)
+    assert loss.shape == () and loss.dtype == np.float32
+    loss.backward()
+    assert w.grad.dtype == np.float32
+    assert np.array_equal(w.grad, 2 * w.data)
+
+
 def test_backward_requires_scalar():
     w = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(T.ShapeError):

@@ -238,7 +238,7 @@ def test_relu_and_elu_modes():
 def test_bank_output_channels_full_geometry():
     rng = np.random.default_rng(37)
     bank = uc.UnitCircleBank(rng=rng)  # the default five filters
-    assert bank.num_filters == 5
+    assert len(bank.filters) == 5
     x = Tensor(np.random.default_rng(1).uniform(size=(1, 1, 110, 512)))
     out = bank.forward(x)
     assert out.shape == (1, 10, 110, 512)
@@ -319,7 +319,7 @@ def test_float32_bank_zeroes_the_pixels_float64_does(record_property):
         for dtype in (np.float64, np.float32):
             bank = uc.UnitCircleBank(rng=np.random.default_rng(45), dtype=dtype)
             out = bank.forward(Tensor(store.images[:, None].astype(dtype))).data
-            pairs = out.reshape(len(out), bank.num_filters, 2, 110, 512)
+            pairs = out.reshape(len(out), len(bank.filters), 2, 110, 512)
             dead[dtype] = np.all(pairs == 0, axis=2)
     fraction = float(dead[np.float32].mean())
     record_property("float32_norm_eps_fraction", fraction)
