@@ -76,7 +76,13 @@ def small_matcher_blocks():
 
 
 class ConvBlock:
-    """3x3 conv -> ELU -> batch-norm -> dropout (when its rate is positive)."""
+    """3x3 conv -> ELU -> batch-norm -> dropout (when its rate is positive).
+
+    ELU and batch norm are one op, ``tensor.elu_batch_norm``: in eval
+    scoring it overwrites the convolution's output in place, slice by
+    slice; in training, or with a graph to record, it runs ``elu`` then
+    ``batch_norm``.
+    """
 
     def __init__(self, in_channels, spec: ConvBlockSpec, rng, dtype=np.float64):
         self.spec = spec
@@ -94,9 +100,8 @@ class ConvBlock:
             h = x.first_conv(self)
         else:
             h = T.conv2d(x, self.weight, self.bias, stride=self.spec.stride, padding="zero")
-        h = T.elu(h)
-        h = T.batch_norm(h, self.gamma, self.beta,
-                         self.running_mean, self.running_var, training=training)
+        h = T.elu_batch_norm(h, self.gamma, self.beta,
+                             self.running_mean, self.running_var, training)
         if self.spec.dropout > 0.0:
             h = T.dropout(h, self.spec.dropout, training=training, rng=rng)
         return h

@@ -50,6 +50,14 @@ order and accumulates gradients into every tensor that requires them.
 
 Both skip the input gradient when the input does not require grad (the
 bank's input is the image; stage-1 matcher inputs are cached features).
+
+``elu_batch_norm`` is every matcher block's ELU then batch norm.  In eval
+scoring, with no graph to record, it is elementwise work: it overwrites the
+convolution's output one cache-sized slice of (sample, channel) planes at a
+time, running the ops of ``elu`` then ``batch_norm`` in their order, so no
+whole-activation temporary is allocated and page-faulted and the output
+keeps their bits (operator fusion, as in Chen et al., "TVM",
+arXiv:1802.04799).  In training, or with a graph, it composes the two ops.
 """
 
 from __future__ import annotations
@@ -75,7 +83,8 @@ _COL_BUDGET = 1 << 24
 # (32 MB), so its buffer is a reused heap block
 _TILE_BYTES = 1 << 22
 
-# elements per slice of the ELU temporary (512 KB of f64)
+# elements per slice of ``elu``'s temporary and of ``elu_batch_norm``'s
+# in-place pass (512 KB of f64): a slice stays in cache between its ops
 _ELU_SLICE = 1 << 16
 
 _grad_enabled = True
@@ -149,10 +158,13 @@ class Tensor:
     # -- backward ---------------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every tracked tensor reachable from this scalar.
+        """Populate ``grad`` on this scalar and on every tracked leaf reachable
+        from it (a tensor no recorded op made: parameters, inputs).
 
         The recorded operations are replayed in reverse topological order.
-        A graph can be consumed only once; repeated calls raise.
+        Each interior tensor leaves the tape and drops its ``grad`` once its
+        own backward has run.  A graph can be consumed only once; repeated
+        calls raise.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -179,7 +191,10 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(tape):
+        for k in range(len(tape) - 1, -1, -1):
+            # off the tape: once its children are done, nothing holds a node
+            # but the caller, so its activation is freed as the pass goes
+            node, tape[k] = tape[k], None
             fn = node._backward_fn
             if fn is None:
                 continue
@@ -192,6 +207,8 @@ class Tensor:
             node._backward_fn = None
             node._parents = ()
             node._consumed = True
+            if node is not self:    # an interior gradient is read by no one
+                node.grad = None
         self._consumed = True
 
     # -- arithmetic sugar ---------------------------------------------------
@@ -447,14 +464,9 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
         var = running_var.reshape(cshape)
 
     inv = 1.0 / np.sqrt(var + eps)
-    # in place where possible: at 110x512 every temporary is a whole activation
     xhat = x - mean
     xhat *= inv
-    if (_grad_enabled and any(t.requires_grad for t in (a, gamma, beta))
-            or np.result_type(gam, xhat) != xhat.dtype):
-        data = gam * xhat
-    else:  # no graph reads xhat again, so the output takes its place
-        data = np.multiply(xhat, gam, out=xhat)
+    data = gam * xhat
     data += beta.data.reshape(cshape)
     count = x.size // x.shape[1]
 
@@ -472,6 +484,46 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
         return (gx, ggamma, gbeta)
 
     return _make(data, (a, gamma, beta), backward)
+
+
+def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5):
+    """``batch_norm(elu(a), gamma, beta, running_mean, running_var, training)``,
+    bit for bit.
+
+    In eval mode, with no graph to record and no operand that would promote
+    ``a``'s dtype, it overwrites ``a``'s array with the output and returns a
+    tensor of that array.  It goes over it in slices of whole (sample,
+    channel) planes, at most ``_ELU_SLICE`` elements unless one plane is more,
+    and runs each slice through the ops of ``elu`` then ``batch_norm`` in
+    their order while the slice is in cache.  One slice-sized buffer holds
+    ``max(x, -0.0)``, so no whole-activation temporary is made.  Otherwise
+    (training, a graph, a promotion, an array it cannot overwrite) it
+    composes the two ops and leaves ``a`` unchanged.
+    """
+    x = a.data
+    if (training or _grad_enabled and any(t.requires_grad for t in (a, gamma, beta))
+            or x.ndim not in (2, 4) or not (x.flags.c_contiguous and x.flags.writeable)
+            or running_mean is None or running_var is None
+            or np.result_type(x, gamma.data, beta.data, running_mean, running_var) != x.dtype):
+        return batch_norm(elu(a), gamma, beta, running_mean, running_var, training, eps=eps)
+    n, c = x.shape[:2]
+    planes = x.reshape(n * c, math.prod(x.shape[2:]))   # a view: plane j is channel j % c
+    per = max(1, _ELU_SLICE // planes.shape[1])
+    mean, inv, gam, bet = (np.tile(v, n)[:, None] for v in (
+        running_mean, 1.0 / np.sqrt(running_var + eps), gamma.data, beta.data))
+    pos = np.empty((min(per, n * c), planes.shape[1]), dtype=x.dtype)
+    for j in range(0, n * c, per):
+        k = slice(j, j + per)
+        s = planes[k]
+        p = np.maximum(s, -0.0, out=pos[:len(s)])
+        np.minimum(s, 0.0, out=s)
+        np.expm1(s, out=s)          # elu's alpha is 1: its multiply changes no bit
+        s += p
+        s -= mean[k]
+        s *= inv[k]
+        s *= gam[k]
+        s += bet[k]
+    return Tensor(x)
 
 
 # -- padding and convolution ---------------------------------------------------

@@ -273,6 +273,8 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
                 log.aborted = True
                 break
             model.zero_grad()
+            # the graph holds what backward needs and frees it as it goes
+            del feats, batch_input, probs
             loss.backward()
             optimizer.step()
             loss_sum += value * len(batch_pairs)

@@ -439,7 +439,7 @@ def test_float32_scoring_keeps_every_activation_float32(monkeypatch):
     with every score still right."""
     from irismatch.evaluation import ModelScorer
 
-    ops = ("conv2d", "elu", "batch_norm", "channel_l2_normalize", "concat",
+    ops = ("conv2d", "elu_batch_norm", "channel_l2_normalize", "concat",
            "global_avg_pool", "sigmoid")
     seen = {}
     for op in ops:

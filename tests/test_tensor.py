@@ -304,6 +304,31 @@ def test_grad_accumulates_across_graphs():
     assert w.grad is None
 
 
+def test_backward_frees_each_interior_activation_once_its_backward_has_run():
+    """An interior activation the caller does not hold is dead by the time
+    the ops before it run their backward; an interior grad is dropped, a
+    leaf's and the root's are kept."""
+    import weakref
+
+    w = T.Tensor(np.ones(4), requires_grad=True)
+    seen = []
+
+    def probe(g):       # the first op's backward runs last
+        seen.append(act() is None)
+        return (g,)
+
+    a = T._make(w.data * 2.0, (w,), probe)
+    h = T.elu(a)
+    act = weakref.ref(h.data)
+    loss = (h * T.Tensor(np.arange(4.0))).sum()
+    del h
+    loss.backward()
+    assert seen == [True]
+    assert a.grad is None
+    assert np.array_equal(w.grad, np.arange(4.0))
+    assert loss.grad == 1.0
+
+
 def test_no_grad_blocks_recording():
     w = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
@@ -393,6 +418,54 @@ def test_batch_norm_eval_bitwise_with_and_without_graph(shape, dtype):
     assert same_bits(g.grad, (w * xhat).sum(axis=axes))
     assert same_bits(b.grad, w.sum(axis=axes))
     assert same_bits(xt.grad, w * gamma.reshape(cshape) * inv)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 3), (4, 20, 30, 40), (1, 2, 130, 600)],
+                         ids=["2d", "planes-under-slice", "plane-over-slice"])
+def test_elu_batch_norm_bitwise_equals_composition(shape, dtype):
+    """Under no_grad the op overwrites its input in slices; with a graph it
+    composes ``elu`` and ``batch_norm``.  Both give their bits."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(scale=3.0, size=shape).astype(dtype)
+    fi = np.finfo(dtype)
+    special = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal, -fi.tiny / 4,
+               np.inf, -np.inf, -800.0]
+    x.reshape(-1)[:len(special)] = special
+    c = shape[1]
+    gamma, beta, rm = (rng.normal(size=c).astype(dtype) for _ in range(3))
+    rv = (rng.random(c) + 0.5).astype(dtype)
+    want = T.batch_norm(T.elu(T.Tensor(x)), T.Tensor(gamma), T.Tensor(beta), rm, rv,
+                        training=False).data
+    xt = T.Tensor(x.copy())
+    with T.no_grad():
+        y = T.elu_batch_norm(xt, T.Tensor(gamma), T.Tensor(beta), rm, rv, False)
+    assert same_bits(y.data, want)
+    assert y.data is xt.data
+    xt = T.Tensor(x.copy(), requires_grad=True)
+    y = T.elu_batch_norm(xt, T.Tensor(gamma, requires_grad=True), T.Tensor(beta), rm, rv, False)
+    assert y.requires_grad
+    assert same_bits(y.data, want)
+    assert same_bits(xt.data, x)
+
+
+def test_elu_batch_norm_in_place_peak_is_one_slice():
+    """At block 0's float32 sub-batch shape (two pairs at 110x512) the eval
+    path allocates at most one slice; ``elu`` then ``batch_norm`` allocate
+    two whole 14.4-MB activations."""
+    import tracemalloc
+
+    x = T.Tensor(np.random.default_rng(15).normal(size=(2, 32, 110, 512)).astype(np.float32))
+    gamma, beta = T.Tensor(np.ones(32, np.float32)), T.Tensor(np.zeros(32, np.float32))
+    rm, rv = np.zeros(32, np.float32), np.ones(32, np.float32)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            T.elu_batch_norm(x, gamma, beta, rm, rv, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= T._ELU_SLICE * x.data.itemsize
 
 
 def test_dropout_zero_rate_is_identity():
