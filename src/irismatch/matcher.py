@@ -35,7 +35,9 @@ from . import unit_circle as uc
 from .tensor import ShapeError, Tensor
 
 # images per bank call in ``IrisMatchModel.bank_features``; the bank's
-# output does not depend on it, only its FFT buffers do
+# output does not depend on it, only its FFT buffers do: the row spectra a
+# chunk's filters share, and each filter's product spectrum and inverse FFT
+# (16 images at 110x512 in float32: 4.4, 8.3 and 8.2 MB)
 _BANK_CHUNK = 16
 
 # bytes of block-0 half outputs one chunk of pairs may hold in
@@ -258,8 +260,10 @@ class IrisMatchModel:
         """Bank responses (N, 2F, H, W) of (N, H, W) images, outside the tape,
         in the model's dtype.
 
-        The bank runs on ``_BANK_CHUNK`` images at a time, each chunk written
-        into one preallocated array.
+        The bank runs on ``_BANK_CHUNK`` images at a time, with no graph, so
+        each chunk shares its row spectra among the filters
+        (``UnitCircleBank.forward``) and every filter writes and normalizes
+        its response in place in the chunk's rows of one preallocated array.
         """
         images = np.asarray(images, dtype=self.dtype)
         out = np.empty((len(images), self.bank.out_channels) + images.shape[1:],
@@ -267,7 +271,7 @@ class IrisMatchModel:
         with T.no_grad():
             for start in range(0, len(images), _BANK_CHUNK):
                 chunk = images[start:start + _BANK_CHUNK]
-                out[start:start + len(chunk)] = self.bank.forward(Tensor(chunk[:, None])).data
+                self.bank.forward(Tensor(chunk[:, None]), out=out[start:start + len(chunk)])
         return Tensor(out)
 
     def pair_probabilities(self, feats, pairs):

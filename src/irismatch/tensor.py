@@ -46,7 +46,14 @@ order and accumulates gradients into every tensor that requires them.
   arithmetic but not in floating point, and a circular column shift of the
   input would then move the output by rounding noise instead of shifting
   it bitwise.  Direct taps give every column the same arithmetic, so the
-  bank stays exactly rotation-equivariant.
+  bank stays exactly rotation-equivariant.  ``wrap_conv_into`` takes the
+  row spectrum from its caller, so the convolutions of one input can share
+  it (``row_spectrum``), and writes into its caller's array: the bank's
+  no-graph pass transforms its input once per FFT length for all its
+  filters and writes each filter's response into that filter's channel
+  pair of the bank's output, where ``unit_normalize_pairs`` puts it on the
+  unit circle in place, in cache-sized slices, with the bits of
+  ``channel_l2_normalize``.
 
 Both skip the input gradient when the input does not require grad (the
 bank's input is the image; stage-1 matcher inputs are cached features).
@@ -83,8 +90,9 @@ _COL_BUDGET = 1 << 24
 # (32 MB), so its buffer is a reused heap block
 _TILE_BYTES = 1 << 22
 
-# elements per slice of ``elu``'s temporary and of ``elu_batch_norm``'s
-# in-place pass (512 KB of f64): a slice stays in cache between its ops
+# elements per slice of ``elu``'s temporary and of the in-place passes of
+# ``elu_batch_norm`` and ``unit_normalize_pairs`` (512 KB of f64): a slice
+# stays in cache between its ops
 _ELU_SLICE = 1 << 16
 
 _grad_enabled = True
@@ -236,9 +244,15 @@ def _wrap(value, dtype):
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+def records_graph(*tensors):
+    """Whether an op on ``tensors`` records a graph: grad is enabled and one
+    of them requires it."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 def _make(data, parents, backward_fn):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if records_graph(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -430,6 +444,34 @@ def channel_l2_normalize(a, eps=1e-12):
     return _make(data, (a,), backward)
 
 
+def unit_normalize_pairs(x, eps=1e-12):
+    """``channel_l2_normalize`` of a (B, 2, H, W) array, bit for bit,
+    overwriting ``x``, which it returns; it records no graph.
+
+    It runs that op's operations in its order on rows of one sample at a
+    time, at most ``_ELU_SLICE`` elements unless one row's pair is more, so
+    its temporaries stay in cache.  Pixels whose norm falls under ``eps`` (or is
+    NaN) become +0.0.
+    """
+    W = x.shape[3]
+    rows = max(1, _ELU_SLICE // (2 * W))
+    norm, sq = np.empty((2, min(rows, x.shape[2]), W), dtype=x.dtype)
+    dead = np.empty(norm.shape, dtype=bool)
+    for sample in x:
+        for r in range(0, x.shape[2], rows):
+            s = sample[:, r:r + rows]
+            n, t, d = norm[:s.shape[1]], sq[:s.shape[1]], dead[:s.shape[1]]
+            np.multiply(s[0], s[0], out=n)
+            n += np.multiply(s[1], s[1], out=t)
+            np.sqrt(n, out=n)
+            np.greater_equal(n, eps, out=d)
+            np.logical_not(d, out=d)
+            np.copyto(n, 1.0, where=d)
+            s /= n
+            np.copyto(s, 0.0, where=d)
+    return x
+
+
 def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
                training=True, momentum=0.1, eps=1e-5):
     """Per-channel batch normalization for (B, C, H, W) or (B, C) tensors.
@@ -501,7 +543,7 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     composes the two ops and leaves ``a`` unchanged.
     """
     x = a.data
-    if (training or _grad_enabled and any(t.requires_grad for t in (a, gamma, beta))
+    if (training or records_graph(a, gamma, beta)
             or x.ndim not in (2, 4) or not (x.flags.c_contiguous and x.flags.writeable)
             or running_mean is None or running_var is None
             or np.result_type(x, gamma.data, beta.data, running_mean, running_var) != x.dtype):
@@ -689,22 +731,37 @@ def _fft_len(n):
         n += 1
 
 
-def _wrap_conv(x, w):
-    """Same-size cross-correlation with zero rows and circular columns.
+def row_spectrum(x, L, pad):
+    """Real FFT of the rows of (B, C, H, W) ``x`` at length ``L`` (zero
+    padded), its columns extended circularly by ``pad`` on each side:
+    (B, C, L // 2 + 1, W + 2 pad)."""
+    W = x.shape[3]
+    if pad > W:
+        raise ShapeError(f"wrap pad of {pad} columns exceeds image width {W}")
+    xf = np.fft.rfft(x, n=L, axis=2)
+    return np.concatenate([xf[..., W - pad:], xf, xf[..., :pad]], axis=3)
+
+
+def wrap_conv_into(out, spectrum, w, b):
+    """Same-size cross-correlation with zero rows and circular columns,
+    plus the bias ``b`` (or None), written into the (B, Cout, H, W) array
+    ``out``, which it returns.
 
     Rows go through a real FFT zero-padded to L >= H + kh - 1, so the row
-    correlation is linear; columns take kw direct circular taps on the row
-    spectra.  Every output column sees the same arithmetic on its own
-    (shifted) inputs, so a circular column shift of ``x`` shifts the output
-    bitwise.
+    correlation is linear: ``spectrum(L)`` is the input's ``row_spectrum``
+    at that length, padded by at least kw // 2 columns, so the convolutions
+    of one input with several kernels can share it.  Columns take kw direct
+    circular taps on the row spectra.  Every output column sees the same
+    arithmetic on its own (shifted) inputs, so a circular column shift of
+    the input shifts the output bitwise.
     """
-    B, C, H, W = x.shape
-    Cout, _, kh, kw = w.shape
+    H, W = out.shape[2:]
+    C, kh, kw = w.shape[1:]
     ph, pw = kh // 2, kw // 2
     L = _fft_len(H + kh - 1)
-    xf = np.fft.rfft(x, n=L, axis=2)                                # (B, C, F, W)
-    xf = np.concatenate([xf[..., W - pw:], xf, xf[..., :pw]], axis=3)
-    taps = sliding_window_view(xf, W, axis=3)                       # (B, C, F, kw, W)
+    xf = spectrum(L)
+    pad = (xf.shape[3] - W) // 2
+    taps = sliding_window_view(xf[..., pad - pw:pad + W + pw], W, axis=3)  # (B, C, F, kw, W)
     # correlation along rows is convolution with the row-flipped kernel
     kf = np.fft.rfft(w[:, :, ::-1], n=L, axis=2)                    # (Cout, C, F, kw)
     kf = kf.transpose(1, 2, 0, 3)                                   # (C, F, Cout, kw)
@@ -712,7 +769,19 @@ def _wrap_conv(x, w):
     for c in range(1, C):
         yf += np.matmul(kf[c], taps[:, c])                          # (B, F, Cout, W)
     y = np.fft.irfft(yf, n=L, axis=1)[:, ph:ph + H]                 # (B, H, Cout, W)
-    return y.transpose(0, 2, 1, 3)
+    y = y.transpose(0, 2, 1, 3)
+    if b is None:
+        out[...] = y
+    else:
+        np.add(y, b[:, None, None], out=out)
+    return out
+
+
+def _wrap_conv(x, w, b=None):
+    """``wrap_conv_into`` a new array, from ``x``'s own row spectrum."""
+    out = np.empty((x.shape[0], w.shape[0]) + x.shape[2:],
+                   dtype=np.result_type(x, w, *(() if b is None else (b,))))
+    return wrap_conv_into(out, lambda L: row_spectrum(x, L, w.shape[3] // 2), w, b)
 
 
 def _wrap_weight_grad(g, x, kh, kw):
@@ -720,7 +789,7 @@ def _wrap_weight_grad(g, x, kh, kw):
 
     A 2-D transform (rows zero-padded, columns circular, both exact): the
     weight gradient sums over every position, so the column-shift argument
-    of ``_wrap_conv`` does not apply to it.
+    of ``wrap_conv_into`` does not apply to it.
     """
     H, W = x.shape[2:]
     L = _fft_len(H + kh - 1)
@@ -735,19 +804,11 @@ def _wrap_weight_grad(g, x, kh, kw):
 
 def _wrap_conv2d(a, weight, bias, stride):
     x, w = a.data, weight.data
-    Cout, Cin, kh, kw = w.shape
+    kh, kw = w.shape[2:]
     if stride != (1, 1):
         raise ValueError(f"wrap padding needs stride 1, got {stride}")
-    if kw // 2 > x.shape[3]:
-        raise ShapeError(f"wrap pad of {kw // 2} columns exceeds image width {x.shape[3]}")
     parents = (a, weight) if bias is None else (a, weight, bias)
-    data = np.empty((x.shape[0], Cout) + x.shape[2:],
-                    dtype=np.result_type(*(p.data for p in parents)))
-    y = _wrap_conv(x, w)
-    if bias is None:
-        data[...] = y
-    else:
-        np.add(y, bias.data[:, None, None], out=data)
+    data = _wrap_conv(x, w, None if bias is None else bias.data)
 
     def backward(g):
         # the transposed correlation: channels swapped, kernel flipped both ways

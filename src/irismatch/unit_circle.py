@@ -19,6 +19,14 @@ instead of shifting bitwise; the radial variant keeps the rotation
 equivariance exact.  ``T.pad2d(mode="wrap")`` followed by an unpadded conv
 is the explicit (im2col) form of the same layer, kept as the test oracle.
 
+With a graph to record (stage-2 training) the bank runs its layers as
+tensor ops and concatenates their responses.  With none (scoring, ``match``,
+validation and the stage-1 feature cache, all through
+``IrisMatchModel.bank_features``) it shares the row FFT of its input among
+its filters, one per FFT length (two for the default kernels), and each
+filter writes its response into its channel pair of one output array and
+normalizes it there in place.  Both paths give the same bits.
+
 Like every op, a layer computes in its operands' dtype: float64 in
 training, float32 in a model cast for scoring (``IrisMatchModel.astype``).
 The float32 bank keeps the bitwise rotation equivariance (the argument
@@ -27,6 +35,7 @@ above does not depend on the dtype).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,13 +84,21 @@ class UnitCircleFilter:
         self.weight, self.bias = init_conv(rng, (2, 1, kh, kw), bias, dtype)
 
 
-def uc_forward(x, f, mode="unit-circle"):
+def uc_forward(x, f, mode="unit-circle", out=None, spectrum=None):
     """Response of one layer: wrap conv, then the per-pixel nonlinearity.
 
     Output spatial size equals the input's.  In "unit-circle" mode every
     output 2-vector lies on the unit circle, except pixels whose raw response
     norm falls under NORM_EPS, which map to (0, 0) with zero gradient.
+
+    Given a (B, 2, H, W) array ``out`` ("unit-circle" mode, no graph), the
+    response is written there instead and normalized in place, from the row
+    spectra ``spectrum(L)`` of ``x`` (see ``T.wrap_conv_into``), and ``out``
+    is returned: the same bits as the tensor path.
     """
+    if out is not None:
+        T.wrap_conv_into(out, spectrum, f.weight.data, None if f.bias is None else f.bias.data)
+        return T.unit_normalize_pairs(out, eps=NORM_EPS)
     raw = T.conv2d(x, f.weight, f.bias, padding="wrap")
     if mode == "unit-circle":
         return T.channel_l2_normalize(raw, eps=NORM_EPS)
@@ -119,6 +136,34 @@ class UnitCircleBank:
                 out.append((f"bank.{i}.bias", f.bias))
         return out
 
-    def forward(self, x):
-        """Concatenate every filter's response along channels: (B,1,H,W) -> (B,2F,H,W)."""
-        return T.concat([uc_forward(x, f, self.mode) for f in self.filters], axis=1)
+    def forward(self, x, out=None):
+        """Every filter's response, concatenated along channels:
+        (B, 1, H, W) -> (B, 2F, H, W).
+
+        With a graph to record (stage-2 training), or in "relu" or "elu"
+        mode, each filter runs ``conv2d`` and its nonlinearity and
+        ``concat`` joins them.  Otherwise the bank works in one pass: it
+        takes ``x``'s row FFT once per distinct FFT length, padded
+        circularly once at the widest filter's half width, and each filter
+        (``uc_forward``) writes its response into its channel pair of one
+        output and normalizes it there.  Both give the same bits.  The
+        output is ``out`` if given (``bank_features`` passes its rows of a
+        chunk), which holds no graph.
+        """
+        params = [t for _, t in self.named_parameters()]
+        if self.mode != "unit-circle" or T.records_graph(x, *params):
+            y = T.concat([uc_forward(x, f, self.mode) for f in self.filters], axis=1)
+            if out is None:
+                return y
+            out[...] = y.data
+            return Tensor(out)
+        if x.ndim != 4 or x.shape[1] != 1:
+            raise ShapeError(f"a bank takes (B, 1, H, W) images, got {x.shape}")
+        if out is None:
+            out = np.empty((x.shape[0], self.out_channels) + x.shape[2:],
+                           dtype=np.result_type(x.data, *(t.data for t in params)))
+        pad = max(f.kw for f in self.filters) // 2
+        spectrum = functools.cache(lambda L: T.row_spectrum(x.data, L, pad))
+        for i, f in enumerate(self.filters):
+            uc_forward(x, f, self.mode, out=out[:, 2 * i:2 * i + 2], spectrum=spectrum)
+        return Tensor(out)

@@ -3,9 +3,16 @@
 ``pair_input`` builds the concatenated matcher input of one pair on the
 tape, the form ``pair_batch`` takes in training and ``PairFeatures`` keeps
 factorized at inference.  ``parameter_count`` counts learnable scalars.
+``blas_core`` names the BLAS kernel whose bits a bitwise test pins.
 """
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import os
+
+import numpy as np
 
 from irismatch import tensor as T
 from irismatch.tensor import ShapeError
@@ -26,3 +33,18 @@ def parameter_count(model):
     """
     named = model.named_parameters() if hasattr(model, "named_parameters") else model
     return int(sum(t.data.size for _, t in named))
+
+
+def blas_core():
+    """The OpenBLAS kernel numpy's GEMMs run on in this process (SkylakeX on
+    an AVX-512 host; OPENBLAS_CORETYPE picks another), or "unknown" where
+    numpy's bundled OpenBLAS is not found."""
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode("ascii")
+    return "unknown"

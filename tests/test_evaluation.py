@@ -200,9 +200,9 @@ def test_collect_scores_runs_bank_once_per_image(monkeypatch):
     seen = []
     forward = UnitCircleBank.forward
 
-    def counting_forward(bank, x):
+    def counting_forward(bank, x, **kwargs):
         seen.extend(img.tobytes() for img in x.data[:, 0])
-        return forward(bank, x)
+        return forward(bank, x, **kwargs)
 
     # on the class: the scorer runs the bank of a float32 copy of the model
     monkeypatch.setattr(UnitCircleBank, "forward", counting_forward)

@@ -438,8 +438,11 @@ def test_float32_scoring_keeps_every_activation_float32(monkeypatch):
     running statistic) would promote what follows back to float64: slower,
     with every score still right."""
     from irismatch.evaluation import ModelScorer
+    from irismatch.unit_circle import UnitCircleBank
 
-    ops = ("conv2d", "elu_batch_norm", "channel_l2_normalize", "concat",
+    # the bank's no-graph pass: its filters' responses and their in-place
+    # normalization, and the bank's output
+    ops = ("conv2d", "elu_batch_norm", "wrap_conv_into", "unit_normalize_pairs",
            "global_avg_pool", "sigmoid")
     seen = {}
     for op in ops:
@@ -449,13 +452,22 @@ def test_float32_scoring_keeps_every_activation_float32(monkeypatch):
             return out
 
         monkeypatch.setattr(T, op, recording)
+    forward = UnitCircleBank.forward
+
+    def recording_forward(bank, x, **kwargs):
+        out = forward(bank, x, **kwargs)
+        seen.setdefault("bank", set()).add(out.dtype)
+        return out
+
+    monkeypatch.setattr(UnitCircleBank, "forward", recording_forward)
     model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(86))
     images = np.random.default_rng(87).uniform(size=(4, 16, 32))
+    want = {op: {np.dtype(np.float32)} for op in ops + ("bank",)}
     ModelScorer(model).score_pairs(_store(images), np.stack(np.triu_indices(4, k=1), axis=1))
-    assert seen == {op: {np.dtype(np.float32)} for op in ops}
+    assert seen == want
     seen.clear()
     model.match_probability(images[0], images[1])
-    assert seen == {op: {np.dtype(np.float32)} for op in ops}
+    assert seen == want
 
 
 def test_float32_bank_features_bitwise_independent_of_chunk_full_geometry(monkeypatch):

@@ -1,7 +1,5 @@
 """Tests for the Adam optimizer and the two-stage training loop."""
 
-import ctypes
-import glob
 import hashlib
 import json
 import os
@@ -13,6 +11,7 @@ from irismatch.data import IdentityStore
 from irismatch.matcher import ConvBlockSpec, IrisMatchModel, ModelConfig
 from irismatch.tensor import ShapeError, Tensor
 from irismatch.training import Adam, TrainConfig, TrainLog, train
+from oracles import blas_core
 
 
 def adam_reference(grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8, w0=0.0):
@@ -258,21 +257,6 @@ def test_geometry_mismatch_rejected():
 # ---------------------------------------------------------------- golden logs
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_train_logs.json")
-
-
-def blas_core():
-    """The OpenBLAS kernel numpy's GEMMs run on in this process (SkylakeX on
-    an AVX-512 host; OPENBLAS_CORETYPE picks another), or "unknown" where
-    numpy's bundled OpenBLAS is not found."""
-    libs = os.path.dirname(np.__file__) + ".libs"
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode("ascii")
-    return "unknown"
 
 
 def assert_matches_golden(name, lines, hashes):

@@ -6,7 +6,9 @@ import pytest
 from irismatch import tensor as T
 from irismatch import unit_circle as uc
 from gradcheck import check_gradients, numerical_gradient, max_relative_error
+from irismatch.matcher import IrisMatchModel, ModelConfig
 from irismatch.tensor import ShapeError, Tensor
+from oracles import blas_core
 
 
 def modular_conv2d(x, w, b=None):
@@ -288,6 +290,76 @@ def test_bank_shift_equivariance_full_geometry():
     for s in (1, 33, 256, 511):
         shifted = bank.forward(Tensor(np.roll(x, s, axis=3))).data
         assert np.array_equal(shifted, np.roll(base, s, axis=3)), f"shift {s}"
+
+
+# ---------------------------------------------------------------- no-graph bank
+
+
+def graph_bank(bank, images):
+    """The bank as stage-2 training runs it: ``conv2d``, the nonlinearity
+    and ``concat`` per filter, recording a graph."""
+    assert all(t.requires_grad for _, t in bank.named_parameters())
+    y = T.concat([uc.uc_forward(Tensor(images[:, None]), f, bank.mode) for f in bank.filters],
+                 axis=1)
+    assert y.requires_grad
+    return y.data
+
+
+def assert_same_bits(got, want, case):
+    assert got.dtype == want.dtype, case
+    assert got.tobytes() == want.tobytes(), f"{case}, BLAS core {blas_core()}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", [1, 2, 17])      # 17 is more than _BANK_CHUNK
+@pytest.mark.parametrize("config", [ModelConfig()] + [ModelConfig.small(bank_mode=m)
+                                                      for m in uc.MODES],
+                         ids=["default-110x512"] + [f"small-32x128-{m}" for m in uc.MODES])
+def test_bank_features_bitwise_equal_the_graph_bank(config, count, dtype):
+    """``bank_features`` runs the bank with no graph: one row spectrum per
+    FFT length and in-place normalization in "unit-circle" mode, the
+    per-filter ops (the graph bank's) in the other modes."""
+    model = IrisMatchModel(config, rng=np.random.default_rng(90)).astype(dtype)
+    images = np.random.default_rng(91).uniform(size=(count, config.height, config.width))
+    want = graph_bank(model.bank, images.astype(dtype))
+    assert_same_bits(model.bank_features(images).data, want, (config.bank_mode, count, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bank_features_bitwise_without_bias_and_under_norm_eps(dtype):
+    """Without biases, and with one zero-bias filter over bands of zero and
+    of tiny (+-1e-15) columns wider than the widest kernel, whose pixels
+    fall under NORM_EPS and must map to +0.0 (a -0.0 or a leftover tiny
+    response fails the byte comparison)."""
+    rng = np.random.default_rng(93)
+    for bias in (False, True):
+        model = IrisMatchModel(ModelConfig(bank_bias=bias), rng=np.random.default_rng(92))
+        model = model.astype(dtype)
+        if bias:
+            model.bank.filters[4].bias.data[...] = 0.0
+        images = rng.uniform(size=(2, 110, 512))
+        images[:, :, 200:260] = 0.0
+        images[:, :, 300:360] = rng.uniform(-1e-15, 1e-15, size=(2, 110, 60))
+        got = model.bank_features(images).data
+        assert_same_bits(got, graph_bank(model.bank, images.astype(dtype)), (bias, dtype))
+        for band in (got[:, 8:10, :, 220:240], got[:, 8:10, :, 320:340]):
+            assert np.all(band == 0.0) and not np.signbit(band).any()
+
+
+@pytest.mark.parametrize("mode", uc.MODES)
+def test_only_the_unit_circle_bank_skips_concat_without_a_graph(monkeypatch, mode):
+    concats = []
+    concat = T.concat
+    monkeypatch.setattr(T, "concat", lambda *a, **k: concats.append(1) or concat(*a, **k))
+    model = IrisMatchModel(ModelConfig.small(bank_mode=mode), rng=np.random.default_rng(94))
+    model.bank_features(np.random.default_rng(95).uniform(size=(3, 32, 128)))
+    assert len(concats) == (mode != "unit-circle")
+
+
+def test_no_graph_bank_rejects_an_image_narrower_than_its_wrap_pad():
+    bank = uc.UnitCircleBank(kernels=[(3, 3), (3, 11)], rng=np.random.default_rng(96))
+    with T.no_grad(), pytest.raises(ShapeError, match="wrap pad of 5 columns"):
+        bank.forward(Tensor(np.ones((1, 1, 6, 4))))
 
 
 # ---------------------------------------------------------------- float32 bank
