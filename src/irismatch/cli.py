@@ -7,9 +7,10 @@ of its resolved configuration next to its outputs, sufficient to reproduce
 them bit-for-bit with the same seed.
 
 ``train`` writes its run directory through ``training.train``, then its
-snapshot; ``--resume true`` refuses, before any write, a directory without a
-snapshot or a train key that differs from it (bar ``epochs``, ``data_dir``,
-``out_dir``), and ``training.train`` refuses a store other than the run's.
+snapshot, which it never reads back: ``training.train`` owns the resume
+contract, so ``--resume true`` is refused, before any write, for a directory
+without a run, another architecture, another store, or a training key (bar
+``epochs``) other than the one recorded in the run's ``train_state.json``.
 
 Exit codes: 0 success (or match), 1 non-match, 2 usage or data error,
 3 numerical abort (training divergence).
@@ -276,26 +277,10 @@ def cmd_synth(cfg):
     return 0
 
 
-def _check_resumed_config(cfg, out_dir):
-    """A resumed run keeps every train key of its ``train_snapshot.cfg`` but
-    how far it trains and where its files are."""
-    path = os.path.join(out_dir, "train_snapshot.cfg")
-    if not os.path.isfile(path):
-        raise UsageError(f"resume: {out_dir} holds no run ({path} does not exist)")
-    saved = resolve_config("train", {}, path)
-    for key in COMMAND_KEYS["train"]:
-        if key not in ("epochs", "resume", "out_dir", "data_dir") and cfg[key] != saved[key]:
-            raise UsageError(
-                f"resume: {key} = {_format_value(cfg[key])}, not {_format_value(saved[key])} "
-                f"as in {path}; a run keeps its architecture and training config")
-
-
 def cmd_train(cfg):
     store = read_store(_require(cfg, "data_dir", "train"))
     out_dir = cfg["out_dir"] or "train_run"
     model_config = _model_config_from(cfg, store.height, store.width)
-    if cfg["resume"]:
-        _check_resumed_config(cfg, out_dir)
     _, log = train(store, _from_cfg(TrainConfig, cfg), model_config, out_dir,
                    resume=cfg["resume"])
     write_snapshot("train", cfg, out_dir)

@@ -113,10 +113,10 @@ class no_grad:
         return False
 
 
-def _as_array(data, dtype=None):
-    if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES and dtype is None:
+def _as_array(data):
+    if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES:
         return np.asarray(data)
-    return np.asarray(data, dtype=dtype or np.float64)
+    return np.asarray(data, dtype=np.float64)
 
 
 class Tensor:
@@ -124,8 +124,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -371,14 +371,13 @@ def sigmoid(a):
     return _make(data, (a,), backward)
 
 
-def elu(a, alpha=1.0):
-    """x where x > 0, else alpha * expm1(x); alpha >= 0."""
+def elu(a):
+    """x where x > 0, else expm1(x): the ELU with alpha 1."""
     x = a.data
     data = np.minimum(x, 0.0)
     np.expm1(data, out=data)
-    data *= alpha
     # + max(x, -0.0): adds x where x > 0 (to +0.0) and -0.0 elsewhere, which
-    # keeps a -0.0 of alpha * expm1(x); in slices over the fewest leading axes
+    # keeps a -0.0 of expm1(x); in slices over the fewest leading axes
     # that make a slice at most _ELU_SLICE elements, so the temporary stays
     # small (batch 1 included) instead of being a whole activation
     lead = min(next(k for k in range(x.ndim + 1) if math.prod(x.shape[k:]) <= _ELU_SLICE),
@@ -388,8 +387,8 @@ def elu(a, alpha=1.0):
         d += np.maximum(x[idx], -0.0)
 
     def backward(g):
-        # the output is <= 0 exactly where the input is (alpha >= 0)
-        return (g * np.where(data <= 0, data + alpha, 1.0),)
+        # the output is <= 0 exactly where the input is
+        return (g * np.where(data <= 0, data + 1.0, 1.0),)
 
     return _make(data, (a,), backward)
 
@@ -559,7 +558,7 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
         s = planes[k]
         p = np.maximum(s, -0.0, out=pos[:len(s)])
         np.minimum(s, 0.0, out=s)
-        np.expm1(s, out=s)          # elu's alpha is 1: its multiply changes no bit
+        np.expm1(s, out=s)
         s += p
         s -= mean[k]
         s *= inv[k]

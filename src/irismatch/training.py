@@ -18,10 +18,12 @@ model.
 With an ``out_dir``, ``train`` writes the run there once training ends (a
 run that raises before then leaves nothing): ``last.ckpt``, ``last.optim``,
 ``best.ckpt`` (the returned model), ``train_state.json`` (the epoch records,
-next epoch, Adam step counts and the store's SHA-256) and ``log.csv``.  A
-resumed run continues from these files to the same files as an
-uninterrupted run; a missing or malformed file, another architecture or
-another store is refused before any write.
+next epoch, Adam step counts, the store's SHA-256 and the training config,
+every ``TrainConfig`` field but ``epochs``) and ``log.csv``.  ``train`` owns
+the resume contract: a resumed run continues from these files to the same
+files as an uninterrupted run, and a missing or malformed file, another
+architecture, another store or another training config is refused before
+any write.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -171,11 +173,12 @@ def _store_sha256(store):
     return digest.hexdigest()
 
 
-def _load_run(out_dir, model, optimizer, log, store_sha256):
+def _load_run(out_dir, model, optimizer, log, store_sha256, config):
     """Fill ``model``, ``optimizer`` and ``log`` from the run saved in
-    ``out_dir``, which must have been trained on the store whose
-    ``_store_sha256`` is ``store_sha256``; returns (first epoch to train,
-    best state or None)."""
+    ``out_dir``; returns (first epoch to train, best state or None).  The
+    resume contract lives here: a run whose ``train_state.json`` holds another
+    training ``config`` or store SHA-256, or whose model has another
+    architecture, is refused before anything is filled."""
     state_path = os.path.join(out_dir, "train_state.json")
     if not os.path.isfile(state_path):
         raise ValueError(f"resume requested but {state_path} does not exist")
@@ -187,8 +190,13 @@ def _load_run(out_dir, model, optimizer, log, store_sha256):
         records = [EpochRecord(int(epoch), int(stage), float(loss), float(tar), float(wall))
                    for epoch, stage, loss, tar, wall in state["records"]]
         saved_sha256 = str(state["store_sha256"])
+        saved_config = {key: state["config"][key] for key in config}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{state_path}: malformed train state ({exc!r})") from exc
+    for key, value in config.items():
+        if saved_config[key] != value:
+            raise ValueError(f"resume: {key} = {value!r}, not {saved_config[key]!r} as in "
+                             f"{state_path}; a run keeps its training config")
     if saved_sha256 != store_sha256:
         raise ValueError(f"resume: {state_path} was trained on another store (SHA-256 "
                          f"{saved_sha256}, this store's is {store_sha256}); a run keeps its data")
@@ -229,7 +237,10 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
     optimizer = Adam(model.named_parameters(), config)
     log = TrainLog(selection_far=config.selection_far)
     store_sha256 = _store_sha256(store) if out_dir is not None else None
-    start_epoch, best_state = (_load_run(out_dir, model, optimizer, log, store_sha256)
+    # what a resumed run must keep: every field but epochs, as plain JSON numbers
+    kept = {f.name: type(f.default)(getattr(config, f.name)) for f in fields(config)
+            if f.name != "epochs"}
+    start_epoch, best_state = (_load_run(out_dir, model, optimizer, log, store_sha256, kept)
                                if resume else (0, None))
     n_prior = len(log.records)
 
@@ -307,6 +318,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
                             for r in log.records],
                 "steps": optimizer.steps,
                 "store_sha256": store_sha256,
+                "config": kept,
             }, fh, indent=1)
         log.write_csv(os.path.join(out_dir, "log.csv"), n_prior)
     return model, log

@@ -180,7 +180,8 @@ def _resume_args(changes):
 
 @pytest.mark.parametrize("flag,value", [("--seed", "9"), ("--lr", "0.5"),
                                         ("--batch_size", "4"), ("--stage1_epochs", "2"),
-                                        ("--selection_far", "0.5")])
+                                        ("--selection_far", "0.5"), ("--beta1", "0.5"),
+                                        ("--beta2", "0.99"), ("--adam_eps", "1e-06")])
 def test_train_resume_with_a_changed_training_key_exits_2(dataset, run_dir, tmp_path, capsys,
                                                           flag, value):
     import shutil
@@ -190,8 +191,28 @@ def test_train_resume_with_a_changed_training_key_exits_2(dataset, run_dir, tmp_
     code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed)]
                 + _resume_args({flag: value}))
     assert code == 2
-    assert flag[2:] in _one_line_error(capsys, resumed / "train_snapshot.cfg")
+    err = _one_line_error(capsys, resumed / "train_state.json")
+    assert f"{flag[2:]} = {value}, not " in err
     assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
+def test_train_resume_of_a_library_run_without_a_snapshot(dataset, tmp_path):
+    """The run directory, not the CLI's snapshot, holds what a resume keeps."""
+    from irismatch.cli import _from_cfg, _model_config_from
+    from irismatch.synthetic import read_store
+    from irismatch.training import TrainConfig, train
+
+    cfg = resolve_config("train", {flag[2:]: value
+                                   for flag, value in zip(TRAIN_ARGS[::2], TRAIN_ARGS[1::2])})
+    store = read_store(str(dataset))
+    run = tmp_path / "run"
+    train(store, _from_cfg(TrainConfig, cfg), _model_config_from(cfg, 8, 16), str(run))
+    assert not (run / "train_snapshot.cfg").exists()
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(run)]
+                + _resume_args({}))
+    assert code == 0
+    lines = (run / "log.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
 def test_train_resume_on_another_store_exits_2(run_dir, tmp_path, capsys):
@@ -550,9 +571,12 @@ def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_pa
                                        lambda state: {**state, "records": [["a", 1, 0, 0, 0]]},
                                        lambda state: [state],
                                        lambda state: {k: v for k, v in state.items()
-                                                      if k != "store_sha256"}],
+                                                      if k != "store_sha256"},
+                                       lambda state: {k: v for k, v in state.items()
+                                                      if k != "config"},
+                                       lambda state: {**state, "config": {"lr": 0.01}}],
                          ids=["no-records", "short-row", "text-epoch", "list",
-                              "no-store-sha256"])
+                              "no-store-sha256", "no-config", "short-config"])
 def test_train_resume_with_a_malformed_state_exits_2(dataset, run_dir, tmp_path, capsys,
                                                      malformed):
     import json
@@ -647,3 +671,22 @@ def test_resolve_config_precedence(tmp_path):
     assert merged["lr"] == 0.25
     assert merged["epochs"] == 7
     assert merged["batch_size"] == 32  # schema default
+
+
+def test_schema_defaults_build_the_library_defaults():
+    """SCHEMA repeats the library's defaults; the copies must agree."""
+    from irismatch.cli import _from_cfg, _model_config_from
+    from irismatch.evaluation import BitcodeScorer
+    from irismatch.iriscode import LogGaborSpec
+    from irismatch.matcher import ModelConfig
+    from irismatch.synthetic import SynthSpec
+    from irismatch.training import TrainConfig
+
+    assert _from_cfg(TrainConfig, resolve_config("train", {})) == TrainConfig()
+    assert _from_cfg(SynthSpec, resolve_config("synth", {})) == SynthSpec()
+    assert _model_config_from(resolve_config("train", {}), 110, 512) == ModelConfig()
+    baseline = resolve_config("baseline", {})
+    assert LogGaborSpec(wavelength=baseline["gabor_wavelength"],
+                        sigma_ratio=baseline["gabor_sigma_ratio"],
+                        row_step=baseline["row_step"]) == LogGaborSpec()
+    assert baseline["max_shift"] == BitcodeScorer().max_shift

@@ -1,8 +1,10 @@
 """Tests for the Adam optimizer and the two-stage training loop."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -252,6 +254,63 @@ def test_geometry_mismatch_rejected():
     store = toy_store(h=8, w=16)
     with pytest.raises(ValueError, match="geometry"):
         train(store, toy_train_config(), toy_model_config(h=10, w=16))
+
+
+# ---------------------------------------------------------------- resume
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """A two-epoch run directory written by ``train`` alone."""
+    run = tmp_path_factory.mktemp("train") / "run"
+    train(toy_store(), toy_train_config(stage1_epochs=1, epochs=2), toy_model_config(), str(run))
+    return run
+
+
+def _changed(value):
+    """Another valid value of a TrainConfig field."""
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainConfig)
+                                 if f.name != "epochs"])
+def test_resume_refuses_a_changed_training_key_before_any_write(toy_run, tmp_path, key):
+    run = tmp_path / "run"
+    shutil.copytree(toy_run, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    kept = toy_train_config(stage1_epochs=1, epochs=3)
+    config = dataclasses.replace(kept, **{key: _changed(getattr(kept, key))})
+    config.validate()
+    with pytest.raises(ValueError) as info:
+        train(toy_store(), config, toy_model_config(), str(run), resume=True)
+    assert str(info.value) == (
+        f"resume: {key} = {getattr(config, key)!r}, not {getattr(kept, key)!r} as in "
+        f"{run / 'train_state.json'}; a run keeps its training config")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_resume_with_more_epochs_continues_the_run(toy_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(toy_run, run)
+    config = toy_train_config(stage1_epochs=1, epochs=3)
+    _, log = train(toy_store(), config, toy_model_config(), str(run), resume=True)
+    assert [r.epoch for r in log.records] == [0, 1, 2]
+    state = json.loads((run / "train_state.json").read_text())
+    assert state["next_epoch"] == 3
+    assert state["config"] == {f.name: getattr(config, f.name)
+                               for f in dataclasses.fields(config) if f.name != "epochs"}
+
+
+def test_train_state_records_numpy_scalars_as_plain_numbers(tmp_path):
+    run = tmp_path / "run"
+    config = toy_train_config(seed=np.int64(1), batch_size=np.int32(8),
+                              selection_far=np.float32(0.25), epochs=1, stage1_epochs=1)
+    train(toy_store(), config, toy_model_config(), str(run))
+    saved = json.loads((run / "train_state.json").read_text())["config"]
+    assert (saved["seed"], saved["batch_size"], saved["selection_far"]) == (1, 8, 0.25)
+    _, log = train(toy_store(), toy_train_config(epochs=2, stage1_epochs=1),
+                   toy_model_config(), str(run), resume=True)
+    assert [r.epoch for r in log.records] == [0, 1]
 
 
 # ---------------------------------------------------------------- golden logs
