@@ -82,8 +82,9 @@ class ConvBlock:
 
     ELU and batch norm are one op, ``tensor.elu_batch_norm``: in eval
     scoring it overwrites the convolution's output in place, slice by
-    slice; in training, or with a graph to record, it runs ``elu`` then
-    ``batch_norm``.
+    slice; in training, or with a graph to record, it is one recorded op
+    that keeps only the convolution's output and its own, and recomputes
+    the rest in its backward.
     """
 
     def __init__(self, in_channels, spec: ConvBlockSpec, rng, dtype=np.float64):

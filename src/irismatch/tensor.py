@@ -32,9 +32,13 @@ order and accumulates gradients into every tensor that requires them.
   full column blocks take one, a short last block another.  Tiles start at
   multiples of 64 output positions, so every column falls in the same kind
   of block as in one whole-sample GEMM, and the output does not depend on
-  the tiling (tested bitwise).  The backward unrolls whole samples under
-  ``_COL_BUDGET``: the weight gradient sums over every output position of
-  a sample inside one GEMM, and row tiles would reorder that sum.  The zero
+  the tiling (tested bitwise).  The backward unrolls tiles of whole
+  samples under the same ``_TILE_BYTES`` (one sample where a sample is
+  more): the weight gradient sums over every output position of a sample
+  inside one GEMM, and row tiles would reorder that sum.  ``_COL_BUDGET``
+  now fixes only how those per-sample products are summed: in sample
+  order within groups of as many samples as it holds, each group's sum
+  added to the gradient, so the tiles leave its bits unchanged.  The zero
   padding is written into the columns, so no padded copy of the input is
   built and every column element is written before it is read.
 * wrap padding (the unit-circle bank): one real FFT along the rows (zero
@@ -58,13 +62,17 @@ order and accumulates gradients into every tensor that requires them.
 Both skip the input gradient when the input does not require grad (the
 bank's input is the image; stage-1 matcher inputs are cached features).
 
-``elu_batch_norm`` is every matcher block's ELU then batch norm.  In eval
-scoring, with no graph to record, it is elementwise work: it overwrites the
-convolution's output one cache-sized slice of (sample, channel) planes at a
-time, running the ops of ``elu`` then ``batch_norm`` in their order, so no
-whole-activation temporary is allocated and page-faulted and the output
-keeps their bits (operator fusion, as in Chen et al., "TVM",
-arXiv:1802.04799).  In training, or with a graph, it composes the two ops.
+``elu_batch_norm`` is every matcher block's ELU then batch norm, with the
+bits of ``batch_norm(elu(a))``.  In eval scoring, with no graph to record,
+it is elementwise work: it overwrites the convolution's output one
+cache-sized slice of (sample, channel) planes at a time, running the ops of
+``elu`` then ``batch_norm`` in their order, so no whole-activation
+temporary is allocated and page-faulted and the output keeps their bits
+(operator fusion, as in Chen et al., "TVM", arXiv:1802.04799).  In
+training, or with a graph, it is one recorded op that keeps only its input
+and its output: its backward recomputes the ELU output and x-hat from the
+input with the forward's operations.  ``batch_norm`` remains as its test
+reference.
 """
 
 from __future__ import annotations
@@ -81,13 +89,15 @@ class ShapeError(ValueError):
 
 _FLOAT_DTYPES = (np.float64, np.float32)
 
-# elements of im2col columns per backward GEMM (128 MB of f64): whole
-# samples, so each weight gradient sums a sample's positions in one GEMM
+# elements of im2col columns per summation group of the backward's weight
+# gradient (128 MB of f64): whole samples, whose per-sample products are
+# summed in sample order before the group's sum is added to the gradient
 _COL_BUDGET = 1 << 24
 
 # bytes of im2col columns per forward GEMM (at least the output rows of 64
-# positions): a cache-sized tile, far under glibc's largest mmap threshold
-# (32 MB), so its buffer is a reused heap block
+# positions) and per backward tile (at least one sample): a cache-sized
+# tile, far under glibc's largest mmap threshold (32 MB), so its buffer is a
+# reused heap block
 _TILE_BYTES = 1 << 22
 
 # elements per slice of ``elu``'s temporary and of the in-place passes of
@@ -271,6 +281,12 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _kept(a, b):
+    """``a`` as the ``out`` of a ufunc of ``a`` and ``b`` when its result has
+    ``a``'s dtype (so the in-place op has the new array's bits), else None."""
+    return a if np.result_type(a, b) == a.dtype else None
+
+
 # -- elementwise / reduction ops -------------------------------------------
 
 
@@ -371,9 +387,8 @@ def sigmoid(a):
     return _make(data, (a,), backward)
 
 
-def elu(a):
-    """x where x > 0, else expm1(x): the ELU with alpha 1."""
-    x = a.data
+def _elu_data(x):
+    """The ELU (alpha 1) of array ``x``: x where x > 0, else expm1(x)."""
     data = np.minimum(x, 0.0)
     np.expm1(data, out=data)
     # + max(x, -0.0): adds x where x > 0 (to +0.0) and -0.0 elsewhere, which
@@ -385,10 +400,26 @@ def elu(a):
     for idx in np.ndindex(x.shape[:lead]):
         d = data[idx]
         d += np.maximum(x[idx], -0.0)
+    return data
+
+
+def _elu_grad(g, data, inplace=False):
+    """The input gradient of the ELU whose output is ``data``: g times
+    data + 1.0 where data <= 0 (exactly where the input is), else 1.0.  The
+    slope is built in a new array, or in ``data`` itself with ``inplace``."""
+    flat = np.less_equal(data, 0)
+    np.logical_not(flat, out=flat)
+    slope = np.add(data, 1.0, out=data if inplace else None)
+    np.copyto(slope, 1.0, where=flat)
+    return np.multiply(g, slope, out=_kept(slope, g))
+
+
+def elu(a):
+    """x where x > 0, else expm1(x): the ELU with alpha 1."""
+    data = _elu_data(a.data)
 
     def backward(g):
-        # the output is <= 0 exactly where the input is
-        return (g * np.where(data <= 0, data + 1.0, 1.0),)
+        return (_elu_grad(g, data),)
 
     return _make(data, (a,), backward)
 
@@ -471,21 +502,16 @@ def unit_normalize_pairs(x, eps=1e-12):
     return x
 
 
-def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
-               training=True, momentum=0.1, eps=1e-5):
-    """Per-channel batch normalization for (B, C, H, W) or (B, C) tensors.
-
-    Train mode normalizes with batch statistics and, when running buffers are
-    supplied, updates them in place (unbiased variance, exponential moving
-    average).  Eval mode normalizes with the running buffers.
-    """
-    x = a.data
+def _bn_stats(x, running_mean, running_var, training, momentum, eps):
+    """(axes, cshape, mean, inv) of batch norm over (B, C, H, W) or (B, C)
+    array ``x``: the reduced axes, the per-channel broadcast shape, and the
+    mean and 1 / sqrt(var + eps) it normalizes with.  Train mode takes them
+    from the batch and updates the running buffers in place, when supplied;
+    eval mode takes a copy of the running mean."""
     if x.ndim not in (2, 4):
         raise ShapeError(f"batch_norm expects (B,C) or (B,C,H,W), got {x.shape}")
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     cshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
-    gam = gamma.data.reshape(cshape)
-
     if training:
         if x.shape[0] < 2:
             raise ValueError("batch_norm in train mode needs a batch of at least 2")
@@ -501,35 +527,61 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
     else:
         if running_mean is None or running_var is None:
             raise ValueError("batch_norm in eval mode needs running statistics")
-        mean = running_mean.reshape(cshape)
+        mean = running_mean.reshape(cshape).copy()
         var = running_var.reshape(cshape)
+    return axes, cshape, mean, 1.0 / np.sqrt(var + eps)
 
-    inv = 1.0 / np.sqrt(var + eps)
+
+def _bn_grads(g, xhat, gam, inv, axes, training):
+    """Batch norm's (input, gamma, beta) gradients from its normalized input
+    ``xhat``, which it overwrites, and the output gradient ``g``."""
+    ggamma = (g * xhat).sum(axis=axes)
+    gbeta = g.sum(axis=axes)
+    if not training:
+        return g * gam * inv, ggamma, gbeta
+    count = xhat.size // xhat.shape[1]
+    cshape = gam.shape
+    # gam * inv * (g - gbeta / count - xhat * ggamma / count), op by op,
+    # into buffers of their own where the dtypes allow
+    t = np.multiply(xhat, ggamma.reshape(cshape), out=_kept(xhat, ggamma))
+    t /= count
+    gx = g - gbeta.reshape(cshape) / count
+    gx = np.subtract(gx, t, out=_kept(gx, t))
+    del t
+    scale = gam * inv
+    return np.multiply(scale, gx, out=_kept(gx, scale)), ggamma, gbeta
+
+
+def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
+               training=True, momentum=0.1, eps=1e-5):
+    """Per-channel batch normalization for (B, C, H, W) or (B, C) tensors.
+
+    Train mode normalizes with batch statistics and, when running buffers are
+    supplied, updates them in place (unbiased variance, exponential moving
+    average).  Eval mode normalizes with the running buffers.
+
+    The matcher runs it only inside ``elu_batch_norm``; this op is that
+    one's test reference.
+    """
+    x = a.data
+    axes, cshape, mean, inv = _bn_stats(x, running_mean, running_var, training, momentum, eps)
+    gam = gamma.data.reshape(cshape)
     xhat = x - mean
     xhat *= inv
     data = gam * xhat
     data += beta.data.reshape(cshape)
-    count = x.size // x.shape[1]
 
     def backward(g):
-        ggamma = (g * xhat).sum(axis=axes)
-        gbeta = g.sum(axis=axes)
-        if training:
-            gx = gam * inv * (
-                g
-                - gbeta.reshape(cshape) / count
-                - xhat * ggamma.reshape(cshape) / count
-            )
-        else:
-            gx = g * gam * inv
-        return (gx, ggamma, gbeta)
+        return _bn_grads(g, xhat, gam, inv, axes, training)
 
     return _make(data, (a, gamma, beta), backward)
 
 
-def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5):
+def elu_batch_norm(a, gamma, beta, running_mean, running_var, training,
+                   momentum=0.1, eps=1e-5):
     """``batch_norm(elu(a), gamma, beta, running_mean, running_var, training)``,
-    bit for bit.
+    bit for bit: its output, its running-statistic updates and, in one
+    recorded op, the gradients of ``a``, ``gamma`` and ``beta``.
 
     In eval mode, with no graph to record and no operand that would promote
     ``a``'s dtype, it overwrites ``a``'s array with the output and returns a
@@ -537,16 +589,27 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     channel) planes, at most ``_ELU_SLICE`` elements unless one plane is more,
     and runs each slice through the ops of ``elu`` then ``batch_norm`` in
     their order while the slice is in cache.  One slice-sized buffer holds
-    ``max(x, -0.0)``, so no whole-activation temporary is made.  Otherwise
-    (training, a graph, a promotion, an array it cannot overwrite) it
-    composes the two ops and leaves ``a`` unchanged.
+    ``max(x, -0.0)``, so no whole-activation temporary is made.
+
+    Otherwise (training, a graph, a promotion, an array it cannot
+    overwrite) it leaves ``a`` unchanged and runs ``elu``'s operations, then
+    ``batch_norm``'s, turning the ELU's buffer into the output in place
+    where the dtypes allow.  It keeps only ``a`` and per-channel
+    statistics: its backward recomputes the ELU output and x-hat from ``a``
+    with the same operations, then runs batch norm's backward arithmetic,
+    then ELU's.  A matcher block thus holds two whole activations for the
+    backward (the convolution's output and its own), not four (Rota Bulo,
+    Porzi & Kontschieder, "In-Place Activated BatchNorm",
+    arXiv:1712.02616; Chen et al., "Training Deep Nets with Sublinear
+    Memory Cost", arXiv:1604.06174).
     """
     x = a.data
     if (training or records_graph(a, gamma, beta)
             or x.ndim not in (2, 4) or not (x.flags.c_contiguous and x.flags.writeable)
             or running_mean is None or running_var is None
             or np.result_type(x, gamma.data, beta.data, running_mean, running_var) != x.dtype):
-        return batch_norm(elu(a), gamma, beta, running_mean, running_var, training, eps=eps)
+        return _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training,
+                                  momentum, eps)
     n, c = x.shape[:2]
     planes = x.reshape(n * c, math.prod(x.shape[2:]))   # a view: plane j is channel j % c
     per = max(1, _ELU_SLICE // planes.shape[1])
@@ -565,6 +628,32 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
         s *= gam[k]
         s += bet[k]
     return Tensor(x)
+
+
+def _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, momentum, eps):
+    """``elu_batch_norm``'s recorded op (see there)."""
+    x = a.data
+    e = _elu_data(x)
+    axes, cshape, mean, inv = _bn_stats(e, running_mean, running_var, training, momentum, eps)
+    gam = gamma.data.reshape(cshape)
+
+    def standardized(e):
+        """``batch_norm``'s x-hat of ``e``, in ``e``'s buffer where the dtypes allow."""
+        xhat = np.subtract(e, mean, out=_kept(e, mean))
+        xhat *= inv
+        return xhat
+
+    xhat = standardized(e)
+    data = np.multiply(gam, xhat, out=_kept(xhat, gam))
+    data += beta.data.reshape(cshape)
+
+    def backward(g):
+        # the ELU output is recomputed twice, for x-hat and then for its
+        # slope, so at most one whole temporary is held beside the gradients
+        gx, ggamma, gbeta = _bn_grads(g, standardized(_elu_data(x)), gam, inv, axes, training)
+        return (_elu_grad(gx, _elu_data(x), inplace=True), ggamma, gbeta)
+
+    return _make(data, (a, gamma, beta), backward)
 
 
 # -- padding and convolution ---------------------------------------------------
@@ -659,6 +748,8 @@ def _conv_out_size(H, W, kh, kw, sh, sw):
 
 
 def _conv_batch_step(oh, ow, c, kh, kw):
+    """Samples per summation group of the weight gradient: as many as
+    ``_COL_BUDGET`` column elements hold."""
     per_sample = oh * ow * c * kh * kw
     return max(1, _COL_BUDGET // max(per_sample, 1))
 
@@ -689,8 +780,13 @@ def _conv_forward(x, w, b, sh, sw, ph, pw):
 def _conv_backward(g, x, w, sh, sw, ph, pw, need_gx):
     """Weight gradient, and the input gradient only when ``need_gx``.
 
-    Column contributions that fall into the zero padding are dropped, so
-    the input gradient has the unpadded input's shape.
+    Columns are unrolled in tiles of whole samples, at most ``_TILE_BYTES``
+    unless one sample is more.  Each sample's weight-gradient product is one
+    GEMM over all its positions; the products of a ``_conv_batch_step``
+    group are summed in sample order and each group's sum is added to the
+    gradient, so the tiles do not change its bits.  Column contributions
+    that fall into the zero padding are dropped, so the input gradient has
+    the unpadded input's shape.
     """
     B, C, H, W = x.shape
     Cout, Cin, kh, kw = w.shape
@@ -698,23 +794,27 @@ def _conv_backward(g, x, w, sh, sw, ph, pw, need_gx):
     wmat = w.reshape(Cout, -1)
     gw = np.zeros_like(wmat)
     gx = np.zeros_like(x) if need_gx else None
-    step = _conv_batch_step(oh, ow, C, kh, kw)
-    for b0 in range(0, B, step):
-        xb = x[b0:b0 + step]
-        n = xb.shape[0]
-        cols = _im2col(xb, kh, kw, sh, sw, ph, pw, oh, ow)
-        g2 = g[b0:b0 + n].reshape(n, Cout, oh * ow)
-        gw += np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-        if need_gx:
-            # the columns are read; their buffer takes the column gradient
-            gcols = np.matmul(wmat.T, g2, out=cols).reshape(n, C, kh, kw, oh, ow)
-            gxb = gx[b0:b0 + n]
-            for i in range(kh):
-                y0, y1, yi = _tap_range(i, ph, H, oh, sh)
-                for j in range(kw):
-                    x0, x1, xj = _tap_range(j, pw, W, ow, sw)
-                    gxb[:, :, yi:yi + sh * (y1 - y0):sh, xj:xj + sw * (x1 - x0):sw] += \
-                        gcols[:, :, i, j, y0:y1, x0:x1]
+    group = _conv_batch_step(oh, ow, C, kh, kw)
+    tile = max(1, _TILE_BYTES // (C * kh * kw * oh * ow * x.itemsize))
+    parts = np.empty((min(group, B),) + wmat.shape, dtype=np.result_type(g, x))
+    for b0 in range(0, B, group):
+        n = min(group, B - b0)
+        for t0 in range(b0, b0 + n, tile):
+            t1 = min(t0 + tile, b0 + n)
+            cols = _im2col(x[t0:t1], kh, kw, sh, sw, ph, pw, oh, ow)
+            g2 = g[t0:t1].reshape(t1 - t0, Cout, oh * ow)
+            np.matmul(g2, cols.transpose(0, 2, 1), out=parts[t0 - b0:t1 - b0])
+            if need_gx:
+                # the columns are read; their buffer takes the column gradient
+                gcols = np.matmul(wmat.T, g2, out=cols).reshape(t1 - t0, C, kh, kw, oh, ow)
+                gxb = gx[t0:t1]
+                for i in range(kh):
+                    y0, y1, yi = _tap_range(i, ph, H, oh, sh)
+                    for j in range(kw):
+                        x0, x1, xj = _tap_range(j, pw, W, ow, sw)
+                        gxb[:, :, yi:yi + sh * (y1 - y0):sh, xj:xj + sw * (x1 - x0):sw] += \
+                            gcols[:, :, i, j, y0:y1, x0:x1]
+        gw += parts[:n].sum(axis=0)
     return gx, gw.reshape(w.shape)
 
 

@@ -224,6 +224,8 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
     ``log.aborted`` set.
     """
     config.validate()
+    if resume and out_dir is None:
+        raise ValueError("resume needs the out_dir of the run to continue")
     model_config = model_config or ModelConfig()
     if (store.height, store.width) != (model_config.height, model_config.width):
         raise ValueError(

@@ -22,7 +22,7 @@ def defined_names(source):
     """(line, name) of every function, method and class defined in
     ``source``, dunders excluded."""
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
                 yield node.lineno, node.name
 

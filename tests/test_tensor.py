@@ -125,6 +125,45 @@ def test_conv2d_chunked_batches_match_loop(monkeypatch):
     assert np.max(np.abs(xt.grad - xe.grad)) <= 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_backward_sample_tiles_bitwise_equal_untiled(dtype, monkeypatch):
+    """A batch of 5 spans two weight-gradient summation groups (3 + 2
+    samples).  Tiles of one or two samples give the bits of one tile per
+    group, for the weight and the input gradient; no tile crosses a group.
+    The weight gradient adds each group's sum of per-sample products, summed
+    in sample order, to the gradient (a running sum over samples differs)."""
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(5, 3, 8, 12)).astype(dtype)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+    g = rng.normal(size=(5, 4, 8, 12)).astype(dtype)
+    per_sample = 3 * 9 * 8 * 12
+    monkeypatch.setattr(T, "_COL_BUDGET", 3 * per_sample)
+    seen = []
+    im2col = T._im2col
+
+    def recording(xb, *args):
+        seen.append(len(xb))
+        return im2col(xb, *args)
+
+    monkeypatch.setattr(T, "_im2col", recording)
+    grads, tiles = {}, {}
+    for budget in (1, 2 * per_sample * x.itemsize, 1 << 40):
+        monkeypatch.setattr(T, "_TILE_BYTES", budget)
+        seen.clear()
+        grads[budget] = T._conv_backward(g, x, w, 1, 1, 1, 1, True)
+        tiles[budget] = list(seen)
+    assert list(tiles.values()) == [[1] * 5, [2, 1, 2], [3, 2]]
+    for budget in (1, 2 * per_sample * x.itemsize):
+        for got, want in zip(grads[budget], grads[1 << 40]):
+            assert same_bits(got, want)
+    parts = np.stack([g[k].reshape(4, -1) @ im2col(x[k:k + 1], 3, 3, 1, 1, 1, 1, 8, 12)[0].T
+                      for k in range(5)])
+    gw = np.zeros_like(parts[0])
+    gw += parts[:3].sum(axis=0)
+    gw += parts[3:].sum(axis=0)
+    assert same_bits(grads[1][1], gw.reshape(w.shape))
+
+
 def im2col_oracle_conv(x, w, b, g, stride, padding):
     """Forward, weight gradient and input gradient of the im2col convolution
     built the plain way: each sample's columns from an ``as_strided`` view of a ``pad2d``-padded copy, the same GEMMs, and the
@@ -467,6 +506,76 @@ def test_elu_batch_norm_in_place_peak_is_one_slice():
     finally:
         tracemalloc.stop()
     assert peak <= T._ELU_SLICE * x.data.itemsize
+
+
+def elu_bn_step(op, x, gamma, beta, rm, rv, training, w):
+    """(output tensor, {name: array}) of ``op`` on fresh copies of the
+    operands, after the backward of sum(output * w): the output, the running
+    statistics and the gradients of the input, gamma and beta."""
+    xt = T.Tensor(x.copy(), requires_grad=True)
+    g, b = T.Tensor(gamma.copy(), requires_grad=True), T.Tensor(beta.copy(), requires_grad=True)
+    rm, rv = rm.copy(), rv.copy()
+    y = op(xt, g, b, rm, rv, training)
+    got = {"out": y.data.copy(), "running_mean": rm, "running_var": rv}
+    parents = y._parents
+    (y * T.Tensor(w)).sum().backward()
+    got.update(gx=xt.grad, ggamma=g.grad, gbeta=b.grad)
+    return parents, (xt, g, b), got
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape,dtype,param_dtype", [
+    ((5, 3), np.float64, np.float64),
+    ((4, 3, 5, 6), np.float64, np.float64),
+    ((4, 3, 5, 6), np.float32, np.float32),
+    ((4, 3, 5, 6), np.float32, np.float64),
+    ((2, 2, 130, 600), np.float32, np.float32),
+    ((2, 32, 110, 512), np.float64, np.float64),
+], ids=["2d-f64", "4d-f64", "4d-f32", "4d-f32-f64-params", "plane-over-slice-f32",
+        "block0-110x512-f64"])
+def test_elu_batch_norm_op_bitwise_equals_composition(shape, dtype, param_dtype, training):
+    """With a graph, in train and eval mode, the op is one recorded node
+    whose output, running-statistic updates and input, gamma and beta
+    gradients have the bits of ``batch_norm(elu(a))``."""
+    rng = np.random.default_rng(26)
+    x = rng.normal(scale=3.0, size=shape).astype(dtype)
+    fi = np.finfo(dtype)
+    special = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal, -fi.tiny / 4, -800.0]
+    x.reshape(-1)[:len(special)] = special
+    c = shape[1]
+    gamma, beta, rm = (rng.normal(size=c).astype(param_dtype) for _ in range(3))
+    rv = (rng.random(c) + 0.5).astype(param_dtype)
+    w = rng.normal(size=shape).astype(np.result_type(dtype, param_dtype))
+    parents, operands, got = elu_bn_step(T.elu_batch_norm, x, gamma, beta, rm, rv, training, w)
+    assert len(parents) == 3 and all(p is o for p, o in zip(parents, operands))
+    _, _, want = elu_bn_step(lambda a, *rest: T.batch_norm(T.elu(a), *rest),
+                             x, gamma, beta, rm, rv, training, w)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert same_bits(got[key], want[key]), key
+
+
+def test_elu_batch_norm_training_keeps_only_its_output():
+    """In training the op's graph holds one new activation, its output; the
+    composition also holds the ELU output and x-hat."""
+    import tracemalloc
+
+    rng = np.random.default_rng(27)
+    x = T.Tensor(rng.normal(size=(4, 8, 64, 64)), requires_grad=True)
+    gamma, beta = T.Tensor(np.ones(8), requires_grad=True), T.Tensor(np.zeros(8))
+    held = {}
+    for name, op in (("fused", T.elu_batch_norm),
+                     ("composed", lambda a, *rest: T.batch_norm(T.elu(a), *rest))):
+        tracemalloc.start()
+        try:
+            y = op(x, gamma, beta, np.zeros(8), np.ones(8), True)
+            held[name] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        del y
+    assert held["fused"] < 1.25 * x.data.nbytes
+    assert held["composed"] > 3 * x.data.nbytes
 
 
 def test_dropout_zero_rate_is_identity():

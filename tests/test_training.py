@@ -289,6 +289,17 @@ def test_resume_refuses_a_changed_training_key_before_any_write(toy_run, tmp_pat
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+def test_resume_without_out_dir_is_refused_before_any_work(monkeypatch):
+    import irismatch.training as training
+
+    def no_work(*args):
+        raise AssertionError("train() did work before refusing the resume")
+
+    monkeypatch.setattr(training, "enumerate_pairs", no_work)
+    with pytest.raises(ValueError, match="^resume needs the out_dir of the run to continue$"):
+        train(toy_store(), toy_train_config(), toy_model_config(), resume=True)
+
+
 def test_resume_with_more_epochs_continues_the_run(toy_run, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(toy_run, run)
