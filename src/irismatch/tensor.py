@@ -36,9 +36,9 @@ order and accumulates gradients into every tensor that requires them.
   samples under the same ``_TILE_BYTES`` (one sample where a sample is
   more): the weight gradient sums over every output position of a sample
   inside one GEMM, and row tiles would reorder that sum.  ``_COL_BUDGET``
-  now fixes only how those per-sample products are summed: in sample
-  order within groups of as many samples as it holds, each group's sum
-  added to the gradient, so the tiles leave its bits unchanged.  The zero
+  fixes only how those per-sample products are summed: in sample order
+  within groups of as many samples as it holds, each group's sum added to
+  the gradient, so the tiles leave its bits unchanged.  The zero
   padding is written into the columns, so no padded copy of the input is
   built and every column element is written before it is read.
 * wrap padding (the unit-circle bank): one real FFT along the rows (zero
@@ -403,15 +403,14 @@ def _elu_data(x):
     return data
 
 
-def _elu_grad(g, data, inplace=False):
-    """The input gradient of the ELU whose output is ``data``: g times
-    data + 1.0 where data <= 0 (exactly where the input is), else 1.0.  The
-    slope is built in a new array, or in ``data`` itself with ``inplace``."""
+def _elu_slope(data):
+    """The ELU's slope from its output ``data``, built in ``data``: data + 1.0
+    where data <= 0 (exactly where the input is), else 1.0."""
     flat = np.less_equal(data, 0)
     np.logical_not(flat, out=flat)
-    slope = np.add(data, 1.0, out=data if inplace else None)
-    np.copyto(slope, 1.0, where=flat)
-    return np.multiply(g, slope, out=_kept(slope, g))
+    data += 1.0
+    np.copyto(data, 1.0, where=flat)
+    return data
 
 
 def elu(a):
@@ -419,7 +418,7 @@ def elu(a):
     data = _elu_data(a.data)
 
     def backward(g):
-        return (_elu_grad(g, data),)
+        return (g * _elu_slope(data.copy()),)
 
     return _make(data, (a,), backward)
 
@@ -502,7 +501,7 @@ def unit_normalize_pairs(x, eps=1e-12):
     return x
 
 
-def _bn_stats(x, running_mean, running_var, training, momentum, eps):
+def _bn_stats(x, running_mean, running_var, training, eps, momentum=0.1):
     """(axes, cshape, mean, inv) of batch norm over (B, C, H, W) or (B, C)
     array ``x``: the reduced axes, the per-channel broadcast shape, and the
     mean and 1 / sqrt(var + eps) it normalizes with.  Train mode takes them
@@ -564,7 +563,7 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
     one's test reference.
     """
     x = a.data
-    axes, cshape, mean, inv = _bn_stats(x, running_mean, running_var, training, momentum, eps)
+    axes, cshape, mean, inv = _bn_stats(x, running_mean, running_var, training, eps, momentum)
     gam = gamma.data.reshape(cshape)
     xhat = x - mean
     xhat *= inv
@@ -577,8 +576,7 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
     return _make(data, (a, gamma, beta), backward)
 
 
-def elu_batch_norm(a, gamma, beta, running_mean, running_var, training,
-                   momentum=0.1, eps=1e-5):
+def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5):
     """``batch_norm(elu(a), gamma, beta, running_mean, running_var, training)``,
     bit for bit: its output, its running-statistic updates and, in one
     recorded op, the gradients of ``a``, ``gamma`` and ``beta``.
@@ -598,18 +596,17 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training,
     statistics: its backward recomputes the ELU output and x-hat from ``a``
     with the same operations, then runs batch norm's backward arithmetic,
     then ELU's.  A matcher block thus holds two whole activations for the
-    backward (the convolution's output and its own), not four (Rota Bulo,
-    Porzi & Kontschieder, "In-Place Activated BatchNorm",
-    arXiv:1712.02616; Chen et al., "Training Deep Nets with Sublinear
-    Memory Cost", arXiv:1604.06174).
+    backward, the convolution's output and its own, where the composition
+    holds four (Rota Bulo, Porzi & Kontschieder, "In-Place Activated
+    BatchNorm", arXiv:1712.02616; Chen et al., "Training Deep Nets with
+    Sublinear Memory Cost", arXiv:1604.06174).
     """
     x = a.data
     if (training or records_graph(a, gamma, beta)
             or x.ndim not in (2, 4) or not (x.flags.c_contiguous and x.flags.writeable)
             or running_mean is None or running_var is None
             or np.result_type(x, gamma.data, beta.data, running_mean, running_var) != x.dtype):
-        return _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training,
-                                  momentum, eps)
+        return _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, eps)
     n, c = x.shape[:2]
     planes = x.reshape(n * c, math.prod(x.shape[2:]))   # a view: plane j is channel j % c
     per = max(1, _ELU_SLICE // planes.shape[1])
@@ -630,11 +627,11 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training,
     return Tensor(x)
 
 
-def _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, momentum, eps):
+def _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, eps):
     """``elu_batch_norm``'s recorded op (see there)."""
     x = a.data
     e = _elu_data(x)
-    axes, cshape, mean, inv = _bn_stats(e, running_mean, running_var, training, momentum, eps)
+    axes, cshape, mean, inv = _bn_stats(e, running_mean, running_var, training, eps)
     gam = gamma.data.reshape(cshape)
 
     def standardized(e):
@@ -648,10 +645,11 @@ def _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, mome
     data += beta.data.reshape(cshape)
 
     def backward(g):
-        # the ELU output is recomputed twice, for x-hat and then for its
-        # slope, so at most one whole temporary is held beside the gradients
+        # the ELU output is recomputed for x-hat, then again for its slope,
+        # so one whole temporary at a time is held beside the gradients
         gx, ggamma, gbeta = _bn_grads(g, standardized(_elu_data(x)), gam, inv, axes, training)
-        return (_elu_grad(gx, _elu_data(x), inplace=True), ggamma, gbeta)
+        gx *= _elu_slope(_elu_data(x))
+        return gx, ggamma, gbeta
 
     return _make(data, (a, gamma, beta), backward)
 

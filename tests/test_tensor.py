@@ -465,7 +465,8 @@ def test_batch_norm_eval_bitwise_with_and_without_graph(shape, dtype):
                          ids=["2d", "planes-under-slice", "plane-over-slice"])
 def test_elu_batch_norm_bitwise_equals_composition(shape, dtype):
     """Under no_grad the op overwrites its input in slices; with a graph it
-    composes ``elu`` and ``batch_norm``.  Both give their bits."""
+    is one recorded op that leaves its input unchanged.  Both give the bits
+    of ``elu`` then ``batch_norm``."""
     rng = np.random.default_rng(14)
     x = rng.normal(scale=3.0, size=shape).astype(dtype)
     fi = np.finfo(dtype)
