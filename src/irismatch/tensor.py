@@ -71,7 +71,8 @@ temporary is allocated and page-faulted and the output keeps their bits
 (operator fusion, as in Chen et al., "TVM", arXiv:1802.04799).  In
 training, or with a graph, it is one recorded op that keeps only its input
 and its output: its backward recomputes the ELU output and x-hat from the
-input with the forward's operations.  ``batch_norm`` remains as its test
+input with the forward's operations, slice by slice, so the input gradient
+is the only whole array it allocates.  ``batch_norm`` remains as its test
 reference.
 """
 
@@ -405,11 +406,10 @@ def _elu_data(x):
 
 def _elu_slope(data):
     """The ELU's slope from its output ``data``, built in ``data``: data + 1.0
-    where data <= 0 (exactly where the input is), else 1.0."""
-    flat = np.less_equal(data, 0)
-    np.logical_not(flat, out=flat)
+    where data <= 0 (exactly where the input is), else 1.0.  ``fmin`` takes
+    0.0 over a NaN, whose slope is 1.0 too."""
+    np.fmin(data, 0.0, out=data)
     data += 1.0
-    np.copyto(data, 1.0, where=flat)
     return data
 
 
@@ -531,24 +531,34 @@ def _bn_stats(x, running_mean, running_var, training, eps, momentum=0.1):
     return axes, cshape, mean, 1.0 / np.sqrt(var + eps)
 
 
-def _bn_grads(g, xhat, gam, inv, axes, training):
-    """Batch norm's (input, gamma, beta) gradients from its normalized input
-    ``xhat``, which it overwrites, and the output gradient ``g``."""
-    ggamma = (g * xhat).sum(axis=axes)
-    gbeta = g.sum(axis=axes)
+def _bn_input_grad(g, xhat, gam, inv, ggamma, gbeta, count, training):
+    """Batch norm's input gradient from the output gradient ``g``, the
+    normalized input ``xhat`` (which it overwrites) and the per-channel
+    ``gam``, ``inv`` and gradients of gamma and beta, each shaped to
+    broadcast against them; ``count`` values make each channel's statistics."""
     if not training:
-        return g * gam * inv, ggamma, gbeta
-    count = xhat.size // xhat.shape[1]
-    cshape = gam.shape
+        return g * gam * inv
     # gam * inv * (g - gbeta / count - xhat * ggamma / count), op by op,
     # into buffers of their own where the dtypes allow
-    t = np.multiply(xhat, ggamma.reshape(cshape), out=_kept(xhat, ggamma))
+    t = np.multiply(xhat, ggamma, out=_kept(xhat, ggamma))
     t /= count
-    gx = g - gbeta.reshape(cshape) / count
+    gx = g - gbeta / count
     gx = np.subtract(gx, t, out=_kept(gx, t))
-    del t
     scale = gam * inv
-    return np.multiply(scale, gx, out=_kept(gx, scale)), ggamma, gbeta
+    return np.multiply(scale, gx, out=_kept(gx, scale))
+
+
+def _standardize(e, mean, inv):
+    """Batch norm's x-hat of ``e``, in ``e``'s buffer where the dtypes allow."""
+    xhat = np.subtract(e, mean, out=_kept(e, mean))
+    xhat *= inv
+    return xhat
+
+
+def _per_plane(n, *channel_values):
+    """Each array of per-channel values as a column with one value per
+    (sample, channel) plane of ``n`` samples."""
+    return [np.tile(np.reshape(v, -1), n)[:, None] for v in channel_values]
 
 
 def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
@@ -571,7 +581,11 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
     data += beta.data.reshape(cshape)
 
     def backward(g):
-        return _bn_grads(g, xhat, gam, inv, axes, training)
+        ggamma = (g * xhat).sum(axis=axes)
+        gbeta = g.sum(axis=axes)
+        gx = _bn_input_grad(g, xhat, gam, inv, ggamma.reshape(cshape), gbeta.reshape(cshape),
+                            x.size // x.shape[1], training)
+        return gx, ggamma, gbeta
 
     return _make(data, (a, gamma, beta), backward)
 
@@ -595,11 +609,14 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     where the dtypes allow.  It keeps only ``a`` and per-channel
     statistics: its backward recomputes the ELU output and x-hat from ``a``
     with the same operations, then runs batch norm's backward arithmetic,
-    then ELU's.  A matcher block thus holds two whole activations for the
+    then ELU's, in cache-sized slices of whole planes (gamma's gradient sums
+    a whole array of g * x-hat, whose buffer the input gradient then takes
+    over).  A matcher block thus holds two whole activations for the
     backward, the convolution's output and its own, where the composition
-    holds four (Rota Bulo, Porzi & Kontschieder, "In-Place Activated
-    BatchNorm", arXiv:1712.02616; Chen et al., "Training Deep Nets with
-    Sublinear Memory Cost", arXiv:1604.06174).
+    holds four, and its backward allocates one more (Rota Bulo, Porzi &
+    Kontschieder, "In-Place Activated BatchNorm", arXiv:1712.02616; Chen
+    et al., "Training Deep Nets with Sublinear Memory Cost",
+    arXiv:1604.06174).
     """
     x = a.data
     if (training or records_graph(a, gamma, beta)
@@ -610,8 +627,8 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     n, c = x.shape[:2]
     planes = x.reshape(n * c, math.prod(x.shape[2:]))   # a view: plane j is channel j % c
     per = max(1, _ELU_SLICE // planes.shape[1])
-    mean, inv, gam, bet = (np.tile(v, n)[:, None] for v in (
-        running_mean, 1.0 / np.sqrt(running_var + eps), gamma.data, beta.data))
+    mean, inv, gam, bet = _per_plane(
+        n, running_mean, 1.0 / np.sqrt(running_var + eps), gamma.data, beta.data)
     pos = np.empty((min(per, n * c), planes.shape[1]), dtype=x.dtype)
     for j in range(0, n * c, per):
         k = slice(j, j + per)
@@ -633,23 +650,36 @@ def _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, eps)
     e = _elu_data(x)
     axes, cshape, mean, inv = _bn_stats(e, running_mean, running_var, training, eps)
     gam = gamma.data.reshape(cshape)
-
-    def standardized(e):
-        """``batch_norm``'s x-hat of ``e``, in ``e``'s buffer where the dtypes allow."""
-        xhat = np.subtract(e, mean, out=_kept(e, mean))
-        xhat *= inv
-        return xhat
-
-    xhat = standardized(e)
+    xhat = _standardize(e, mean, inv)
     data = np.multiply(gam, xhat, out=_kept(xhat, gam))
     data += beta.data.reshape(cshape)
 
     def backward(g):
-        # the ELU output is recomputed for x-hat, then again for its slope,
-        # so one whole temporary at a time is held beside the gradients
-        gx, ggamma, gbeta = _bn_grads(g, standardized(_elu_data(x)), gam, inv, axes, training)
-        gx *= _elu_slope(_elu_data(x))
-        return gx, ggamma, gbeta
+        # elementwise work goes over cache-sized slices of whole (sample,
+        # channel) planes, and recomputes the ELU output and x-hat from x
+        # there: once for g * x-hat, whose sum is gamma's gradient, and once
+        # for the input gradient, which takes over that product's buffer
+        n, c = x.shape[:2]
+        xp, gp = x.reshape(n * c, -1), g.reshape(n * c, -1)
+        per = max(1, _ELU_SLICE // xp.shape[1])
+        cuts = [slice(j, j + per) for j in range(0, n * c, per)]
+        m, v, gm = _per_plane(n, mean, inv, gam)
+        prod = np.empty(gp.shape, np.result_type(g, x, mean))
+        for k in cuts:
+            np.multiply(gp[k], _standardize(_elu_data(xp[k]), m[k], v[k]), out=prod[k])
+        ggamma = prod.reshape(g.shape).sum(axis=axes)
+        gbeta = g.sum(axis=axes)
+        gg, gb = _per_plane(n, ggamma, gbeta)
+        gx = None
+        for k in cuts:
+            e = _elu_data(xp[k])
+            d = _bn_input_grad(gp[k], _standardize(e.copy(), m[k], v[k]), gm[k], v[k],
+                               gg[k], gb[k], x.size // c, training)
+            if gx is None:      # the gradient's dtype is the first slice's
+                dtype = np.result_type(d, e)
+                gx = prod if prod.dtype == dtype else np.empty(gp.shape, dtype)
+            np.multiply(d, _elu_slope(e), out=gx[k])
+        return gx.reshape(x.shape), ggamma, gbeta
 
     return _make(data, (a, gamma, beta), backward)
 

@@ -556,27 +556,35 @@ def test_elu_batch_norm_op_bitwise_equals_composition(shape, dtype, param_dtype,
         assert same_bits(got[key], want[key]), key
 
 
-def test_elu_batch_norm_training_keeps_only_its_output():
+def test_elu_batch_norm_training_memory():
     """In training the op's graph holds one new activation, its output; the
-    composition also holds the ELU output and x-hat."""
+    composition also holds the ELU output and x-hat.  The op's backward
+    allocates one more, the input gradient, and cache-sized slices."""
     import tracemalloc
 
     rng = np.random.default_rng(27)
-    x = T.Tensor(rng.normal(size=(4, 8, 64, 64)), requires_grad=True)
-    gamma, beta = T.Tensor(np.ones(8), requires_grad=True), T.Tensor(np.zeros(8))
-    held = {}
+    x = T.Tensor(rng.normal(size=(16, 32, 64, 64)), requires_grad=True)
+    g = rng.normal(size=x.shape)
+    gamma, beta = T.Tensor(np.ones(32), requires_grad=True), T.Tensor(np.zeros(32))
+    held, backward = {}, {}
     for name, op in (("fused", T.elu_batch_norm),
                      ("composed", lambda a, *rest: T.batch_norm(T.elu(a), *rest))):
         tracemalloc.start()
         try:
-            y = op(x, gamma, beta, np.zeros(8), np.ones(8), True)
+            y = op(x, gamma, beta, np.zeros(32), np.ones(32), True)
             held[name] = tracemalloc.get_traced_memory()[0]
+            if name == "fused":
+                tracemalloc.reset_peak()
+                grads = y._backward_fn(g)
+                backward[name] = tracemalloc.get_traced_memory()[1] - held[name]
+                del grads
         finally:
             tracemalloc.stop()
         assert y.requires_grad
         del y
     assert held["fused"] < 1.25 * x.data.nbytes
     assert held["composed"] > 3 * x.data.nbytes
+    assert backward["fused"] < 1.5 * x.data.nbytes
 
 
 def test_dropout_zero_rate_is_identity():
