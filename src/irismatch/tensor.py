@@ -670,11 +670,12 @@ def _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, eps)
         ggamma = prod.reshape(g.shape).sum(axis=axes)
         gbeta = g.sum(axis=axes)
         gg, gb = _per_plane(n, ggamma, gbeta)
+        count = x.size // c
         gx = None
         for k in cuts:
             e = _elu_data(xp[k])
             d = _bn_input_grad(gp[k], _standardize(e.copy(), m[k], v[k]), gm[k], v[k],
-                               gg[k], gb[k], x.size // c, training)
+                               gg[k], gb[k], count, training)
             if gx is None:      # the gradient's dtype is the first slice's
                 dtype = np.result_type(d, e)
                 gx = prod if prod.dtype == dtype else np.empty(gp.shape, dtype)

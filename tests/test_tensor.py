@@ -510,9 +510,10 @@ def test_elu_batch_norm_in_place_peak_is_one_slice():
 
 
 def elu_bn_step(op, x, gamma, beta, rm, rv, training, w):
-    """(output tensor, {name: array}) of ``op`` on fresh copies of the
-    operands, after the backward of sum(output * w): the output, the running
-    statistics and the gradients of the input, gamma and beta."""
+    """Run ``op`` on fresh copies of the operands, then the backward of
+    sum(output * w).  Returns the output's parents, the (input, gamma, beta)
+    tensors, and {name: array} of the output, the running statistics and the
+    gradients of the input, gamma and beta."""
     xt = T.Tensor(x.copy(), requires_grad=True)
     g, b = T.Tensor(gamma.copy(), requires_grad=True), T.Tensor(beta.copy(), requires_grad=True)
     rm, rv = rm.copy(), rv.copy()
@@ -566,7 +567,7 @@ def test_elu_batch_norm_training_memory():
     x = T.Tensor(rng.normal(size=(16, 32, 64, 64)), requires_grad=True)
     g = rng.normal(size=x.shape)
     gamma, beta = T.Tensor(np.ones(32), requires_grad=True), T.Tensor(np.zeros(32))
-    held, backward = {}, {}
+    held = {}
     for name, op in (("fused", T.elu_batch_norm),
                      ("composed", lambda a, *rest: T.batch_norm(T.elu(a), *rest))):
         tracemalloc.start()
@@ -575,16 +576,15 @@ def test_elu_batch_norm_training_memory():
             held[name] = tracemalloc.get_traced_memory()[0]
             if name == "fused":
                 tracemalloc.reset_peak()
-                grads = y._backward_fn(g)
-                backward[name] = tracemalloc.get_traced_memory()[1] - held[name]
-                del grads
+                y._backward_fn(g)
+                backward = tracemalloc.get_traced_memory()[1] - held[name]
         finally:
             tracemalloc.stop()
         assert y.requires_grad
         del y
     assert held["fused"] < 1.25 * x.data.nbytes
     assert held["composed"] > 3 * x.data.nbytes
-    assert backward["fused"] < 1.5 * x.data.nbytes
+    assert backward < 1.5 * x.data.nbytes
 
 
 def test_dropout_zero_rate_is_identity():
