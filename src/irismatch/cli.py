@@ -6,6 +6,15 @@ Unknown keys are rejected.  Every command writes a ``key = value`` snapshot
 of its resolved configuration next to its outputs, sufficient to reproduce
 them bit-for-bit with the same seed.
 
+Every default is defined once.  Where a library object has the default,
+``SCHEMA`` reads it from there: ``SynthSpec`` owns the synth keys,
+``TrainConfig`` the training keys and ``seed``, ``ModelConfig`` the bank
+keys (``bank_nonlinearity`` is its ``bank_mode``),
+``default_matcher_blocks()`` the three ``matcher_*`` keys, and
+``LogGaborSpec`` ``gabor_wavelength``, ``gabor_sigma_ratio`` and
+``row_step``.  The other defaults (``max_shift``, ``far``, ``threshold``,
+``resume`` and the paths) are the command line's own.
+
 ``train`` writes its run directory through ``training.train``, then its
 snapshot, which it never reads back: ``training.train`` owns the resume
 contract, so ``--resume true`` is refused, before any write, for a directory
@@ -32,7 +41,7 @@ from .evaluation import (BitcodeScorer, ModelScorer, collect_scores, emit_roc_cs
                          read_roc_csv, roc, tar_at_far)
 from .iris_io import read_image
 from .iriscode import LogGaborSpec
-from .matcher import ConvBlockSpec, ModelConfig
+from .matcher import ConvBlockSpec, ModelConfig, default_matcher_blocks
 from .normalize import resize_vertical
 from .synthetic import SynthSpec, generate, read_store, write_store
 from .training import TrainConfig, train
@@ -82,44 +91,51 @@ _PARSERS = {
     "fars": _parse_fars,
 }
 
+# the matcher_* defaults (see the module docstring for the other owners)
+_BLOCKS = default_matcher_blocks()
+
 # key -> (type tag, default, help)
 SCHEMA = {
     "command": ("str", None, "informational; written by snapshots"),
-    "seed": ("int", 0, "root RNG seed"),
+    "seed": ("int", TrainConfig.seed, "root RNG seed"),
     "data_dir": ("str", None, "dataset directory holding manifest.json"),
     "out_dir": ("str", None, "directory for outputs"),
-    "identities": ("int", 40, "synthetic identities"),
-    "images_per_identity": ("int", 8, "images per synthetic identity"),
-    "height": ("int", 110, "rows of a normalized iris"),
-    "width": ("int", 512, "columns of a normalized iris"),
-    "texture_bands": ("int", 6, "sinusoid bands per synthetic texture"),
-    "rotation_range": ("int", 4, "max circular column shift within an identity"),
-    "noise_sigma": ("float", 0.05, "additive Gaussian noise level"),
-    "occlusion_prob": ("float", 0.3, "probability of an occlusion band per image"),
-    "occlusion_max_rows": ("int", 0, "max occlusion band height (0: height/8)"),
-    "lr": ("float", 0.01, "Adam learning rate"),
-    "batch_size": ("int", 32, "pairs per training batch"),
-    "stage1_epochs": ("int", 100, "epochs with the filter bank frozen"),
-    "epochs": ("int", 1000, "total training epochs"),
-    "selection_far": ("float", 1e-3, "FAR level for validation model selection"),
-    "beta1": ("float", 0.9, "Adam first-moment coefficient"),
-    "beta2": ("float", 0.999, "Adam second-moment coefficient"),
-    "adam_eps": ("float", 1e-8, "Adam epsilon"),
-    "bank_kernels": ("kernels", _parse_kernels("7x9,7x17,11x17,11x33,15x33"),
+    "identities": ("int", SynthSpec.identities, "synthetic identities"),
+    "images_per_identity": ("int", SynthSpec.images_per_identity, "images per synthetic identity"),
+    "height": ("int", SynthSpec.height, "rows of a normalized iris"),
+    "width": ("int", SynthSpec.width, "columns of a normalized iris"),
+    "texture_bands": ("int", SynthSpec.texture_bands, "sinusoid bands per synthetic texture"),
+    "rotation_range": ("int", SynthSpec.rotation_range,
+                       "max circular column shift within an identity"),
+    "noise_sigma": ("float", SynthSpec.noise_sigma, "additive Gaussian noise level"),
+    "occlusion_prob": ("float", SynthSpec.occlusion_prob,
+                       "probability of an occlusion band per image"),
+    "occlusion_max_rows": ("int", SynthSpec.occlusion_max_rows,
+                           "max occlusion band height (0: height/8)"),
+    "lr": ("float", TrainConfig.lr, "Adam learning rate"),
+    "batch_size": ("int", TrainConfig.batch_size, "pairs per training batch"),
+    "stage1_epochs": ("int", TrainConfig.stage1_epochs, "epochs with the filter bank frozen"),
+    "epochs": ("int", TrainConfig.epochs, "total training epochs"),
+    "selection_far": ("float", TrainConfig.selection_far,
+                      "FAR level for validation model selection"),
+    "beta1": ("float", TrainConfig.beta1, "Adam first-moment coefficient"),
+    "beta2": ("float", TrainConfig.beta2, "Adam second-moment coefficient"),
+    "adam_eps": ("float", TrainConfig.adam_eps, "Adam epsilon"),
+    "bank_kernels": ("kernels", ModelConfig.bank_kernels,
                      "filter-bank kernel sizes <kh>x<kw>, comma separated"),
-    "bank_bias": ("bool", True, "filter-bank convolutions carry a bias"),
-    "bank_nonlinearity": ("str", "unit-circle",
+    "bank_bias": ("bool", ModelConfig.bank_bias, "filter-bank convolutions carry a bias"),
+    "bank_nonlinearity": ("str", ModelConfig.bank_mode,
                           "unit-circle (l2 projection), relu, or elu"),
-    "matcher_channels": ("ints", (32, 64, 96, 128, 160), "matcher block widths"),
-    "matcher_strides": ("ints", (1, 2, 2, 2, 2), "matcher block strides"),
-    "matcher_dropout": ("floats", (0.0, 0.0, 0.3, 0.3, 0.0), "matcher dropout rates"),
+    "matcher_channels": ("ints", tuple(b.out_channels for b in _BLOCKS), "matcher block widths"),
+    "matcher_strides": ("ints", tuple(b.stride[0] for b in _BLOCKS), "matcher block strides"),
+    "matcher_dropout": ("floats", tuple(b.dropout for b in _BLOCKS), "matcher dropout rates"),
     "resume": ("bool", False, "continue a previous run found in out_dir"),
     "checkpoint": ("str", None, "model checkpoint path"),
     "far": ("fars", (1e-1, 1e-2, 1e-3, 1e-4), "FAR targets in (0, 1], comma separated"),
     "threshold": ("float", 0.5, "match decision threshold on the probability"),
-    "gabor_wavelength": ("float", 18.0, "log-Gabor center wavelength in pixels"),
-    "gabor_sigma_ratio": ("float", 0.5, "log-Gabor sigma/f0 bandwidth ratio"),
-    "row_step": ("int", 2, "bitcode row subsampling factor"),
+    "gabor_wavelength": ("float", LogGaborSpec.wavelength, "log-Gabor center wavelength in pixels"),
+    "gabor_sigma_ratio": ("float", LogGaborSpec.sigma_ratio, "log-Gabor sigma/f0 bandwidth ratio"),
+    "row_step": ("int", LogGaborSpec.row_step, "bitcode row subsampling factor"),
     "max_shift": ("int", 8, "bitcode rotation search range in columns"),
     "roc_csv": ("str", None, "ROC curve CSV (threshold,far,tar)"),
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,8 @@ def rebalance_epoch(pairs: PairSet, rng):
     imposters drawn uniformly without replacement, shuffled together.
 
     Returns (pair_array, labels) with labels 1.0 authentic / 0.0 imposter.
-    If there are fewer imposters than authentic pairs, all are taken and a
-    warning is recorded on the result.
+    If there are fewer imposters than authentic pairs, all are taken and
+    ``warnings.warn`` says so.
     """
     n_pos = pairs.n_positive
     if n_pos == 0:
@@ -150,7 +151,6 @@ def rebalance_epoch(pairs: PairSet, rng):
         pick = rng.choice(pairs.n_negative, size=n_pos, replace=False)
         negatives = pairs.imposter[pick]
     else:
-        import warnings
         warnings.warn(f"only {pairs.n_negative} imposter pairs for {n_pos} authentic; using all")
         negatives = pairs.imposter
     sample = np.concatenate([pairs.authentic, negatives], axis=0)

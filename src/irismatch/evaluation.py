@@ -162,20 +162,16 @@ class BitcodeScorer:
 
     higher_is_match = False
 
-    def __init__(self, gabor_spec=None, max_shift=8, masks=None):
-        from .iriscode import LogGaborSpec
-
-        self.gabor_spec = gabor_spec or LogGaborSpec()
+    def __init__(self, gabor_spec, max_shift):
+        self.gabor_spec = gabor_spec
         self.max_shift = max_shift
-        self.masks = masks
 
     def score_pairs(self, store, pair_array):
         from .iriscode import encode, match_pairs
 
         pair_array = np.asarray(pair_array, dtype=np.intp).reshape(-1, 2)
         used, local = np.unique(pair_array, return_inverse=True)
-        codes = (encode(store.images[i], mask=None if self.masks is None else self.masks[i],
-                        spec=self.gabor_spec) for i in used)
+        codes = (encode(store.images[i], spec=self.gabor_spec) for i in used)
         return match_pairs(codes, local.reshape(-1, 2), self.max_shift)[0]
 
 

@@ -90,32 +90,25 @@ def log_gabor_transfer(width, spec: LogGaborSpec):
     return transfer
 
 
-def encode(img, mask=None, spec: LogGaborSpec = LogGaborSpec()):
+def encode(img, spec: LogGaborSpec = LogGaborSpec()):
     """Encode a normalized iris (H, W) into a Bitcode.
 
-    Mask bits are cleared where the source mask is 0 or where the response
-    magnitude falls under MAGNITUDE_FLOOR times the row's peak magnitude
-    (sign bits of near-zero responses are noise).
+    Mask bits are cleared where the response magnitude falls under
+    MAGNITUDE_FLOOR times the row's peak magnitude (sign bits of near-zero
+    responses are noise).
     """
     spec.validate()
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {img.shape}")
-    if mask is None:
-        mask = np.ones(img.shape, dtype=np.uint8)
-    else:
-        mask = np.asarray(mask)
-        if mask.shape != img.shape:
-            raise ValueError(f"mask shape {mask.shape} != image shape {img.shape}")
 
     rows = img[::spec.row_step]
-    row_mask = mask[::spec.row_step].astype(bool)
     transfer = log_gabor_transfer(img.shape[1], spec)
     response = np.fft.ifft(np.fft.fft(rows, axis=1) * transfer[None, :], axis=1)
 
     magnitude = np.abs(response)
     floor = np.maximum(MAGNITUDE_FLOOR * magnitude.max(axis=1, keepdims=True), _ABS_FLOOR)
-    valid = (magnitude >= floor) & row_mask
+    valid = magnitude >= floor
 
     h, w = rows.shape
     bits = np.zeros((h, 2 * w), dtype=np.uint8)

@@ -59,6 +59,14 @@ class ConvBlockSpec:
     stride: tuple = (1, 1)
     dropout: float = 0.0
 
+    def __post_init__(self):
+        if self.out_channels < 1:
+            raise ValueError(f"block width must be at least 1, got {self.out_channels}")
+        if len(self.stride) != 2 or min(self.stride) < 1:
+            raise ValueError(f"block stride must be two positive steps, got {self.stride}")
+        if not 0.0 <= self.dropout < 1.0:                # NaN fails too
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout}")
+
 
 def default_matcher_blocks():
     """Five blocks, 20->32->64->96->128->160, stride 2 on blocks 2-5,

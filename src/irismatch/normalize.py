@@ -1,85 +1,14 @@
-"""Rubber-sheet unwrapping of the iris annulus into a polar rectangle.
+"""Vertical resampling of a normalized iris to another number of rows.
 
-Given the pupil and iris circles (segmentation is an input, not a concern of
-this module), the annulus between them is sampled onto an H x W grid: columns
-sweep the angle [0, 2pi) uniformly, rows interpolate linearly from the pupil
-boundary (row 0) to the iris boundary (row H-1).  Source pixels are sampled
-bilinearly and the result is min-max rescaled to [0, 1].
-
-Angles are measured from the positive x axis (columns) toward the positive
-y axis (rows), so a feature at angle pi/2 lands near column W/4.
+``eval`` and ``match`` feed a model images of its own height: a store or an
+image with another row count is resampled column by column with linear
+interpolation, the first and last rows kept in place.  Columns (the angle)
+are never resampled, so a width mismatch is an error, not a resize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class EyeCircles:
-    """Pupil and iris boundary circles, in pixel coordinates (x right, y down)."""
-
-    pupil_x: float
-    pupil_y: float
-    pupil_r: float
-    iris_x: float
-    iris_y: float
-    iris_r: float
-
-    def validate(self):
-        if self.pupil_r <= 0 or self.iris_r <= 0:
-            raise ValueError(f"degenerate radii: pupil {self.pupil_r}, iris {self.iris_r}")
-        if self.pupil_r >= self.iris_r:
-            raise ValueError(f"pupil radius {self.pupil_r} must be smaller than iris radius {self.iris_r}")
-        center_gap = np.hypot(self.iris_x - self.pupil_x, self.iris_y - self.pupil_y)
-        if center_gap + self.pupil_r > self.iris_r + 1e-9:
-            raise ValueError("pupil disc is not contained in the iris disc")
-
-
-def _bilinear(image, xs, ys):
-    h, w = image.shape
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)
-    fy = np.clip(ys - y0, 0.0, 1.0)
-    top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
-    bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
-
-
-def rubber_sheet(image, circles: EyeCircles, height=110, width=512):
-    """Unwrap the iris annulus of a grayscale raster into an (H, W) array in [0, 1]."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D grayscale raster, got shape {image.shape}")
-    circles.validate()
-    img_h, img_w = image.shape
-    for cx, cy, r in ((circles.iris_x, circles.iris_y, circles.iris_r),):
-        if cx - r < -0.5 or cy - r < -0.5 or cx + r > img_w - 0.5 or cy + r > img_h - 0.5:
-            raise ValueError("iris circle extends outside the image")
-
-    theta = 2.0 * np.pi * np.arange(width) / width
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    px = circles.pupil_x + circles.pupil_r * cos_t
-    py = circles.pupil_y + circles.pupil_r * sin_t
-    ix = circles.iris_x + circles.iris_r * cos_t
-    iy = circles.iris_y + circles.iris_r * sin_t
-
-    frac = (np.arange(height) / (height - 1))[:, None]
-    xs = px[None, :] * (1 - frac) + ix[None, :] * frac
-    ys = py[None, :] * (1 - frac) + iy[None, :] * frac
-    out = _bilinear(image, xs, ys)
-
-    lo, hi = out.min(), out.max()
-    if hi > lo:
-        out = (out - lo) / (hi - lo)
-    else:
-        out = np.zeros_like(out)
-    return out
 
 
 def resize_vertical(img, target_height):

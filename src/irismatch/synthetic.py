@@ -56,10 +56,13 @@ class SynthSpec:
             raise ValueError("noise sigma must be non-negative")
         if not 0.0 <= self.occlusion_prob <= 1.0:
             raise ValueError("occlusion probability must be in [0, 1]")
+        if self.occlusion_max_rows < 0:
+            raise ValueError(f"occlusion max rows must be non-negative (0: height/8), "
+                             f"got {self.occlusion_max_rows}")
 
     @property
     def max_occlusion_rows(self):
-        return self.occlusion_max_rows if self.occlusion_max_rows > 0 else max(1, self.height // 8)
+        return self.occlusion_max_rows or max(1, self.height // 8)
 
 
 def _base_texture(spec: SynthSpec, rng):

@@ -162,10 +162,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
         self.grad = None

@@ -63,8 +63,11 @@ class TrainConfig:
     def validate(self):
         if not 0.0 < self.lr < math.inf:                 # NaN fails too
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("batch size and epochs must be positive")
+        if self.batch_size < 2:
+            raise ValueError(f"batch size must be at least 2 (batch norm needs two pairs), "
+                             f"got {self.batch_size}")
+        if self.epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0 <= self.stage1_epochs <= self.epochs:
             raise ValueError(f"stage-1 epochs {self.stage1_epochs} must lie in [0, {self.epochs}]")
         if not 0.0 < self.selection_far <= 1.0:

@@ -255,6 +255,27 @@ def test_train_non_finite_step_size_exits_2_before_any_epoch(dataset, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--batch_size", "1", "batch norm needs two pairs"),
+    ("--matcher_dropout", "-0.5", "dropout rate"),
+    ("--matcher_dropout", "1", "dropout rate"),
+    ("--matcher_channels", "0", "block width"),
+    ("--matcher_strides", "0", "block stride"),
+])
+def test_train_bad_batch_or_block_exits_2_and_creates_nothing(dataset, tmp_path, capsys,
+                                                              flag, value, message):
+    args = dict(zip(TRAIN_ARGS[::2], TRAIN_ARGS[1::2]))
+    args[flag] = value
+    out = tmp_path / "out"
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(out)]
+                + [item for pair in args.items() for item in pair])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_train_resume_without_a_run_exits_2_and_creates_nothing(dataset, tmp_path, capsys):
     out = tmp_path / "nothing_here"
     code = main(["train", "--data_dir", str(dataset), "--out_dir", str(out)]
@@ -674,9 +695,8 @@ def test_resolve_config_precedence(tmp_path):
 
 
 def test_schema_defaults_build_the_library_defaults():
-    """SCHEMA repeats the library's defaults; the copies must agree."""
+    """SCHEMA's defaults build the library's default objects."""
     from irismatch.cli import _from_cfg, _model_config_from
-    from irismatch.evaluation import BitcodeScorer
     from irismatch.iriscode import LogGaborSpec
     from irismatch.matcher import ModelConfig
     from irismatch.synthetic import SynthSpec
@@ -689,4 +709,3 @@ def test_schema_defaults_build_the_library_defaults():
     assert LogGaborSpec(wavelength=baseline["gabor_wavelength"],
                         sigma_ratio=baseline["gabor_sigma_ratio"],
                         row_step=baseline["row_step"]) == LogGaborSpec()
-    assert baseline["max_shift"] == BitcodeScorer().max_shift

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from irismatch.data import IdentityStore, enumerate_pairs
+from irismatch.data import enumerate_pairs
 from irismatch.evaluation import BitcodeScorer, collect_scores
 from irismatch.iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, encode,
                                 log_gabor_transfer, masked_hamming, match_pairs,
@@ -119,14 +119,14 @@ def test_dc_invariance():
     assert np.array_equal(a.bits[joint], b.bits[joint])
 
 
-def test_encode_respects_source_mask_and_row_step():
+def test_encode_row_step_keeps_every_kth_row():
     rng = np.random.default_rng(82)
     img = rng.uniform(size=(8, 32))
-    mask = np.ones_like(img, dtype=np.uint8)
-    mask[0, :5] = 0
-    code = encode(img, mask=mask, spec=LogGaborSpec(8.0, 0.5, 2))
+    code = encode(img, spec=LogGaborSpec(8.0, 0.5, 2))
     assert code.bits.shape == (4, 64)
-    assert np.all(code.mask[0, 0:10] == 0)
+    every_row = encode(img[::2], spec=LogGaborSpec(8.0, 0.5, 1))
+    assert np.array_equal(code.bits, every_row.bits)
+    assert np.array_equal(code.mask, every_row.mask)
 
 
 def test_encode_is_deterministic():
@@ -142,8 +142,6 @@ def test_spec_validation():
         LogGaborSpec(wavelength=2.0).validate()
     with pytest.raises(ValueError):
         LogGaborSpec(sigma_ratio=1.0).validate()
-    with pytest.raises(ValueError):
-        encode(np.zeros((4, 8)), mask=np.ones((3, 8)))
 
 
 # ---------------------------------------------------------------- hamming
@@ -347,9 +345,8 @@ def test_packed_kernel_rejects_bad_input():
     assert scores.shape == shifts.shape == (0,)
 
 
-def scorer_oracle(store, pairs, spec, max_shift, masks=None):
-    codes = [encode(img, mask=None if masks is None else masks[k], spec=spec)
-             for k, img in enumerate(store.images)]
+def scorer_oracle(store, pairs, spec, max_shift):
+    codes = [encode(img, spec=spec) for img in store.images]
     return np.array([shift_sweep_loop(codes[q], codes[r], max_shift)[0] for q, r in pairs])
 
 
@@ -364,19 +361,3 @@ def test_bitcode_scorer_bitwise_equals_loop_on_synthetic_store():
     want_imp = scorer_oracle(store, pairs.imposter, spec, 3)
     assert scores.authentic.tobytes() == want_auth.tobytes()
     assert scores.imposter.tobytes() == want_imp.tobytes()
-
-
-def test_bitcode_scorer_with_masks_bitwise_equals_loop():
-    rng = np.random.default_rng(97)
-    store = IdentityStore(images=rng.uniform(size=(5, 6, 36)), identity_of=[0, 0, 1, 1, 2],
-                          identity_ids=["a", "b", "c"])
-    masks = (rng.random((5, 6, 36)) < 0.7).astype(np.uint8)
-    masks[2] = 0
-    masks[2, :, :4] = 1                      # image 2 keeps a narrow strip
-    spec = LogGaborSpec(wavelength=6.0, sigma_ratio=0.5, row_step=1)
-    pairs = np.array([(0, 1), (2, 3), (4, 0), (1, 2), (3, 3), (2, 4)])
-    got = BitcodeScorer(spec, max_shift=4, masks=masks).score_pairs(store, pairs)
-    assert got.tobytes() == scorer_oracle(store, pairs, spec, 4, masks).tobytes()
-    # masks are used: without them the scores change
-    assert not np.array_equal(got, BitcodeScorer(spec, max_shift=4).score_pairs(store, pairs))
-

@@ -258,6 +258,27 @@ def test_checkpoint_of_a_block_without_bn_or_3x3_rejected(tmp_path, block1, erro
     assert str(path) in str(err.value) and "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(out_channels=0), "block width"),
+    (dict(out_channels=-2), "block width"),
+    (dict(stride=(0, 1)), "block stride"),
+    (dict(stride=(2, 0)), "block stride"),
+    (dict(stride=(2,)), "block stride"),
+    (dict(dropout=-0.5), "dropout rate"),
+    (dict(dropout=1.0), "dropout rate"),
+    (dict(dropout=float("nan")), "dropout rate"),
+])
+def test_block_spec_refuses_a_bad_block(kwargs, message):
+    spec = dict(out_channels=4, stride=(2, 2), dropout=0.3) | kwargs
+    with pytest.raises(ValueError, match=message):
+        ConvBlockSpec(**spec)
+    meta = tiny_config().to_dict()
+    meta["matcher"][0] = {"out": spec["out_channels"], "stride": list(spec["stride"]),
+                          "dropout": spec["dropout"]}
+    with pytest.raises(ValueError, match=message):
+        ModelConfig.from_dict(meta)
+
+
 def test_matcher_without_blocks_rejected():
     with pytest.raises(ValueError, match="at least one conv block"):
         MatcherModel(8, blocks=())

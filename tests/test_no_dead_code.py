@@ -14,7 +14,6 @@ PACKAGE = ROOT / "src" / "irismatch"
 # elsewhere, or is deleted, leaves the list
 ALLOWED = {
     "shift_bitcode",    # the test oracle of rotations for the bitcode matcher
-    "rubber_sheet",     # the paper's normalization step
 }
 
 

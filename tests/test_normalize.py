@@ -1,107 +1,11 @@
-"""Tests for rubber-sheet unwrapping, vertical resizing, and image file I/O."""
+"""Tests for vertical resizing and image file I/O."""
 
 import numpy as np
 import pytest
 
 from irismatch.iris_io import (FileFormatError, read_image, read_iris_raw, read_pgm,
                                write_iris_raw, write_pgm)
-from irismatch.normalize import EyeCircles, resize_vertical, rubber_sheet
-
-
-def render_eye(size, fn):
-    """Evaluate fn(x, y) on a size x size pixel grid."""
-    ys, xs = np.mgrid[0:size, 0:size].astype(float)
-    return fn(xs, ys)
-
-
-CONCENTRIC = EyeCircles(64, 64, 20, 64, 64, 55)
-
-
-# ---------------------------------------------------------------- rubber_sheet
-
-
-def test_radial_function_gives_constant_rows():
-    img = render_eye(128, lambda x, y: np.hypot(x - 64, y - 64) / 91.0)
-    out = rubber_sheet(img, CONCENTRIC, height=20, width=64)
-    spread = out.max(axis=1) - out.min(axis=1)
-    assert np.max(spread) < 1e-3
-
-
-def test_bright_dot_lands_at_expected_cell():
-    H, W = 40, 128
-    r_mid = 0.5 * (CONCENTRIC.pupil_r + CONCENTRIC.iris_r)
-    dot_x = 64 + r_mid * np.cos(np.pi / 2)
-    dot_y = 64 + r_mid * np.sin(np.pi / 2)
-    img = render_eye(128, lambda x, y: np.exp(-((x - dot_x) ** 2 + (y - dot_y) ** 2) / 4.0))
-    out = rubber_sheet(img, CONCENTRIC, height=H, width=W)
-    row, col = np.unravel_index(np.argmax(out), out.shape)
-    assert abs(col - W // 4) <= 1
-    assert abs(row - (H - 1) / 2) <= 1
-
-
-def test_output_shape_default_geometry():
-    img = render_eye(192, lambda x, y: (x + y) / 384.0)
-    circles = EyeCircles(96, 96, 25, 96, 96, 80)
-    out = rubber_sheet(img, circles)
-    assert out.shape == (110, 512)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_rubber_sheet_rescales_to_unit_interval():
-    img = render_eye(128, lambda x, y: 40.0 + 20.0 * np.sin(x / 9.0) * np.cos(y / 7.0))
-    out = rubber_sheet(img, CONCENTRIC, height=16, width=64)
-    assert out.min() == 0.0
-    assert out.max() == 1.0
-
-
-def test_constant_image_gives_zeros():
-    img = np.full((128, 128), 7.0)
-    out = rubber_sheet(img, CONCENTRIC, height=8, width=32)
-    assert np.all(out == 0.0)
-
-
-def test_circle_validation_errors():
-    img = np.zeros((128, 128))
-    with pytest.raises(ValueError, match="radius"):
-        rubber_sheet(img, EyeCircles(64, 64, 30, 64, 64, 20))
-    with pytest.raises(ValueError, match="degenerate"):
-        rubber_sheet(img, EyeCircles(64, 64, 0, 64, 64, 20))
-    with pytest.raises(ValueError, match="outside"):
-        rubber_sheet(img, EyeCircles(64, 64, 20, 64, 64, 80))
-    with pytest.raises(ValueError, match="contained"):
-        rubber_sheet(img, EyeCircles(30, 64, 20, 64, 64, 50))
-
-
-def test_dilation_invariance():
-    # the same continuous scene rendered at 1x and 2x unwraps to the same rectangle
-    def scene(x, y, scale):
-        return 0.5 + 0.4 * np.sin(np.hypot(x - 64 * scale, y - 64 * scale) / (12.0 * scale)) \
-            * np.cos(np.arctan2(y - 64 * scale, x - 64 * scale) * 2)
-
-    img1 = render_eye(128, lambda x, y: scene(x, y, 1))
-    img2 = render_eye(256, lambda x, y: scene(x, y, 2))
-    c2 = EyeCircles(128, 128, 40, 128, 128, 110)
-    out1 = rubber_sheet(img1, CONCENTRIC, height=24, width=96)
-    out2 = rubber_sheet(img2, c2, height=24, width=96)
-    assert np.max(np.abs(out1 - out2)) < 1e-3
-
-
-def test_rotation_shifts_columns():
-    W = 128
-    delta = 2.0 * np.pi * 10 / W  # exactly 10 columns
-
-    def scene(x, y, rot):
-        ang = np.arctan2(y - 64, x - 64) - rot
-        rad = np.hypot(x - 64, y - 64)
-        return 0.5 + 0.25 * np.cos(5 * ang) + 0.2 * np.sin(rad / 5.0)
-
-    out0 = rubber_sheet(render_eye(128, lambda x, y: scene(x, y, 0.0)),
-                        CONCENTRIC, height=16, width=W)
-    out1 = rubber_sheet(render_eye(128, lambda x, y: scene(x, y, delta)),
-                        CONCENTRIC, height=16, width=W)
-    best = min(range(-2, 3), key=lambda s: np.abs(np.roll(out0, 10 + s, axis=1) - out1).max())
-    assert abs(best) <= 1
-    assert np.abs(np.roll(out0, 10 + best, axis=1) - out1).max() < 0.05
+from irismatch.normalize import resize_vertical
 
 
 # ---------------------------------------------------------------- resize

@@ -89,6 +89,8 @@ def test_spec_validation():
         small_spec(noise_sigma=-0.1).validate()
     with pytest.raises(ValueError):
         small_spec(identities=0).validate()
+    with pytest.raises(ValueError, match="occlusion max rows"):
+        small_spec(occlusion_max_rows=-1).validate()
 
 
 def test_baseline_anchor_same_identity_scores_zero():

@@ -137,6 +137,10 @@ def test_train_config_validation():
             TrainConfig(adam_eps=bad).validate()
     with pytest.raises(ValueError):
         TrainConfig(selection_far=0.0).validate()
+    for bad in (1, 0):
+        with pytest.raises(ValueError, match="batch norm needs two pairs"):
+            TrainConfig(batch_size=bad).validate()
+    TrainConfig(batch_size=2).validate()
     TrainConfig().validate()
 
 
