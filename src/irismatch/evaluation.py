@@ -132,9 +132,11 @@ class ModelScorer:
     (training, which keeps float64 as its determinism reference, validates
     with ``dtype=np.float64``).  The bank runs once per distinct image
     (``bank_features``); the matcher scores the pairs through
-    ``IrisMatchModel.pair_probabilities``, which runs block 0 once per
-    distinct image and side of a chunk of pairs and streams block 0 through
-    the head in sub-batches whose largest activation fits a byte budget.
+    ``IrisMatchModel.pair_probabilities``: one chunk of pairs per tile of
+    reference images, the query images streamed through it.  Block 0 runs
+    once per distinct image and side of a chunk, and each half output lives
+    only from its first use to its last.  Sub-batches whose largest
+    activation fits a byte budget carry block 0 through the head.
     ``match_probability`` takes the same path, so a pair scores bitwise the
     same through either at the same dtype."""
 

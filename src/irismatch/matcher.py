@@ -17,10 +17,13 @@ call and never kept.  Inference keeps the pair input factorized
 W_q*f(q) + b + W_r*f(r), so each distinct image of a chunk of pairs goes
 through the half of the weight its side needs once, and a pair costs one
 add.  ``MatcherModel.forward`` has one body for both inputs;
-``IrisMatchModel.pair_probabilities`` owns the batching of inference: chunks
-of pairs, taken in query x reference tiles, whose half outputs fit
-``_HALF_BUDGET``, and within a chunk sub-batches whose largest activation
-fits ``_ACTIVATION_BUDGET``.
+``IrisMatchModel.pair_probabilities`` owns the batching of inference: one
+chunk of pairs per tile of reference images, the query images streamed
+through it, and within a chunk sub-batches whose largest activation fits
+``_ACTIVATION_BUDGET``.  A half output lives from the first row of its
+chunk that reads it to the last, so a tile's reference halves and one
+sub-batch's query halves fit ``_HALF_BUDGET`` (a tile has at least one
+reference image, whatever the budget).
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from .tensor import ShapeError, Tensor
 # (16 images at 110x512 in float32: 4.4, 8.3 and 8.2 MB)
 _BANK_CHUNK = 16
 
-# bytes of block-0 half outputs one chunk of pairs may hold in
-# ``IrisMatchModel.pair_probabilities`` (18 images' halves at 110x512 in
-# float64, 37 in float32)
+# bytes of block-0 half outputs alive at once in
+# ``IrisMatchModel.pair_probabilities``: one tile's reference halves plus one
+# sub-batch's query halves (18 images' halves at 110x512 in float64, 37 in
+# float32)
 _HALF_BUDGET = 1 << 28
 
 # bytes of the largest per-pair activation of one inference sub-batch; under
@@ -288,27 +292,28 @@ class IrisMatchModel:
         ``pairs``, indices into the (N, 2F, H, W) ``bank_features`` array
         ``feats``.  The matcher runs in the model's dtype.
 
-        Pairs go to the matcher as ``PairFeatures`` in chunks, each needing
-        at most ``_HALF_BUDGET`` bytes of block-0 half outputs, and each
-        chunk in sub-batches whose largest activation fits
-        ``_ACTIVATION_BUDGET`` bytes.  The chunks are consecutive runs of the
-        pairs in ``_tile_order``, so a chunk shares its half outputs among
-        many pairs.  A pair's probability does not depend on the chunk or
-        the sub-batch it lands in.
+        The distinct reference images, in sorted order, fall into tiles of
+        R, as many as ``_HALF_BUDGET`` bytes of block-0 half outputs hold
+        beside one sub-batch's query halves.  The pairs of one tile are one
+        chunk of ``PairFeatures``, sorted by query, then reference, and go
+        to the matcher in sub-batches whose largest activation fits
+        ``_ACTIVATION_BUDGET`` bytes: the query images stream through the
+        tile, and each half output lives only while its rows do.  A pair's
+        probability does not depend on the chunk or the sub-batch it lands
+        in.
         """
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         sizes = self.matcher.block_bytes(feats.shape[2:], feats.itemsize)
         step = max(1, _ACTIVATION_BUDGET // max(sizes))
-        max_halves = max(2, _HALF_BUDGET // sizes[0])
-        order = _tile_order(pairs, max_halves)
-        tiled = pairs[order]
+        per_tile = max(1, _HALF_BUDGET // sizes[0] - step)
+        tile = np.unique(pairs[:, 1], return_inverse=True)[1] // per_tile
+        order = np.lexsort((pairs[:, 1], pairs[:, 0], tile))
         scores = np.empty(len(pairs))
         with T.no_grad():
-            for start, stop in _pair_chunks(tiled, max_halves):
-                x = PairFeatures(feats, tiled[start:stop])
-                for lo in range(start, stop, step):
-                    hi = min(lo + step, stop)
-                    scores[order[lo:hi]] = self.matcher.forward(x.rows(lo - start, hi - start)).data
+            for chunk in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
+                x = PairFeatures(feats, pairs[chunk])
+                for lo in range(0, len(chunk), step):
+                    scores[chunk[lo:lo + step]] = self.matcher.forward(x.rows(lo, lo + step)).data
         return scores
 
     def match_probability(self, xq, xr):
@@ -371,18 +376,20 @@ class PairFeatures:
     building it.
 
     ``feats`` is the (N, 2F, H, W) array of bank features and ``pairs`` the
-    (P, 2) (query, reference) rows.  Block 0 (``first_conv``) convolves each
-    distinct query image of the chunk with W_q plus the bias and each
-    distinct reference image with W_r, once; a ``rows`` view, a sub-batch
-    of the pairs, shares those half outputs.
+    (P, 2) (query, reference) rows of one chunk.  Block 0 (``first_conv``)
+    convolves a query image with W_q plus the bias, and a reference image
+    with W_r, once: at the first row of the chunk that reads it.  It drops
+    that half output after the last such row.  The ``rows`` views, the
+    chunk's sub-batches taken in order, share the half outputs.
     """
 
     def __init__(self, feats, pairs):
         self.feats = feats
         self.pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        self._chunk = self.pairs      # the pairs the half outputs cover
-        self._offset = 0              # of ``pairs`` within ``_chunk``
-        self._halves = {}             # block -> ((hq, iq), (hr, ir)), shared by the views
+        self._offset = 0              # of ``pairs`` within the chunk
+        # per side, image -> the last row of the chunk that reads it
+        self._last = [dict(zip(col.tolist(), range(len(col)))) for col in self.pairs.T]
+        self._halves = ({}, {})       # per side, image -> half output; shared by the views
 
     @property
     def shape(self):
@@ -397,45 +404,31 @@ class PairFeatures:
 
     def first_conv(self, block):
         """``block``'s convolution of the pairs' concatenated features, as
-        W_q*f(q) + b + W_r*f(r), each half output from one convolution per
-        side over the chunk's distinct images on that side."""
-        if block not in self._halves:
-            c = self.feats.shape[1]
-            w = block.weight.data
-            halves = []
-            for side, (half, bias) in enumerate(((w[:, :c], block.bias), (w[:, c:], None))):
-                used, local = np.unique(self._chunk[:, side], return_inverse=True)
-                out = T.conv2d(Tensor(self.feats[used]), Tensor(half), bias,
-                               stride=block.spec.stride, padding="zero")
-                halves.append((out.data, local))
-            self._halves[block] = halves
-        (hq, iq), (hr, ir) = self._halves[block]
-        rows = slice(self._offset, self._offset + len(self.pairs))
-        out = np.empty((len(self.pairs),) + hq.shape[1:], dtype=hq.dtype)
-        for k, (q, r) in enumerate(zip(iq[rows], ir[rows])):
-            np.add(hq[q], hr[r], out=out[k])
+        W_q*f(q) + b + W_r*f(r).
+
+        On each side, the images these rows read that have no half output
+        yet are convolved in sorted order, in at most two calls: one for
+        those no later row reads, one for the rest.  A half output is a view
+        of its call's output, which lives until its last half is dropped, so
+        the halves dropped after these rows share no array with those kept.
+        """
+        c = self.feats.shape[1]
+        w = block.weight.data
+        halves = self._halves
+        stop = self._offset + len(self.pairs)
+        for side, (half, bias) in enumerate(((w[:, :c], block.bias), (w[:, c:], None))):
+            built, last = halves[side], self._last[side]
+            new = [i for i in np.unique(self.pairs[:, side]).tolist() if i not in built]
+            for group in ([i for i in new if last[i] < stop], [i for i in new if last[i] >= stop]):
+                if group:
+                    out = T.conv2d(Tensor(self.feats[group]), Tensor(half), bias,
+                                   stride=block.spec.stride, padding="zero")
+                    built.update(zip(group, out.data))
+        rows = self.pairs.tolist()
+        out = np.empty((len(rows),) + halves[0][rows[0][0]].shape, dtype=self.feats.dtype)
+        for k, row in enumerate(rows):
+            np.add(halves[0][row[0]], halves[1][row[1]], out=out[k])
+            for side, i in enumerate(row):
+                if self._last[side][i] == self._offset + k:
+                    del halves[side][i]
         return Tensor(out)
-
-
-def _tile_order(pairs, max_halves):
-    """The order of ``pairs`` by query x reference tiles of ``max_halves // 2``
-    query images by the rest in reference images, tile rows first; pairs of
-    one tile keep their order."""
-    tq = max_halves // 2
-    return np.lexsort((pairs[:, 1] // (max_halves - tq), pairs[:, 0] // tq))
-
-
-def _pair_chunks(pairs, max_halves):
-    """Consecutive (start, stop) runs of ``pairs``, each with at most
-    ``max_halves`` distinct query images plus distinct reference images
-    (at least one pair per run)."""
-    start, queries, refs = 0, set(), set()
-    for k, (q, r) in enumerate(pairs.tolist()):
-        halves = len(queries) + len(refs) + (q not in queries) + (r not in refs)
-        if k > start and halves > max_halves:
-            yield start, k
-            start, queries, refs = k, set(), set()
-        queries.add(q)
-        refs.add(r)
-    if len(pairs):
-        yield start, len(pairs)

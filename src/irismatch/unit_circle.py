@@ -114,8 +114,7 @@ class UnitCircleBank:
 
     ``rng=None`` draws nothing: the parameters are zero until set."""
 
-    def __init__(self, kernels=DEFAULT_KERNELS, bias=True, mode="unit-circle",
-                 rng=None, dtype=np.float64):
+    def __init__(self, kernels, bias, mode, rng=None, dtype=np.float64):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         if not kernels:

@@ -208,7 +208,7 @@ def test_collect_scores_runs_bank_once_per_image(monkeypatch):
     monkeypatch.setattr(UnitCircleBank, "forward", counting_forward)
     pairs = enumerate_pairs(store)
     monkeypatch.setattr(matcher, "_BANK_CHUNK", 4)
-    monkeypatch.setattr(matcher, "_HALF_BUDGET", 1)        # one pair per chunk
+    monkeypatch.setattr(matcher, "_HALF_BUDGET", 1)        # one reference image per chunk
     monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", 1)  # one pair per sub-batch
     scores = collect_scores(ModelScorer(model), store, pairs)
     # the float32 scorer runs the bank on float32 images

@@ -1,5 +1,7 @@
 """Tests for the matcher network, model assembly, and checkpointing."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -503,6 +505,35 @@ def test_float32_bank_features_bitwise_independent_of_chunk_full_geometry(monkey
         assert model.bank_features(images).data.tobytes() == want.tobytes(), chunk
 
 
+def record_block0_halves(monkeypatch, channels):
+    """Wrap ``T.conv2d`` to follow block 0's half outputs, the convolutions
+    with ``channels`` input channels.  Returns (seen, live): seen lists each
+    image convolved, as (side, its features' bytes), the query side being
+    the one with the bias; live holds the number of images whose half output
+    array is alive now, and the most alive at once."""
+    seen, live = [], [0, 0]
+    conv2d = T.conv2d
+
+    def release(n):
+        live[0] -= n
+
+    def recording(x, weight, bias=None, *args, **kwargs):
+        out = conv2d(x, weight, bias, *args, **kwargs)
+        if weight.shape[1] == channels:
+            side = "query" if bias is not None else "reference"
+            seen.extend((side, img.tobytes()) for img in x.data)
+            live[0] += len(x.data)
+            live[1] = max(live)
+            owner = out.data
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            weakref.finalize(owner, release, len(x.data))
+        return out
+
+    monkeypatch.setattr(T, "conv2d", recording)
+    return seen, live
+
+
 def test_block0_runs_once_per_distinct_image_and_side(monkeypatch):
     """Block 0's half convolutions see each query image and each reference
     image of a chunk once, whatever the sub-batches; every other
@@ -513,6 +544,8 @@ def test_block0_runs_once_per_distinct_image_and_side(monkeypatch):
     model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(77))
     images = np.random.default_rng(78).uniform(size=(6, 16, 32))
     pairs = np.stack(np.triu_indices(6, k=1), axis=1)       # queries 0-4, references 1-5
+    half = model.bank.out_channels
+    seen, _ = record_block0_halves(monkeypatch, half)
     calls = []
     conv2d = T.conv2d
 
@@ -524,36 +557,67 @@ def test_block0_runs_once_per_distinct_image_and_side(monkeypatch):
     monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", 1)  # one pair per sub-batch
     with T.no_grad():
         ModelScorer(model).score_pairs(_store(images), pairs)
-    matcher_calls = [c for c in calls if c[1] != 1]   # bank filters have one input channel
-    half = model.bank.out_channels
-    assert [c for c in matcher_calls if c[1] == half] == [(5, half)] * 2
-    rest = [n for n, cin in matcher_calls if cin != half]
-    assert rest == [1] * (len(pairs) * len(model.matcher.blocks))
+    assert len(seen) == len(set(seen)) == 10
+    assert sorted(side for side, _ in seen) == ["query"] * 5 + ["reference"] * 5
+    matcher_calls = [c for c in calls if c[1] not in (1, half)]   # not bank filters, not halves
+    assert [n for n, _ in matcher_calls] == [1] * (len(pairs) * len(model.matcher.blocks))
 
 
-@pytest.mark.parametrize("max_halves", [2, 3, 5, 8])
-def test_pair_chunks_cover_the_pairs_within_the_half_budget(max_halves):
-    from irismatch.matcher import _pair_chunks
+def test_block0_halves_live_from_first_to_last_use_full_geometry(monkeypatch):
+    """eval-full's shape, 15 pairs of 6 images at 110x512 in float32: each
+    image and side is convolved once, and at most 6 of the 10 half outputs
+    (7.2 MB each) are alive at once."""
+    from irismatch.evaluation import ModelScorer
 
-    pairs = np.random.default_rng(79).integers(0, 6, size=(50, 2))
-    chunks = list(_pair_chunks(pairs, max_halves))
-    assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
-    assert chunks[-1][1] == len(pairs)
-    for start, stop in chunks:
-        part = pairs[start:stop]
-        assert len(set(part[:, 0])) + len(set(part[:, 1])) <= max_halves
-        if stop < len(pairs):   # maximal: the next pair would not fit
-            grown = pairs[start:stop + 1]
-            assert len(set(grown[:, 0])) + len(set(grown[:, 1])) > max_halves
-    assert list(_pair_chunks(pairs[:0], max_halves)) == []
+    model = IrisMatchModel(rng=np.random.default_rng(95))
+    images = np.random.default_rng(96).uniform(size=(6, 110, 512))
+    pairs = np.stack(np.triu_indices(6, k=1), axis=1)
+    seen, live = record_block0_halves(monkeypatch, model.bank.out_channels)
+    ModelScorer(model).score_pairs(_store(images), pairs)
+    assert len(seen) == len(set(seen)) == 10
+    assert live == [0, 6]
 
 
-def test_tiled_chunks_cut_block0_halves_on_the_default_set():
-    """The default synthetic set's pairs, in the order ``collect_scores``
-    passes them, at the float32 budget of 37 halves per chunk: block-0 half
-    convolutions, counted from the chunks, fall from 1.01 per pair to 0.12."""
+@pytest.mark.parametrize("halves,step", [(1, 1), (3, 1), (4, 2), (6, 3), (7, 2)])
+def test_live_block0_halves_stay_within_the_half_budget(halves, step, monkeypatch):
+    """Random pairs, with budgets of ``halves`` half outputs and ``step``
+    pairs per sub-batch: a tile's reference halves plus one sub-batch's
+    query halves are at most ``halves`` (one reference where the budget
+    holds no more), and none outlives the call."""
+    from irismatch import matcher
+
+    model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(97))
+    feats = model.bank_features(np.random.default_rng(98).uniform(size=(9, 16, 32))).data
+    pairs = np.random.default_rng(99).integers(0, 9, size=(60, 2))
+    want = model.pair_probabilities(feats, pairs)
+    sizes = model.matcher.block_bytes((16, 32), feats.itemsize)
+    monkeypatch.setattr(matcher, "_HALF_BUDGET", halves * sizes[0])
+    monkeypatch.setattr(matcher, "_ACTIVATION_BUDGET", step * max(sizes))
+    _, live = record_block0_halves(monkeypatch, model.bank.out_channels)
+    assert model.pair_probabilities(feats, pairs).tobytes() == want.tobytes()
+    assert live[0] == 0
+    assert 2 <= live[1] <= max(halves, 1 + step)
+
+
+def test_empty_pair_list_scores_nothing():
+    from irismatch.evaluation import ModelScorer
+
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(100))
+    images = np.random.default_rng(101).uniform(size=(3, 12, 24))
+    feats = model.bank_features(images).data
+    none = np.empty((0, 2), int)
+    for got in (model.pair_probabilities(feats, none),
+                ModelScorer(model).score_pairs(_store(images), none)):
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+def test_tiled_chunks_cut_block0_halves_on_the_default_set(monkeypatch):
+    """The default synthetic set's 51,040 pairs, in the order
+    ``collect_scores`` passes them, at 110x512: block-0 half convolutions,
+    one per image and side of each chunk ``pair_probabilities`` makes,
+    number 0.04 per pair in float32 and 0.07 in float64."""
+    from irismatch import matcher
     from irismatch.data import IdentityStore, enumerate_pairs
-    from irismatch.matcher import _HALF_BUDGET, _pair_chunks, _tile_order
     from irismatch.synthetic import SynthSpec
 
     spec = SynthSpec()
@@ -563,18 +627,24 @@ def test_tiled_chunks_cut_block0_halves_on_the_default_set():
                           identity_ids=[f"id{j}" for j in range(spec.identities)])
     pairs = enumerate_pairs(store)
     both = np.concatenate([pairs.authentic, pairs.imposter])
-    half = MatcherModel(20).block_bytes((spec.height, spec.width), np.float32().itemsize)[0]
-    max_halves = _HALF_BUDGET // half
-    assert (len(both), max_halves) == (51040, 37)
+    assert len(both) == 51040
+    chunks = []
 
-    def halves(p):
-        return sum(len(set(p[a:b, 0])) + len(set(p[a:b, 1]))
-                   for a, b in _pair_chunks(p, max_halves))
+    class RecordingPairFeatures(matcher.PairFeatures):
+        def __init__(self, feats, pairs):
+            super().__init__(feats, pairs)
+            chunks.append(self.pairs)
 
-    assert halves(both) == 51656
-    order = _tile_order(both, max_halves)
-    assert sorted(order) == list(range(len(both)))
-    assert halves(both[order]) == 6199
+    monkeypatch.setattr(matcher, "PairFeatures", RecordingPairFeatures)
+    for dtype, halves in ((np.float32, 2213), (np.float64, 3545)):
+        model = IrisMatchModel(dtype=dtype)
+        monkeypatch.setattr(model.matcher, "forward", lambda x: Tensor(np.zeros(len(x.pairs))))
+        # the shape and dtype of the default set's bank features, in no memory
+        feats = np.broadcast_to(np.zeros((), dtype), (n, 20, spec.height, spec.width))
+        chunks.clear()
+        model.pair_probabilities(feats, both)
+        assert sum(map(len, chunks)) == len(both), dtype
+        assert sum(len(set(c[:, 0])) + len(set(c[:, 1])) for c in chunks) == halves, dtype
 
 
 def test_forward_columns_stay_within_a_tile_full_geometry(monkeypatch):

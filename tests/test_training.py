@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -434,6 +436,33 @@ def test_stage1_without_feature_cache_gives_the_same_log(name, monkeypatch):
 
     monkeypatch.setattr(training, "_CACHE_BUDGET", 0)
     assert_matches_golden(name, *golden_run(name))
+
+
+def _other_recorded_cores():
+    with open(GOLDEN_PATH, encoding="ascii") as fh:
+        recorded = {core: None for entries in json.load(fh).values() for core in entries}
+    return [core for core in recorded if core != blas_core()]
+
+
+@pytest.mark.parametrize("core", _other_recorded_cores())
+def test_pinned_bits_hold_on_each_other_recorded_blas_core(core):
+    """The golden tests, rerun in a child process on another BLAS kernel that
+    has golden entries (OPENBLAS_CORETYPE), one kernel at a time; skipped
+    where this host cannot run that kernel."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run([sys.executable, "-c", "from oracles import blas_core; "
+                            "print(blas_core())"], env=env, capture_output=True, text=True,
+                           check=True)
+    if probe.stdout.strip() != core:
+        pytest.skip(f"OPENBLAS_CORETYPE={core} runs {probe.stdout.strip()} on this host")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          os.path.join(tests, "test_training.py"),
+                          "-k", "golden or without_feature_cache"],
+                         env=env, cwd=os.path.dirname(tests), capture_output=True, text=True)
+    assert run.returncode == 0, f"golden tests on BLAS core {core}:\n{run.stdout[-3000:]}"
 
 
 def test_log_csv_format(tmp_path):

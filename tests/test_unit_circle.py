@@ -239,7 +239,8 @@ def test_relu_and_elu_modes():
 
 def test_bank_output_channels_full_geometry():
     rng = np.random.default_rng(37)
-    bank = uc.UnitCircleBank(rng=rng)  # the default five filters
+    # the default five filters
+    bank = uc.UnitCircleBank(uc.DEFAULT_KERNELS, bias=True, mode="unit-circle", rng=rng)
     assert len(bank.filters) == 5
     x = Tensor(np.random.default_rng(1).uniform(size=(1, 1, 110, 512)))
     out = bank.forward(x)
@@ -248,7 +249,7 @@ def test_bank_output_channels_full_geometry():
 
 def test_bank_single_filter_equals_uc_forward():
     rng = np.random.default_rng(38)
-    bank = uc.UnitCircleBank(kernels=[(3, 5)], rng=rng)
+    bank = uc.UnitCircleBank([(3, 5)], bias=True, mode="unit-circle", rng=rng)
     x = Tensor(np.random.default_rng(2).uniform(size=(1, 1, 8, 10)))
     a = bank.forward(x).data
     b = uc.uc_forward(x, bank.filters[0]).data
@@ -257,7 +258,7 @@ def test_bank_single_filter_equals_uc_forward():
 
 def test_bank_filter_permutation_permutes_channel_pairs():
     rng = np.random.default_rng(39)
-    bank = uc.UnitCircleBank(kernels=[(3, 3), (3, 5), (5, 7)], rng=rng)
+    bank = uc.UnitCircleBank([(3, 3), (3, 5), (5, 7)], bias=True, mode="unit-circle", rng=rng)
     x = Tensor(np.random.default_rng(3).uniform(size=(1, 1, 9, 11)))
     before = bank.forward(x).data.copy()
     bank.filters[0], bank.filters[2] = bank.filters[2], bank.filters[0]
@@ -269,12 +270,12 @@ def test_bank_filter_permutation_permutes_channel_pairs():
 
 def test_bank_empty_rejected():
     with pytest.raises(ShapeError):
-        uc.UnitCircleBank(kernels=[])
+        uc.UnitCircleBank([], bias=True, mode="unit-circle")
 
 
 def test_bank_shift_equivariance():
     rng = np.random.default_rng(40)
-    bank = uc.UnitCircleBank(rng=rng)
+    bank = uc.UnitCircleBank(uc.DEFAULT_KERNELS, bias=True, mode="unit-circle", rng=rng)
     x = np.random.default_rng(4).uniform(size=(1, 1, 12, 512))
     base = bank.forward(Tensor(x)).data
     for s in (1, 7, 256):
@@ -284,7 +285,7 @@ def test_bank_shift_equivariance():
 
 def test_bank_shift_equivariance_full_geometry():
     rng = np.random.default_rng(43)
-    bank = uc.UnitCircleBank(rng=rng)
+    bank = uc.UnitCircleBank(uc.DEFAULT_KERNELS, bias=True, mode="unit-circle", rng=rng)
     x = np.random.default_rng(5).uniform(size=(1, 1, 110, 512))
     base = bank.forward(Tensor(x)).data
     for s in (1, 33, 256, 511):
@@ -357,7 +358,8 @@ def test_only_the_unit_circle_bank_skips_concat_without_a_graph(monkeypatch, mod
 
 
 def test_no_graph_bank_rejects_an_image_narrower_than_its_wrap_pad():
-    bank = uc.UnitCircleBank(kernels=[(3, 3), (3, 11)], rng=np.random.default_rng(96))
+    bank = uc.UnitCircleBank([(3, 3), (3, 11)], bias=True, mode="unit-circle",
+                             rng=np.random.default_rng(96))
     with T.no_grad(), pytest.raises(ShapeError, match="wrap pad of 5 columns"):
         bank.forward(Tensor(np.ones((1, 1, 6, 4))))
 
@@ -368,7 +370,8 @@ def test_no_graph_bank_rejects_an_image_narrower_than_its_wrap_pad():
 def test_bank_shift_equivariance_float32_full_geometry():
     """The float32 bank, as scoring runs it (float32 images, the float64
     weights cast to float32), keeps the bitwise rotation equivariance."""
-    bank = uc.UnitCircleBank(rng=np.random.default_rng(44), dtype=np.float32)
+    bank = uc.UnitCircleBank(uc.DEFAULT_KERNELS, bias=True, mode="unit-circle",
+                             rng=np.random.default_rng(44), dtype=np.float32)
     x = np.random.default_rng(6).uniform(size=(1, 1, 110, 512)).astype(np.float32)
     with T.no_grad():
         base = bank.forward(Tensor(x)).data
@@ -389,7 +392,8 @@ def test_float32_bank_zeroes_the_pixels_float64_does(record_property):
     dead = {}
     with T.no_grad():
         for dtype in (np.float64, np.float32):
-            bank = uc.UnitCircleBank(rng=np.random.default_rng(45), dtype=dtype)
+            bank = uc.UnitCircleBank(uc.DEFAULT_KERNELS, bias=True, mode="unit-circle",
+                                     rng=np.random.default_rng(45), dtype=dtype)
             out = bank.forward(Tensor(store.images[:, None].astype(dtype))).data
             pairs = out.reshape(len(out), len(bank.filters), 2, 110, 512)
             dead[dtype] = np.all(pairs == 0, axis=2)
