@@ -12,9 +12,17 @@ float32 activation to float64.  Whoever picks a dtype casts the whole model
 once (``IrisMatchModel.astype``): training runs in float64, scoring in
 float32 from the same float64 checkpoint.
 
-Each operation records its inputs and a backward closure;
-``Tensor.backward`` replays the recorded operations in reverse topological
-order and accumulates gradients into every tensor that requires them.
+Each recorded operation gives its output a node (``_Node``) that holds
+its parents' nodes, a leaf operand standing for itself, and a backward
+closure; the closure captures the arrays, shapes and flags it reads, never
+a tensor.  So the tape holds an interior array only where a backward reads
+it, as autograd engines save only what a backward asks for (Paszke et al.,
+"Automatic differentiation in PyTorch", 2017): in a stage-2 step each bank
+filter's raw wrap-convolution response, the bank's concatenated output and
+the two halves ``pair_batch`` gathers die with their tensors, before the
+backward starts.  ``Tensor.backward`` replays the nodes in reverse
+topological order, accumulates gradients into every leaf that requires
+them, and frees each node's closure once it has run.
 
 ``conv2d`` runs one of two algorithms, forward and backward:
 
@@ -130,20 +138,52 @@ def _as_array(data):
     return np.asarray(data, dtype=np.float64)
 
 
-class Tensor:
-    """N-dimensional real array, optionally tracked for differentiation."""
+class _Node:
+    """The gradient bookkeeping of one recorded op's output: its parents'
+    nodes (a leaf tensor stands for itself), its backward function and its
+    gradient during ``backward``.  It refers to no tensor an op made, so the
+    graph holds an output array only where a backward function captured
+    it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("_parents", "_backward_fn", "grad")
+    requires_grad = True
+
+    def __init__(self, parents, backward_fn):
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self.grad = None
+
+
+class Tensor:
+    """N-dimensional real array, optionally tracked for differentiation.
+
+    A recorded op's output (``_make``) has a ``_Node``, which ``_parents``
+    and ``_backward_fn`` read; a leaf (parameters, inputs) has none."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward_fn = None
-        self._consumed = False
+        self._node = None
 
     # -- bookkeeping ------------------------------------------------------
+
+    @property
+    def _parents(self):
+        """The operands' nodes, each leaf operand as itself; () for a leaf."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        """The recorded op's backward, g -> one gradient (or None) per parent;
+        None for a leaf.  A replacement set here is what ``backward`` calls."""
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node._backward_fn = fn
 
     @property
     def shape(self):
@@ -177,24 +217,27 @@ class Tensor:
 
     def backward(self):
         """Populate ``grad`` on this scalar and on every tracked leaf reachable
-        from it (a tensor no recorded op made: parameters, inputs).
+        from it; the ``grad`` of every other tensor an op made stays None.
 
-        The recorded operations are replayed in reverse topological order.
-        Each interior tensor leaves the tape and drops its ``grad`` once its
-        own backward has run.  A graph can be consumed only once; repeated
-        calls raise.
+        The walk goes over nodes, not tensors: the recorded operations are
+        replayed in reverse topological order, each node's gradient summed
+        from its children's backward.  Once its own backward has run, a
+        node drops its parents, its backward function (with the arrays that
+        captured) and its gradient.  A graph can be consumed only once;
+        repeated calls raise.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad (detached graph)")
-        if self._consumed:
+        if self._node is not None and self._node._backward_fn is None:
             raise RuntimeError("backward() already called on this graph")
+        root = self if self._node is None else self._node
 
-        # iterative DFS: ordered tape of operations, leaves first
+        # iterative DFS: ordered tape of nodes, leaves first
         tape = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, emitted = stack.pop()
             if emitted:
@@ -208,11 +251,8 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self.grad = np.ones_like(self.data)
-        for k in range(len(tape) - 1, -1, -1):
-            # off the tape: once its children are done, nothing holds a node
-            # but the caller, so its activation is freed as the pass goes
-            node, tape[k] = tape[k], None
+        self.grad = root.grad = np.ones_like(self.data)
+        for node in reversed(tape):
             fn = node._backward_fn
             if fn is None:
                 continue
@@ -221,13 +261,11 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-            # drop the context so the graph cannot be replayed and can be GC'd
+            # free what the backward captured, so each activation dies as the
+            # pass goes, and the graph cannot be replayed
             node._backward_fn = None
             node._parents = ()
-            node._consumed = True
-            if node is not self:    # an interior gradient is read by no one
-                node.grad = None
-        self._consumed = True
+            node.grad = None
 
     # -- arithmetic sugar ---------------------------------------------------
 
@@ -261,11 +299,14 @@ def records_graph(*tensors):
 
 
 def _make(data, parents, backward_fn):
+    """A tensor of ``data``; when ``parents`` record a graph, its node holds
+    the parents' nodes and ``backward_fn``.  ``backward_fn`` must capture the
+    arrays, shapes and flags it reads, never a tensor: a captured tensor
+    would keep its array on the tape."""
     out = Tensor(data)
     if records_graph(*parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._node = _Node(tuple(p._node or p for p in parents), backward_fn)
     return out
 
 
@@ -294,9 +335,10 @@ def add(a, b):
     a = _wrap(a, getattr(b, "dtype", np.float64)) if not isinstance(a, Tensor) else a
     b = _wrap(b, a.dtype)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     return _make(data, (a, b), backward)
 
@@ -578,12 +620,13 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
     xhat *= inv
     data = gam * xhat
     data += beta.data.reshape(cshape)
+    count = x.size // x.shape[1]
 
     def backward(g):
         ggamma = (g * xhat).sum(axis=axes)
         gbeta = g.sum(axis=axes)
         gx = _bn_input_grad(g, xhat, gam, inv, ggamma.reshape(cshape), gbeta.reshape(cshape),
-                            x.size // x.shape[1], training)
+                            count, training)
         return gx, ggamma, gbeta
 
     return _make(data, (a, gamma, beta), backward)
@@ -936,12 +979,13 @@ def _wrap_conv2d(a, weight, bias, stride):
         raise ValueError(f"wrap padding needs stride 1, got {stride}")
     parents = (a, weight) if bias is None else (a, weight, bias)
     data = _wrap_conv(x, w, None if bias is None else bias.data)
+    need_gx, has_bias = a.requires_grad, bias is not None
 
     def backward(g):
         # the transposed correlation: channels swapped, kernel flipped both ways
-        gx = _wrap_conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if a.requires_grad else None
+        gx = _wrap_conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if need_gx else None
         grads = (gx, _wrap_weight_grad(g, x, kh, kw))
-        return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
+        return grads + (g.sum(axis=(0, 2, 3)),) if has_bias else grads
 
     return _make(data, parents, backward)
 
@@ -982,14 +1026,13 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
     else:
         raise ValueError(f"unknown padding spec {padding!r}")
 
-    x = a.data
-    data = _conv_forward(x, weight.data, bias.data if bias is not None else None,
-                         sh, sw, ph, pw)
+    x, w, need_gx, has_bias = a.data, weight.data, a.requires_grad, bias is not None
+    data = _conv_forward(x, w, bias.data if bias is not None else None, sh, sw, ph, pw)
     parents = (a, weight) if bias is None else (a, weight, bias)
 
     def backward(g):
-        gx, gw = _conv_backward(g, x, weight.data, sh, sw, ph, pw, a.requires_grad)
-        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
+        gx, gw = _conv_backward(g, x, w, sh, sw, ph, pw, need_gx)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
 
     return _make(data, parents, backward)
 
@@ -1002,11 +1045,12 @@ def global_avg_pool(a):
     x = a.data
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects (B,C,H,W), got {x.shape}")
-    B, C, H, W = x.shape
+    shape = x.shape
+    H, W = shape[2:]
     data = x.mean(axis=(2, 3))
 
     def backward(g):
-        return (np.broadcast_to(g[:, :, None, None] / (H * W), x.shape).copy(),)
+        return (np.broadcast_to(g[:, :, None, None] / (H * W), shape).copy(),)
 
     return _make(data, (a,), backward)
 

@@ -76,7 +76,7 @@ class UnitCircleFilter:
 
     ``rng=None`` draws nothing: the parameters are zero until set."""
 
-    def __init__(self, kh, kw, bias=True, rng=None, dtype=np.float64):
+    def __init__(self, kh, kw, bias, rng=None, dtype=np.float64):
         if kh % 2 == 0 or kw % 2 == 0 or kh < 1 or kw < 1:
             raise ShapeError(f"kernel extents must be odd and positive, got {kh}x{kw}")
         self.kh = int(kh)

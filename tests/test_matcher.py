@@ -144,7 +144,7 @@ def test_fully_convolutional_accepts_taller_inputs():
 
 def test_parameter_count_single_conv():
     from irismatch.unit_circle import UnitCircleFilter
-    f = UnitCircleFilter(3, 3)
+    f = UnitCircleFilter(3, 3, bias=True)
     named = [("w", f.weight), ("b", f.bias)]
     assert parameter_count(named) == 20  # 2*1*3*3 + 2
 

@@ -368,6 +368,65 @@ def test_backward_frees_each_interior_activation_once_its_backward_has_run():
     assert loss.grad == 1.0
 
 
+def test_graph_contract_hook_parents_and_grads():
+    """What callers rely on: a recorded op's ``_backward_fn`` can be read and
+    replaced, and ``backward`` calls the replacement; ``_parents`` names leaf
+    operands themselves; a leaf's ``grad`` can be set, and backward adds to
+    it; an interior ``grad`` reads None after backward, the root's 1."""
+    w = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = T.Tensor(np.array([3.0, 4.0]))
+    y = w * c
+    assert len(y._parents) == 2 and y._parents[0] is w and y._parents[1] is c
+    assert w._parents == () and w._backward_fn is None
+    h = T.elu(y)
+    assert not isinstance(h._parents[0], T.Tensor)     # an interior operand: its node
+    original, calls = y._backward_fn, []
+
+    def hooked(g):
+        calls.append(g.copy())
+        return original(g)
+
+    y._backward_fn = hooked
+    assert y._backward_fn is hooked
+    w.grad = np.array([10.0, 20.0])
+    loss = h.sum()
+    loss.backward()
+    assert len(calls) == 1 and np.array_equal(calls[0], [1.0, 1.0])
+    assert np.array_equal(w.grad, [13.0, 24.0])
+    assert c.grad is None
+    assert y.grad is None and h.grad is None
+    assert loss.grad == 1.0
+    assert y._backward_fn is None and y._parents == ()
+
+
+def test_graph_keeps_no_array_that_no_backward_reads():
+    """An interior array lives only while its caller holds the tensor or a
+    backward captured it.  As in a stage-2 step, each wrap convolution's raw
+    response (its normalization keeps its own output), the concatenated
+    bank output (``index_select`` keeps indices) and the gathered halves
+    (``concat`` keeps sizes) die with their tensors, before backward; what a
+    backward reads stays until that backward has run."""
+    import weakref
+
+    rng = np.random.default_rng(28)
+    x = T.Tensor(rng.uniform(size=(3, 1, 6, 8)))
+    ws = [T.Tensor(rng.normal(size=(2, 1, k, k)), requires_grad=True) for k in (3, 5)]
+    raws = [T.conv2d(x, w, padding="wrap") for w in ws]
+    units = [T.channel_l2_normalize(r) for r in raws]
+    bank = T.concat(units, axis=1)
+    left, right = T.index_select(bank, [0, 2]), T.index_select(bank, [1, 1])
+    cat = T.concat([left, right], axis=1)
+    loss = (cat * T.Tensor(rng.normal(size=cat.shape))).sum()
+    dead = [weakref.finalize(t.data, lambda: None) for t in raws + [bank, left, right]]
+    read = [weakref.finalize(t.data, lambda: None) for t in units + [cat]]
+    del raws, units, bank, left, right, cat
+    assert not any(f.alive for f in dead)
+    assert all(f.alive for f in read)
+    loss.backward()
+    assert not any(f.alive for f in read)
+    assert all(w.grad is not None and w.grad.shape == w.shape for w in ws)
+
+
 def test_no_grad_blocks_recording():
     w = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():

@@ -183,6 +183,74 @@ def test_stage2_updates_bank():
                                   initial.bank.filters[0].weight.data)
 
 
+def test_stage2_step_frees_dead_arrays_before_backward(monkeypatch):
+    """In stage-2 steps at 32x128, as ``train`` builds them, each filter's raw
+    wrap-convolution response, the bank's output and both halves gathered
+    by ``pair_batch`` are dead when ``loss.backward()`` starts.  The
+    gradients, the running statistics and the log are bitwise those of a
+    run that keeps references to these arrays."""
+    import weakref
+
+    from irismatch import tensor as T
+    from irismatch import training
+    from irismatch import unit_circle as uc
+
+    store = toy_store(h=32, w=128)
+    model_config = ModelConfig.small(32, 128)
+    config = toy_train_config(stage1_epochs=0, epochs=1)
+    n_filters = len(model_config.bank_kernels)
+    conv2d, index_select = T.conv2d, T.index_select
+    bank_forward, backward, adam_step = uc.UnitCircleBank.forward, T.Tensor.backward, Adam.step
+
+    def run(keep):
+        watched, kept, steps = [], [], []
+
+        def watch(name, out):
+            if out.requires_grad:
+                watched.append((name, weakref.finalize(out.data, lambda: None)))
+                if keep:
+                    kept.append(out.data)
+            return out
+
+        def watched_backward(loss):
+            steps.append({"names": sorted(name for name, _ in watched),
+                          "alive": sorted(name for name, f in watched if f.alive)})
+            watched.clear()
+            backward(loss)
+            kept.clear()
+
+        def recorded_step(optimizer):
+            steps[-1]["grads"] = [t.grad.copy() for _, t in optimizer.named]
+            adam_step(optimizer)
+
+        monkeypatch.setattr(T, "conv2d", lambda *a, padding="none", **k: (
+            watch("raw", conv2d(*a, padding=padding, **k)) if padding == "wrap"
+            else conv2d(*a, padding=padding, **k)))
+        monkeypatch.setattr(T, "index_select", lambda *a: watch("half", index_select(*a)))
+        monkeypatch.setattr(uc.UnitCircleBank, "forward",
+                            lambda self, x, out=None: watch("bank", bank_forward(self, x, out)))
+        monkeypatch.setattr(T.Tensor, "backward", watched_backward)
+        monkeypatch.setattr(training.Adam, "step", recorded_step)
+        model, log = train(store, config, model_config)
+        monkeypatch.undo()
+        return steps, model, log
+
+    free, model, log = run(keep=False)
+    held, model_held, log_held = run(keep=True)
+    names = sorted(["bank", "half", "half"] + ["raw"] * n_filters)
+    assert len(free) == len(held) >= 2
+    for step, step_held in zip(free, held):
+        assert step["names"] == step_held["names"] == names
+        assert step["alive"] == []
+        assert step_held["alive"] == names
+        assert len(step["grads"]) == len(step_held["grads"]) == len(model.parameters())
+        for g, g_held in zip(step["grads"], step_held["grads"]):
+            assert g.tobytes() == g_held.tobytes()
+    assert log.canonical_lines() == log_held.canonical_lines()
+    for (name, a), (_, b) in zip(model.state_items(), model_held.state_items()):
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_training_log_deterministic():
     store = toy_store()
     config = toy_train_config()

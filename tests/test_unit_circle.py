@@ -82,7 +82,7 @@ def test_wrap_conv_equals_modular_reference():
 @pytest.mark.parametrize("kh,kw", uc.DEFAULT_KERNELS)
 def test_wrap_conv_matches_wrap_pad_oracle_full_geometry(kh, kw):
     rng = np.random.default_rng(41)
-    f = uc.UnitCircleFilter(kh, kw, rng=rng)
+    f = uc.UnitCircleFilter(kh, kw, bias=True, rng=rng)
     x = rng.uniform(size=(2, 1, 110, 512))
     padded = T.pad2d(Tensor(x), kh // 2, kh // 2, kw // 2, kw // 2, mode="wrap")
     want = T.conv2d(padded, f.weight, f.bias, padding="none").data
@@ -144,7 +144,7 @@ def test_uc_forward_degenerate_pixel_maps_to_zero():
 
 def test_uc_forward_unit_norm_property():
     rng = np.random.default_rng(31)
-    f = uc.UnitCircleFilter(5, 7, rng=rng)
+    f = uc.UnitCircleFilter(5, 7, bias=True, rng=rng)
     x = Tensor(rng.uniform(size=(2, 1, 12, 20)))
     out = uc.uc_forward(x, f).data
     norms = np.sqrt((out ** 2).sum(axis=1))
@@ -154,7 +154,7 @@ def test_uc_forward_unit_norm_property():
 def test_uc_forward_shape_preserved():
     rng = np.random.default_rng(32)
     for kh, kw in [(3, 3), (7, 9), (11, 33)]:
-        f = uc.UnitCircleFilter(kh, kw, rng=rng)
+        f = uc.UnitCircleFilter(kh, kw, bias=True, rng=rng)
         x = Tensor(rng.uniform(size=(1, 1, 18, 40)))
         assert uc.uc_forward(x, f).shape == (1, 2, 18, 40)
 
@@ -193,7 +193,7 @@ def test_normalize_jacobian_three_four():
 
 def test_uc_forward_gradcheck():
     rng = np.random.default_rng(33)
-    f = uc.UnitCircleFilter(3, 5, rng=rng)
+    f = uc.UnitCircleFilter(3, 5, bias=True, rng=rng)
     x = Tensor(rng.uniform(0.2, 1.0, size=(1, 1, 5, 8)), requires_grad=True)
     c = np.cos(np.arange(80)).reshape(1, 2, 5, 8)
     err = check_gradients(lambda: (uc.uc_forward(x, f) * c).sum(),
@@ -224,7 +224,7 @@ def test_uc_forward_not_scale_invariant_with_bias():
 
 def test_relu_and_elu_modes():
     rng = np.random.default_rng(36)
-    f = uc.UnitCircleFilter(3, 3, rng=rng)
+    f = uc.UnitCircleFilter(3, 3, bias=True, rng=rng)
     x = Tensor(rng.uniform(size=(1, 1, 6, 6)))
     raw = T.conv2d(x, f.weight, f.bias, padding="wrap").data
     assert np.array_equal(uc.uc_forward(x, f, mode="relu").data, np.maximum(raw, 0.0))
