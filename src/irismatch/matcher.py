@@ -10,19 +10,20 @@ Both irises pass through the same filter bank, so the matcher input has
 Every op computes in its operands' dtype, and the model computes in its
 own: whoever picks a dtype casts the whole model once
 (``IrisMatchModel.astype``).  Training runs in float64 and feeds the matcher
-the concatenation itself (``pair_batch``).  Scoring runs in float32 from the
-same float64 weights, through a float32 copy of the model made once per
-call and never kept.  Inference keeps the pair input factorized
-(``PairFeatures``): block 0's convolution over [f(q), f(r)] equals
-W_q*f(q) + b + W_r*f(r), so each distinct image of a chunk of pairs goes
-through the half of the weight its side needs once, and a pair costs one
-add.  ``MatcherModel.forward`` has one body for both inputs;
-``IrisMatchModel.pair_probabilities`` owns the batching of inference: one
-chunk of pairs per tile of reference images, the query images streamed
-through it, and within a chunk sub-batches whose largest activation fits
-``_ACTIVATION_BUDGET``.  A half output lives from the first row of its
-chunk that reads it to the last, so a tile's reference halves and one
-sub-batch's query halves fit ``_HALF_BUDGET`` (a tile has at least one
+the concatenation itself, built by one gather (``pair_batch``).  Scoring
+runs in float32 from the same float64 weights, through a float32 copy of
+the model made once per call and never kept.  Inference keeps the pair
+input factorized (``PairFeatures``): block 0's convolution over
+[f(q), f(r)] equals W_q*f(q) + b + W_r*f(r), so each distinct image of a
+chunk of pairs goes through the half of the weight its side needs once,
+and a pair costs one add.  ``MatcherModel.forward`` has one body for both
+inputs; ``IrisMatchModel.pair_probabilities`` owns the batching of
+inference: one chunk of pairs per tile of reference images, the query
+images streamed through it, and within a chunk sub-batches whose largest
+activation fits ``_ACTIVATION_BUDGET``: one pair at 110x512 in either
+dtype, many at small geometries.  A half output lives from the first row
+of its chunk that reads it to the last, so a tile's reference halves and
+one sub-batch's query halves fit ``_HALF_BUDGET`` (a tile has at least one
 reference image, whatever the budget).
 """
 
@@ -51,8 +52,9 @@ _HALF_BUDGET = 1 << 28
 
 # bytes of the largest per-pair activation of one inference sub-batch; under
 # glibc's largest mmap threshold (32 MB), so activations are reused heap
-# blocks, not freshly mapped and zeroed pages (one pair at 110x512)
-_ACTIVATION_BUDGET = 1 << 24
+# blocks, not freshly mapped and zeroed pages (one pair at 110x512 in either
+# dtype: block 0's output is 7.2 MB in float32, 14.4 MB in float64)
+_ACTIVATION_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -363,11 +365,13 @@ class IrisMatchModel:
 
 
 def pair_batch(feats, pairs):
-    """Matcher input for a batch of pairs: rows ``pairs[:, 0]`` and
+    """Matcher input for a (P, 2) batch of pairs: rows ``pairs[:, 0]`` and
     ``pairs[:, 1]`` of the (N, 2F, H, W) features, concatenated along
-    channels into (P, 4F, H, W)."""
-    return T.concat([T.index_select(feats, pairs[:, 0]), T.index_select(feats, pairs[:, 1])],
-                    axis=1)
+    channels into (P, 4F, H, W).  One gather builds it, (P, 2, 2F, H, W),
+    and a view reshapes it, so its backward adds into one gradient of the
+    features' shape (``tensor.index_select``)."""
+    both = T.index_select(feats, pairs)
+    return T.reshape(both, (len(pairs), 2 * feats.shape[1]) + feats.shape[2:])
 
 
 class PairFeatures:

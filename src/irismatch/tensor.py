@@ -18,11 +18,12 @@ closure; the closure captures the arrays, shapes and flags it reads, never
 a tensor.  So the tape holds an interior array only where a backward reads
 it, as autograd engines save only what a backward asks for (Paszke et al.,
 "Automatic differentiation in PyTorch", 2017): in a stage-2 step each bank
-filter's raw wrap-convolution response, the bank's concatenated output and
-the two halves ``pair_batch`` gathers die with their tensors, before the
-backward starts.  ``Tensor.backward`` replays the nodes in reverse
-topological order, accumulates gradients into every leaf that requires
-them, and frees each node's closure once it has run.
+filter's raw wrap-convolution response and the bank's concatenated output
+die with their tensors, before the backward starts, and the pair input
+``pair_batch`` gathers lives on only for block 0's backward.
+``Tensor.backward`` replays the nodes in reverse topological order,
+accumulates gradients into every leaf that requires them, and frees each
+node's closure once it has run.
 
 ``conv2d`` runs one of two algorithms, forward and backward:
 
@@ -397,16 +398,36 @@ def concat(tensors, axis=0):
 
 
 def index_select(a, indices):
-    """Gather rows (axis 0); backward scatter-adds duplicate indices."""
+    """Gather rows (axis 0): (P,) indices give (P, ...), (P, k) indices
+    give (P, k, ...).
+
+    The backward allocates one gradient of ``a``'s shape.  It adds column
+    0's rows into it in index order, as ``np.add.at`` would.  Each later
+    column's rows that go to one image are summed in index order, from
+    zero, in a row-sized temporary, which is then added to that image's
+    row.  So the gradient has the bits of k separate 1-D gathers whose
+    gradients are summed in column order.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     data = np.take(a.data, idx, axis=0)
     shape = a.data.shape
+    cols = idx.T.tolist() if idx.ndim == 2 else [idx.tolist()]
 
     def backward(g):
+        g = g.reshape((len(idx), len(cols)) + shape[1:])
         ga = np.zeros(shape, dtype=g.dtype)
-        # row by row in index order: np.add.at's order, without its overhead
-        for k, i in enumerate(idx.tolist()):
-            ga[i] += g[k]
+        for k, i in enumerate(cols[0]):
+            ga[i] += g[k, 0]
+        row = np.empty(shape[1:], dtype=g.dtype)
+        for j, col in enumerate(cols[1:], start=1):
+            rows = {}
+            for k, i in enumerate(col):
+                rows.setdefault(i, []).append(k)
+            for i, ks in rows.items():
+                row.fill(0.0)
+                for k in ks:
+                    row += g[k, j]
+                ga[i] += row
         return (ga,)
 
     return _make(data, (a,), backward)

@@ -290,9 +290,9 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
                 break
             model.zero_grad()
             # the graph holds only what a backward reads and frees it as it
-            # goes: with these names gone the bank's output dies here (the
-            # halves pair_batch gathered already have), and the pair input
-            # lives on only in block 0's convolution backward
+            # goes: with these names gone the bank's output dies here, and
+            # the pair input pair_batch gathered lives on only in block 0's
+            # convolution backward
             del feats, batch_input, probs
             loss.backward()
             optimizer.step()

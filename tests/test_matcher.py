@@ -565,8 +565,9 @@ def test_block0_runs_once_per_distinct_image_and_side(monkeypatch):
 
 def test_block0_halves_live_from_first_to_last_use_full_geometry(monkeypatch):
     """eval-full's shape, 15 pairs of 6 images at 110x512 in float32: each
-    image and side is convolved once, and at most 6 of the 10 half outputs
-    (7.2 MB each) are alive at once."""
+    image and side is convolved once, and at most 5 of the 10 half outputs
+    (7.2 MB each) are alive at once: one pair per sub-batch, so one query
+    half beside the tile's reference halves that later rows read."""
     from irismatch.evaluation import ModelScorer
 
     model = IrisMatchModel(rng=np.random.default_rng(95))
@@ -575,7 +576,7 @@ def test_block0_halves_live_from_first_to_last_use_full_geometry(monkeypatch):
     seen, live = record_block0_halves(monkeypatch, model.bank.out_channels)
     ModelScorer(model).score_pairs(_store(images), pairs)
     assert len(seen) == len(set(seen)) == 10
-    assert live == [0, 6]
+    assert live == [0, 5]
 
 
 @pytest.mark.parametrize("halves,step", [(1, 1), (3, 1), (4, 2), (6, 3), (7, 2)])
@@ -615,7 +616,8 @@ def test_tiled_chunks_cut_block0_halves_on_the_default_set(monkeypatch):
     """The default synthetic set's 51,040 pairs, in the order
     ``collect_scores`` passes them, at 110x512: block-0 half convolutions,
     one per image and side of each chunk ``pair_probabilities`` makes,
-    number 0.04 per pair in float32 and 0.07 in float64."""
+    number 0.04 per pair in float32 and 0.07 in float64, with one pair per
+    sub-batch under either dtype."""
     from irismatch import matcher
     from irismatch.data import IdentityStore, enumerate_pairs
     from irismatch.synthetic import SynthSpec
@@ -636,7 +638,7 @@ def test_tiled_chunks_cut_block0_halves_on_the_default_set(monkeypatch):
             chunks.append(self.pairs)
 
     monkeypatch.setattr(matcher, "PairFeatures", RecordingPairFeatures)
-    for dtype, halves in ((np.float32, 2213), (np.float64, 3545)):
+    for dtype, halves in ((np.float32, 1934), (np.float64, 3545)):
         model = IrisMatchModel(dtype=dtype)
         monkeypatch.setattr(model.matcher, "forward", lambda x: Tensor(np.zeros(len(x.pairs))))
         # the shape and dtype of the default set's bank features, in no memory

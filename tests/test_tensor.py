@@ -901,6 +901,33 @@ def test_index_select_backward_bitwise_equals_add_at(dtype):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_paired_index_select_bitwise_equals_two_gathers_concatenated(dtype):
+    """``index_select`` with (P, 2) indices, viewed as (P, 2C, H, W), is the
+    pair input ``pair_batch`` builds: forward and gradient bitwise equal to
+    the concatenation of the two 1-D gathers.  Image 3 repeats on the left
+    only, 2 on the right only, 1 on both sides; 5 and 6 appear once, on one
+    side each; 4 is never gathered."""
+    rng = np.random.default_rng(23)
+    pairs = np.array([[3, 2], [1, 1], [3, 6], [5, 2], [1, 1], [3, 2], [0, 0]])
+    data = (rng.normal(size=(7, 2, 3, 4)) * 10.0 ** rng.integers(-3, 4, size=(7, 1, 1, 1)))
+    weight = rng.normal(size=(len(pairs), 4, 3, 4)).astype(dtype)
+    grads, outs = [], []
+    for paired in (True, False):
+        a = T.Tensor(data.astype(dtype), requires_grad=True)
+        if paired:
+            x = T.reshape(T.index_select(a, pairs), (len(pairs), 4, 3, 4))
+        else:
+            x = T.concat([T.index_select(a, pairs[:, 0]), T.index_select(a, pairs[:, 1])],
+                         axis=1)
+        outs.append(x.data.tobytes())
+        (x * T.Tensor(weight)).sum().backward()
+        assert a.grad.dtype == dtype
+        grads.append(a.grad.tobytes())
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+
+
 def test_gradcheck_composite_pipeline():
     # conv -> elu -> bn -> pool -> sigmoid -> bce, all in one graph
     rng = np.random.default_rng(21)

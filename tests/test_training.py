@@ -15,7 +15,7 @@ from irismatch.data import IdentityStore
 from irismatch.matcher import ConvBlockSpec, IrisMatchModel, ModelConfig
 from irismatch.tensor import ShapeError, Tensor
 from irismatch.training import Adam, TrainConfig, TrainLog, train
-from oracles import blas_core
+from oracles import blas_core, blas_threads
 
 
 def adam_reference(grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8, w0=0.0):
@@ -185,10 +185,11 @@ def test_stage2_updates_bank():
 
 def test_stage2_step_frees_dead_arrays_before_backward(monkeypatch):
     """In stage-2 steps at 32x128, as ``train`` builds them, each filter's raw
-    wrap-convolution response, the bank's output and both halves gathered
-    by ``pair_batch`` are dead when ``loss.backward()`` starts.  The
-    gradients, the running statistics and the log are bitwise those of a
-    run that keeps references to these arrays."""
+    wrap-convolution response and the bank's output are dead when
+    ``loss.backward()`` starts.  The one array ``pair_batch`` gathers is
+    the pair input's base, which block 0's backward reads, so it alone is
+    alive.  The gradients, the running statistics and the log are bitwise
+    those of a run that keeps references to these arrays."""
     import weakref
 
     from irismatch import tensor as T
@@ -226,7 +227,7 @@ def test_stage2_step_frees_dead_arrays_before_backward(monkeypatch):
         monkeypatch.setattr(T, "conv2d", lambda *a, padding="none", **k: (
             watch("raw", conv2d(*a, padding=padding, **k)) if padding == "wrap"
             else conv2d(*a, padding=padding, **k)))
-        monkeypatch.setattr(T, "index_select", lambda *a: watch("half", index_select(*a)))
+        monkeypatch.setattr(T, "index_select", lambda *a: watch("pair", index_select(*a)))
         monkeypatch.setattr(uc.UnitCircleBank, "forward",
                             lambda self, x, out=None: watch("bank", bank_forward(self, x, out)))
         monkeypatch.setattr(T.Tensor, "backward", watched_backward)
@@ -237,11 +238,11 @@ def test_stage2_step_frees_dead_arrays_before_backward(monkeypatch):
 
     free, model, log = run(keep=False)
     held, model_held, log_held = run(keep=True)
-    names = sorted(["bank", "half", "half"] + ["raw"] * n_filters)
+    names = sorted(["bank", "pair"] + ["raw"] * n_filters)
     assert len(free) == len(held) >= 2
     for step, step_held in zip(free, held):
         assert step["names"] == step_held["names"] == names
-        assert step["alive"] == []
+        assert step["alive"] == ["pair"]
         assert step_held["alive"] == names
         assert len(step["grads"]) == len(step_held["grads"]) == len(model.parameters())
         for g, g_held in zip(step["grads"], step_held["grads"]):
@@ -403,18 +404,27 @@ def test_train_state_records_numpy_scalars_as_plain_numbers(tmp_path):
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_train_logs.json")
 
 
+def _recorded_pairs(entries):
+    """The (kernel, thread count) pairs one config's golden entries hold for,
+    in file order."""
+    return [(core, t) for core, listed in entries.items() for e in listed for t in e["threads"]]
+
+
 def assert_matches_golden(name, lines, hashes):
-    """The golden values pin the bits of the BLAS kernel that made them, so
-    each config keeps one entry per kernel (made on one host with
-    OPENBLAS_CORETYPE) and is checked against the running kernel's entry.
-    A kernel with no entry fails by name, not by a hash mismatch."""
+    """The golden values pin the bits of the BLAS kernel and thread count
+    that made them: on Haswell and Katmai one and two threads give other
+    bits.  So each config keeps, per kernel, entries that list the thread
+    counts they hold for (made on one host with OPENBLAS_CORETYPE and
+    OPENBLAS_NUM_THREADS), and is checked against the running pair's entry.
+    A pair with no entry fails by name, not by a hash mismatch."""
     with open(GOLDEN_PATH, encoding="ascii") as fh:
         entries = json.load(fh)[name]
-    core = blas_core()
-    assert core in entries, (f"golden {name} has no entry for BLAS core {core} "
-                             f"(entries: {', '.join(sorted(entries))})")
-    golden = entries[core]
-    kernel = f"golden {name} on BLAS core {core}"
+    core, threads = blas_core(), blas_threads()
+    kernel = f"golden {name} on BLAS core {core} with {threads} thread(s)"
+    found = [e for e in entries.get(core, []) if threads in e["threads"]]
+    recorded = ", ".join(f"{c}/{t}" for c, t in _recorded_pairs(entries))
+    assert found, f"{kernel} has no entry (entries: {recorded})"
+    golden = found[0]
     assert lines == golden["log"], kernel
     assert hashes["scores_sha256"] == golden["scores_sha256"], kernel
     assert hashes["scores32_sha256"] == golden["scores32_sha256"], kernel
@@ -506,31 +516,37 @@ def test_stage1_without_feature_cache_gives_the_same_log(name, monkeypatch):
     assert_matches_golden(name, *golden_run(name))
 
 
-def _other_recorded_cores():
+def _other_recorded_pairs():
     with open(GOLDEN_PATH, encoding="ascii") as fh:
-        recorded = {core: None for entries in json.load(fh).values() for core in entries}
-    return [core for core in recorded if core != blas_core()]
+        recorded = {pair: None for entries in json.load(fh).values()
+                    for pair in _recorded_pairs(entries)}
+    running = (blas_core(), blas_threads())
+    return [pytest.param(core, threads, id=f"{core}-{threads}")
+            for core, threads in recorded if (core, threads) != running]
 
 
-@pytest.mark.parametrize("core", _other_recorded_cores())
-def test_pinned_bits_hold_on_each_other_recorded_blas_core(core):
-    """The golden tests, rerun in a child process on another BLAS kernel that
-    has golden entries (OPENBLAS_CORETYPE), one kernel at a time; skipped
-    where this host cannot run that kernel."""
+@pytest.mark.parametrize("core,threads", _other_recorded_pairs())
+def test_pinned_bits_hold_on_each_other_recorded_blas_core(core, threads):
+    """The golden tests, rerun in a child process on each other BLAS kernel
+    and thread count that has golden entries (OPENBLAS_CORETYPE,
+    OPENBLAS_NUM_THREADS), one pair at a time; skipped where this host
+    cannot run that pair (OpenBLAS caps the thread count at the CPUs)."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(tests), "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-    probe = subprocess.run([sys.executable, "-c", "from oracles import blas_core; "
-                            "print(blas_core())"], env=env, capture_output=True, text=True,
-                           check=True)
-    if probe.stdout.strip() != core:
-        pytest.skip(f"OPENBLAS_CORETYPE={core} runs {probe.stdout.strip()} on this host")
+    probe = subprocess.run([sys.executable, "-c", "from oracles import blas_core, blas_threads; "
+                            "print(blas_core(), blas_threads())"], env=env, capture_output=True,
+                           text=True, check=True)
+    if probe.stdout.split() != [core, str(threads)]:
+        pytest.skip(f"OPENBLAS_CORETYPE={core} OPENBLAS_NUM_THREADS={threads} runs "
+                    f"{probe.stdout.strip()} on this host")
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           os.path.join(tests, "test_training.py"),
                           "-k", "golden or without_feature_cache"],
                          env=env, cwd=os.path.dirname(tests), capture_output=True, text=True)
-    assert run.returncode == 0, f"golden tests on BLAS core {core}:\n{run.stdout[-3000:]}"
+    assert run.returncode == 0, (f"golden tests on BLAS core {core} with {threads} "
+                                 f"thread(s):\n{run.stdout[-3000:]}")
 
 
 def test_log_csv_format(tmp_path):
