@@ -100,6 +100,10 @@ class _Reader:
 
 
 def read_records(path, magic):
+    """(meta, name -> array) of a checkpoint file.  On a little-endian host
+    the arrays are read-only views of the file's bytes, not copies: callers
+    copy them into arrays they own (``IrisMatchModel.restore``,
+    ``Adam.load_moments``)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != magic:
@@ -126,8 +130,8 @@ def read_records(path, magic):
         extents = rd.unpack(f"<{rank}I", f"extents of {name!r}")
         dtype = _TAG_DTYPES[tag]
         payload = rd.take(math.prod(extents) * dtype.itemsize, f"payload of {name!r}")
-        records[name] = np.frombuffer(payload, dtype=dtype).reshape(extents).astype(
-            dtype.newbyteorder("="))
+        arr = np.frombuffer(payload, dtype=dtype).reshape(extents)
+        records[name] = arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
     if rd.off != len(raw):
         raise CheckpointError(f"{len(raw) - rd.off} trailing bytes in {path}")
     return meta, records

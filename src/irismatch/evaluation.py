@@ -134,11 +134,13 @@ class ModelScorer:
     (``bank_features``); the matcher scores the pairs through
     ``IrisMatchModel.pair_probabilities``: one chunk of pairs per tile of
     reference images, the query images streamed through it.  Block 0 runs
-    once per distinct image and side of a chunk, and each half output lives
-    only from its first use to its last.  Sub-batches whose largest
-    activation fits a byte budget carry block 0 through the head.
-    ``match_probability`` takes the same path, so a pair scores bitwise the
-    same through either at the same dtype."""
+    once per distinct image and side of a chunk.  A half output that
+    several pairs read lives only from its first use to its last, and one
+    that a single pair reads is convolved into that pair's block-0 output,
+    never stored.  Sub-batches whose largest activation fits a byte budget
+    carry block 0 through the head.  ``match_probability`` takes the same
+    path, so a pair scores bitwise the same through either at the same
+    dtype, whichever of its halves other pairs share."""
 
     higher_is_match = True
 

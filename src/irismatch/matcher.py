@@ -21,10 +21,14 @@ inputs; ``IrisMatchModel.pair_probabilities`` owns the batching of
 inference: one chunk of pairs per tile of reference images, the query
 images streamed through it, and within a chunk sub-batches whose largest
 activation fits ``_ACTIVATION_BUDGET``: one pair at 110x512 in either
-dtype, many at small geometries.  A half output lives from the first row
-of its chunk that reads it to the last, so a tile's reference halves and
-one sub-batch's query halves fit ``_HALF_BUDGET`` (a tile has at least one
-reference image, whatever the budget).
+dtype, many at small geometries.  A half output that several rows of a
+chunk read is stored from the first of them to the last, so a tile's
+reference halves and one sub-batch's query halves fit ``_HALF_BUDGET`` (a
+tile has at least one reference image, whatever the budget).  A half that
+one row reads is never stored: it is convolved straight into that row's
+block-0 output, or added into it tile by tile, so a single pair (a
+``match`` request) holds one block-0-sized array, not its two halves and
+their sum.
 """
 
 from __future__ import annotations
@@ -382,9 +386,11 @@ class PairFeatures:
     ``feats`` is the (N, 2F, H, W) array of bank features and ``pairs`` the
     (P, 2) (query, reference) rows of one chunk.  Block 0 (``first_conv``)
     convolves a query image with W_q plus the bias, and a reference image
-    with W_r, once: at the first row of the chunk that reads it.  It drops
-    that half output after the last such row.  The ``rows`` views, the
-    chunk's sub-batches taken in order, share the half outputs.
+    with W_r, once.  A half that several rows of the chunk read is stored at
+    the first of them and dropped after the last; the ``rows`` views, the
+    chunk's sub-batches taken in order, share the stored halves.  A half
+    that one row reads is never stored: it is convolved into that row's
+    output.
     """
 
     def __init__(self, feats, pairs):
@@ -393,7 +399,12 @@ class PairFeatures:
         self._offset = 0              # of ``pairs`` within the chunk
         # per side, image -> the last row of the chunk that reads it
         self._last = [dict(zip(col.tolist(), range(len(col)))) for col in self.pairs.T]
-        self._halves = ({}, {})       # per side, image -> half output; shared by the views
+        # per side, the images one row of the chunk reads
+        self._single = []
+        for col in self.pairs.T:
+            images, readers = np.unique(col, return_counts=True)
+            self._single.append(images[readers == 1])
+        self._halves = ({}, {})       # per side, image -> stored half; shared by the views
 
     @property
     def shape(self):
@@ -407,32 +418,75 @@ class PairFeatures:
         return view
 
     def first_conv(self, block):
-        """``block``'s convolution of the pairs' concatenated features, as
-        W_q*f(q) + b + W_r*f(r).
+        """``block``'s convolution of the pairs' concatenated features, with
+        the bits of (W_q*f(q) + b) + W_r*f(r).
 
-        On each side, the images these rows read that have no half output
-        yet are convolved in sorted order, in at most two calls: one for
-        those no later row reads, one for the rest.  A half output is a view
-        of its call's output, which lives until its last half is dropped, so
-        the halves dropped after these rows share no array with those kept.
+        On each side, the images these rows read that several rows read and
+        that have no stored half yet are convolved in sorted order, in at
+        most two calls: one for those no later row reads, one for the rest.
+        A stored half is a view of its call's output, which lives until its
+        last half is dropped, so the halves dropped after these rows share
+        no array with those kept.
+
+        The rows then fall into four kinds by which of their halves one row
+        reads.  Rows with both halves stored are added into the output's
+        rows.  Each other kind is built in one array: a one-reader query
+        half is convolved, with the bias, into it and a one-reader reference
+        half added into it tile by tile (``conv2d``'s ``add_into``); where
+        only the reference half has one reader, it is convolved first and
+        the stored query half added after, which gives the same bits, as
+        IEEE addition commutes.  A sub-batch of one such kind, as a single
+        pair with a one-reader half, has that array as its output, so it
+        holds one block-0-sized array.
         """
         c = self.feats.shape[1]
         w = block.weight.data
+        sides = ((Tensor(w[:, :c]), block.bias), (Tensor(w[:, c:]), None))
+
+        def conv(side, images, add_into=None):
+            weight, bias = sides[side]
+            return T.conv2d(Tensor(self.feats[images]), weight, bias, stride=block.spec.stride,
+                            padding="zero", add_into=add_into).data
+
         halves = self._halves
         stop = self._offset + len(self.pairs)
-        for side, (half, bias) in enumerate(((w[:, :c], block.bias), (w[:, c:], None))):
+        one = [np.isin(col, single) for col, single in zip(self.pairs.T, self._single)]
+        for side in (0, 1):
             built, last = halves[side], self._last[side]
-            new = [i for i in np.unique(self.pairs[:, side]).tolist() if i not in built]
+            new = [i for i in np.unique(self.pairs[~one[side], side]).tolist()
+                   if i not in built]
             for group in ([i for i in new if last[i] < stop], [i for i in new if last[i] >= stop]):
                 if group:
-                    out = T.conv2d(Tensor(self.feats[group]), Tensor(half), bias,
-                                   stride=block.spec.stride, padding="zero")
-                    built.update(zip(group, out.data))
-        rows = self.pairs.tolist()
-        out = np.empty((len(rows),) + halves[0][rows[0][0]].shape, dtype=self.feats.dtype)
-        for k, row in enumerate(rows):
-            np.add(halves[0][row[0]], halves[1][row[1]], out=out[k])
-            for side, i in enumerate(row):
-                if self._last[side][i] == self._offset + k:
-                    del halves[side][i]
+                    built.update(zip(group, conv(side, group)))
+        kind = one[0] + 2 * one[1]
+        out = None
+        for k in np.unique(kind).tolist():
+            rows = np.flatnonzero(kind == k)
+            qs, rs = self.pairs[rows].T.tolist()
+            if k == 0:              # both halves stored: added into the output's rows
+                out = np.empty((len(kind),) + halves[0][qs[0]].shape, dtype=self.feats.dtype)
+                for row, q, r in zip(rows.tolist(), qs, rs):
+                    np.add(halves[0][q], halves[1][r], out=out[row])
+                continue
+            if k == 2:              # the reference half has one reader
+                y = conv(1, rs)
+                for j, q in enumerate(qs):
+                    y[j] += halves[0][q]
+            else:                   # the query half has one reader
+                y = conv(0, qs)
+                if k == 3:
+                    conv(1, rs, add_into=y)
+                else:
+                    for j, r in enumerate(rs):
+                        y[j] += halves[1][r]
+            if len(rows) == len(kind):
+                out = y
+            else:
+                if out is None:
+                    out = np.empty((len(kind),) + y.shape[1:], dtype=y.dtype)
+                out[rows] = y
+        for side, col in enumerate(self.pairs.T.tolist()):
+            for i in col:
+                if self._last[side][i] < stop:
+                    halves[side].pop(i, None)
         return Tensor(out)

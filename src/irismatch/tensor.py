@@ -41,10 +41,14 @@ node's closure once it has run.
   full column blocks take one, a short last block another.  Tiles start at
   multiples of 64 output positions, so every column falls in the same kind
   of block as in one whole-sample GEMM, and the output does not depend on
-  the tiling (tested bitwise).  The backward unrolls tiles of whole
-  samples under the same ``_TILE_BYTES`` (one sample where a sample is
-  more): the weight gradient sums over every output position of a sample
-  inside one GEMM, and row tiles would reorder that sum.  ``_COL_BUDGET``
+  the tiling (tested bitwise).  With no graph to record, the forward can
+  add its output into a caller's array instead (``add_into``): each tile's
+  product goes to a tile-sized temporary and is added from there, so the
+  matcher's block 0 builds one pair's output in one array.  The backward
+  unrolls tiles of whole samples under the same ``_TILE_BYTES`` (one
+  sample where a sample is more): the weight gradient sums over every
+  output position of a sample inside one GEMM, and row tiles would reorder
+  that sum.  ``_COL_BUDGET``
   fixes only how those per-sample products are summed: in sample order
   within groups of as many samples as it holds, each group's sum added to
   the gradient, so the tiles leave its bits unchanged.  The zero
@@ -846,12 +850,22 @@ def _conv_batch_step(oh, ow, c, kh, kw):
     return max(1, _COL_BUDGET // max(per_sample, 1))
 
 
-def _conv_forward(x, w, b, sh, sw, ph, pw):
+def _conv_forward(x, w, b, sh, sw, ph, pw, add_into=None):
+    """The convolution as a new array, or added into ``add_into``, a
+    C-contiguous array of the output's shape: each tile's GEMM output (plus
+    the bias) is computed in a tile-sized temporary, then added."""
     B, C, H, W = x.shape
     Cout, Cin, kh, kw = w.shape
     oh, ow = _conv_out_size(H + 2 * ph, W + 2 * pw, kh, kw, sh, sw)
     wmat = w.reshape(Cout, -1)
-    out = np.empty((B, Cout, oh, ow), dtype=x.dtype)
+    if add_into is None:
+        out = np.empty((B, Cout, oh, ow), dtype=x.dtype)
+    elif add_into.shape == (B, Cout, oh, ow) and add_into.dtype == x.dtype \
+            and add_into.flags.c_contiguous:
+        out = add_into
+    else:
+        raise ShapeError(f"conv2d adds into a C-contiguous {(B, Cout, oh, ow)} {x.dtype} array, "
+                         f"got {add_into.shape} {add_into.dtype}")
     # output rows per tile: a whole number of 64-position steps, so a tile's
     # GEMM column blocks fall where a whole sample's would
     align = 64 // math.gcd(ow, 64)
@@ -863,9 +877,13 @@ def _conv_forward(x, w, b, sh, sw, ph, pw):
     for n0, n1, r0, r1 in tiles:
         # a view: rows r0:r1 of each channel are contiguous
         y = out[n0:n1, :, r0:r1].reshape(n1 - n0, Cout, (r1 - r0) * ow)
-        np.matmul(wmat, _im2col(x[n0:n1], kh, kw, sh, sw, ph, pw, oh, ow, r0, r1), out=y)
+        part = np.matmul(wmat, _im2col(x[n0:n1], kh, kw, sh, sw, ph, pw, oh, ow, r0, r1),
+                         out=None if add_into is not None else y)
         if b is not None:
-            y += b[:, None]
+            part += b[:, None]
+        if add_into is not None:
+            y += part
+        del part        # so no two tiles' temporaries are alive at once
     return out
 
 
@@ -1011,7 +1029,7 @@ def _wrap_conv2d(a, weight, bias, stride):
     return _make(data, parents, backward)
 
 
-def conv2d(a, weight, bias=None, stride=1, padding="none"):
+def conv2d(a, weight, bias=None, stride=1, padding="none", add_into=None):
     """2-D cross-correlation with optional same-size zero or wrap padding.
 
     padding: "none" (valid), "zero" (same-size, floor(k/2) zeros each side),
@@ -1022,6 +1040,11 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
     "wrap" runs ``_wrap_conv`` (row FFTs plus circular column taps); every
     other mode runs channel-major im2col.  The input gradient is computed
     only when the input requires grad.
+
+    ``add_into``, for im2col modes with no graph to record, is a C-contiguous
+    array of the output's shape and dtype: the output is added into it tile
+    by tile, so no output-sized array is allocated, and the result is that
+    array, holding ``add_into + (conv + bias)`` with the bits of ``np.add``.
     """
     sh, sw = (stride, stride) if isinstance(stride, int) else tuple(stride)
     if sh < 1 or sw < 1:
@@ -1039,6 +1062,8 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
         raise ShapeError(f"bias shape {bias.data.shape} does not match {Cout} output channels")
 
     if padding == "wrap":
+        if add_into is not None:
+            raise ValueError("conv2d adds into an array only with zero or no padding")
         return _wrap_conv2d(a, weight, bias, (sh, sw))
     if padding == "none":
         ph = pw = 0
@@ -1048,8 +1073,11 @@ def conv2d(a, weight, bias=None, stride=1, padding="none"):
         raise ValueError(f"unknown padding spec {padding!r}")
 
     x, w, need_gx, has_bias = a.data, weight.data, a.requires_grad, bias is not None
-    data = _conv_forward(x, w, bias.data if bias is not None else None, sh, sw, ph, pw)
     parents = (a, weight) if bias is None else (a, weight, bias)
+    if add_into is not None and records_graph(*parents):
+        raise ValueError("conv2d adds into an array only with no graph to record")
+    data = _conv_forward(x, w, bias.data if bias is not None else None, sh, sw, ph, pw,
+                         add_into)
 
     def backward(g):
         gx, gw = _conv_backward(g, x, w, sh, sw, ph, pw, need_gx)

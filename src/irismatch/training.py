@@ -18,12 +18,13 @@ model.
 With an ``out_dir``, ``train`` writes the run there once training ends (a
 run that raises before then leaves nothing): ``last.ckpt``, ``last.optim``,
 ``best.ckpt`` (the returned model), ``train_state.json`` (the epoch records,
-next epoch, Adam step counts, the store's SHA-256 and the training config,
-every ``TrainConfig`` field but ``epochs``) and ``log.csv``.  ``train`` owns
-the resume contract: a resumed run continues from these files to the same
-files as an uninterrupted run, and a missing or malformed file, another
-architecture, another store or another training config is refused before
-any write.
+next epoch, Adam step counts, the store's SHA-256, the training config,
+every ``TrainConfig`` field but ``epochs``, and the BLAS kernel and thread
+count the run trained on) and ``log.csv``.  ``train`` owns the resume
+contract: a resumed run continues from these files to the same files as an
+uninterrupted run, and a missing or malformed file, another architecture,
+another store, another training config or another BLAS pair (whose GEMMs
+may round differently, ``blas``) is refused before any write.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
+from .blas import blas_core, blas_threads
 from .checkpoint import atomic_open, load_model, load_optimizer_state, save_model, save_optimizer
 from .data import enumerate_pairs, rebalance_epoch, rng_stream, split_train_val
 from .evaluation import ModelScorer, collect_scores, tar_at_far
@@ -176,12 +178,12 @@ def _store_sha256(store):
     return digest.hexdigest()
 
 
-def _load_run(out_dir, model, optimizer, log, store_sha256, config):
+def _load_run(out_dir, model, optimizer, log, store_sha256, config, blas):
     """Fill ``model``, ``optimizer`` and ``log`` from the run saved in
     ``out_dir``; returns (first epoch to train, best state or None).  The
     resume contract lives here: a run whose ``train_state.json`` holds another
-    training ``config`` or store SHA-256, or whose model has another
-    architecture, is refused before anything is filled."""
+    training ``config``, store SHA-256 or ``blas`` pair, or whose model has
+    another architecture, is refused before anything is filled."""
     state_path = os.path.join(out_dir, "train_state.json")
     if not os.path.isfile(state_path):
         raise ValueError(f"resume requested but {state_path} does not exist")
@@ -194,6 +196,8 @@ def _load_run(out_dir, model, optimizer, log, store_sha256, config):
                    for epoch, stage, loss, tar, wall in state["records"]]
         saved_sha256 = str(state["store_sha256"])
         saved_config = {key: state["config"][key] for key in config}
+        saved_blas = {"kernel": str(state["blas"]["kernel"]),
+                      "threads": int(state["blas"]["threads"])}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{state_path}: malformed train state ({exc!r})") from exc
     for key, value in config.items():
@@ -203,6 +207,11 @@ def _load_run(out_dir, model, optimizer, log, store_sha256, config):
     if saved_sha256 != store_sha256:
         raise ValueError(f"resume: {state_path} was trained on another store (SHA-256 "
                          f"{saved_sha256}, this store's is {store_sha256}); a run keeps its data")
+    if saved_blas != blas:
+        raise ValueError(f"resume: {state_path} was trained on BLAS kernel {saved_blas['kernel']} "
+                         f"with {saved_blas['threads']} thread(s), this process runs "
+                         f"{blas['kernel']} with {blas['threads']}; a run keeps its BLAS pair "
+                         f"(OPENBLAS_CORETYPE, OPENBLAS_NUM_THREADS)")
     last = load_model(os.path.join(out_dir, "last.ckpt"))
     if last.config.to_dict() != model.config.to_dict():
         raise ValueError(f"resume: the model saved in {out_dir} has another architecture "
@@ -241,12 +250,15 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
     model = IrisMatchModel(model_config, rng=rng_stream(config.seed, 0))
     optimizer = Adam(model.named_parameters(), config)
     log = TrainLog(selection_far=config.selection_far)
-    store_sha256 = _store_sha256(store) if out_dir is not None else None
+    store_sha256 = blas = None
+    if out_dir is not None:
+        store_sha256 = _store_sha256(store)
+        blas = {"kernel": blas_core(), "threads": blas_threads()}
     # what a resumed run must keep: every field but epochs, as plain JSON numbers
     kept = {f.name: type(f.default)(getattr(config, f.name)) for f in fields(config)
             if f.name != "epochs"}
-    start_epoch, best_state = (_load_run(out_dir, model, optimizer, log, store_sha256, kept)
-                               if resume else (0, None))
+    start_epoch, best_state = (_load_run(out_dir, model, optimizer, log, store_sha256, kept,
+                                         blas) if resume else (0, None))
     n_prior = len(log.records)
 
     pair_images = np.unique(np.concatenate([train_pairs.authentic, train_pairs.imposter]))
@@ -327,6 +339,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
                 "steps": optimizer.steps,
                 "store_sha256": store_sha256,
                 "config": kept,
+                "blas": blas,
             }, fh, indent=1)
         log.write_csv(os.path.join(out_dir, "log.csv"), n_prior)
     return model, log

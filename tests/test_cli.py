@@ -233,6 +233,24 @@ def test_train_resume_on_another_store_exits_2(run_dir, tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
 
 
+def test_train_resume_under_another_blas_thread_count_exits_2(dataset, run_dir, tmp_path,
+                                                             capsys, monkeypatch):
+    import shutil
+
+    from irismatch import training
+    from irismatch.blas import blas_threads
+
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+    monkeypatch.setattr(training, "blas_threads", lambda: blas_threads() + 1)
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed)]
+                + _resume_args({}))
+    assert code == 2
+    assert "a run keeps its BLAS pair" in _one_line_error(capsys, resumed / "train_state.json")
+    assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
 @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
                                         ("--adam_eps", "nan")])
 def test_train_non_finite_step_size_exits_2_before_any_epoch(dataset, tmp_path, capsys,
@@ -595,9 +613,13 @@ def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_pa
                                                       if k != "store_sha256"},
                                        lambda state: {k: v for k, v in state.items()
                                                       if k != "config"},
-                                       lambda state: {**state, "config": {"lr": 0.01}}],
+                                       lambda state: {**state, "config": {"lr": 0.01}},
+                                       lambda state: {k: v for k, v in state.items()
+                                                      if k != "blas"},
+                                       lambda state: {**state, "blas": {"kernel": "Haswell"}}],
                          ids=["no-records", "short-row", "text-epoch", "list",
-                              "no-store-sha256", "no-config", "short-config"])
+                              "no-store-sha256", "no-config", "short-config", "no-blas",
+                              "short-blas"])
 def test_train_resume_with_a_malformed_state_exits_2(dataset, run_dir, tmp_path, capsys,
                                                      malformed):
     import json

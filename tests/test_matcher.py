@@ -1,5 +1,6 @@
 """Tests for the matcher network, model assembly, and checkpointing."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from irismatch import checkpoint as ckpt
 from irismatch import tensor as T
 from gradcheck import check_gradients
 from irismatch.matcher import (ConvBlockSpec, IrisMatchModel, MatcherModel, ModelConfig,
-                               default_matcher_blocks, pair_batch)
+                               PairFeatures, default_matcher_blocks, pair_batch)
 from oracles import pair_input, parameter_count
 from irismatch.tensor import ShapeError, Tensor
 
@@ -435,6 +436,21 @@ def test_match_probability_bitwise_equals_model_scorer():
         assert model.match_probability(images[a], images[b]) == score
 
 
+def test_match_probability_bitwise_equals_model_scorer_full_geometry():
+    """The scorer's chunk of (0, 1), (0, 2), (1, 2) stores the halves two
+    rows read (query 0, reference 2) and convolves the others into their
+    rows' outputs; ``match_probability`` convolves both halves of its one
+    pair into its output.  The scores agree bit for bit."""
+    from irismatch.evaluation import ModelScorer
+
+    model = IrisMatchModel(rng=np.random.default_rng(102))
+    images = np.random.default_rng(103).uniform(size=(3, 110, 512))
+    pairs = np.array([[0, 1], [0, 2], [1, 2]])
+    scores = ModelScorer(model).score_pairs(_store(images), pairs)
+    for (a, b), score in zip(pairs, scores):
+        assert model.match_probability(images[a], images[b]) == score
+
+
 def test_float32_scores_match_float64_default_model_full_geometry():
     """Float32 scoring from the float64 weights, against float64 scoring,
     within 1e-6 (the benchmark's probability tolerance), with non-trivial
@@ -506,11 +522,13 @@ def test_float32_bank_features_bitwise_independent_of_chunk_full_geometry(monkey
 
 
 def record_block0_halves(monkeypatch, channels):
-    """Wrap ``T.conv2d`` to follow block 0's half outputs, the convolutions
-    with ``channels`` input channels.  Returns (seen, live): seen lists each
+    """Wrap ``T.conv2d`` to follow block 0's half convolutions, those with
+    ``channels`` input channels.  Returns (seen, live): seen lists each
     image convolved, as (side, its features' bytes), the query side being
-    the one with the bias; live holds the number of images whose half output
-    array is alive now, and the most alive at once."""
+    the one with the bias; live holds the number of images whose half
+    convolution made an array that is alive now, and the most alive at once.
+    Such an array holds stored halves, or the output of rows whose half one
+    row reads; a convolution added into an array (``add_into``) makes none."""
     seen, live = [], [0, 0]
     conv2d = T.conv2d
 
@@ -522,6 +540,8 @@ def record_block0_halves(monkeypatch, channels):
         if weight.shape[1] == channels:
             side = "query" if bias is not None else "reference"
             seen.extend((side, img.tobytes()) for img in x.data)
+            if kwargs.get("add_into") is not None:
+                return out
             live[0] += len(x.data)
             live[1] = max(live)
             owner = out.data
@@ -598,6 +618,69 @@ def test_live_block0_halves_stay_within_the_half_budget(halves, step, monkeypatc
     assert model.pair_probabilities(feats, pairs).tobytes() == want.tobytes()
     assert live[0] == 0
     assert 2 <= live[1] <= max(halves, 1 + step)
+
+
+def halves_added(model, feats, q, r):
+    """Block 0's output for the pair (q, r), from its two halves convolved on
+    their own, the query's with the bias, and added by ``np.add``."""
+    block = model.matcher.blocks[0]
+    c = feats.shape[1]
+
+    def half(image, weight, bias):
+        return T.conv2d(Tensor(feats[[image]]), Tensor(weight), bias,
+                        stride=block.spec.stride, padding="zero").data
+
+    return np.add(half(q, block.weight.data[:, :c], block.bias),
+                  half(r, block.weight.data[:, c:], None))
+
+
+# one chunk whose rows, in order, have a stored query half and a one-reader
+# reference half, both halves stored, a one-reader query half and a stored
+# reference half, and both halves with one reader
+FOUR_KINDS = np.array([[0, 1], [0, 2], [3, 2], [4, 5]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config,steps", [(ModelConfig(), (1,)),
+                                          (ModelConfig.small(16, 32), (2, 3, 4))],
+                         ids=["default", "small-16x32"])
+def test_first_conv_bitwise_equals_its_halves_added(config, steps, dtype):
+    """Stored or one-reader query half, times stored or one-reader reference
+    half: each row of block 0's output is ``np.add`` of its halves, one pair
+    per sub-batch at 110x512 and sub-batches of several rows at 16x32."""
+    model = IrisMatchModel(config, rng=np.random.default_rng(104)).astype(dtype)
+    images = np.random.default_rng(105).uniform(size=(6, config.height, config.width))
+    feats = model.bank_features(images).data
+    assert [s.tolist() for s in PairFeatures(feats, FOUR_KINDS)._single] == [[3, 4], [1, 5]]
+    want = [halves_added(model, feats, q, r) for q, r in FOUR_KINDS]
+    block = model.matcher.blocks[0]
+    with T.no_grad():
+        for step in steps:
+            x = PairFeatures(feats, FOUR_KINDS)
+            got = np.concatenate([x.rows(lo, lo + step).first_conv(block).data
+                                  for lo in range(0, len(FOUR_KINDS), step)])
+            assert got.dtype == dtype
+            for k, row in enumerate(want):
+                assert got[k:k + 1].tobytes() == row.tobytes(), (step, k)
+
+
+def test_one_pair_holds_one_block0_output_full_geometry():
+    """A float32 pair at 110x512 never holds two block-0-sized arrays: its
+    traced peak stays under block 0's output, block 1's output, one tile of
+    columns and 1 MiB.  Holding the two halves and their sum took 20.6 MiB.
+    A first call runs before the traced one, so what it imports is not
+    counted."""
+    model = IrisMatchModel(rng=np.random.default_rng(106)).astype(np.float32)
+    feats = model.bank_features(np.random.default_rng(107).uniform(size=(2, 110, 512))).data
+    model.pair_probabilities(feats, [[0, 1]])
+    tracemalloc.start()
+    try:
+        model.pair_probabilities(feats, [[0, 1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = model.matcher.block_bytes((110, 512), feats.itemsize)
+    assert peak < sizes[0] + sizes[1] + T._TILE_BYTES + (1 << 20)
 
 
 def test_empty_pair_list_scores_nothing():
@@ -682,6 +765,21 @@ def test_factorized_input_refuses_training():
     feats = model.bank_features(np.zeros((2, 12, 24))).data
     with pytest.raises(ValueError, match="eval-mode"):
         model.matcher.forward(PairFeatures(feats, [[0, 1]]), training=True)
+
+
+def test_loaded_model_owns_writable_arrays_equal_to_the_saved_ones(tmp_path):
+    """``read_records`` returns read-only views of the file's bytes;
+    ``load_model`` copies them into the model's own arrays."""
+    model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(108))
+    path = tmp_path / "m.ckpt"
+    ckpt.save_model(model, path)
+    _, records = ckpt.read_records(path, ckpt.MODEL_MAGIC)
+    assert not any(arr.flags.writeable for arr in records.values())
+    loaded = ckpt.load_model(path)
+    for (name, want), (_, got) in zip(model.state_items(), loaded.state_items()):
+        assert got.flags.writeable and got.flags.owndata, name
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):

@@ -282,6 +282,45 @@ def test_conv2d_row_tiles_bitwise_equal_untiled_full_geometry(cin, cout, stride,
     assert tiled.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("tile_bytes", [1 << 40, 5 * 9 * 20 * 8],
+                         ids=["whole-samples", "row-tiles"])
+def test_conv2d_add_into_bitwise_equals_np_add(dtype, bias, tile_bytes, monkeypatch):
+    """``add_into`` holds ``np.add(base, conv)`` afterwards, in whole-sample
+    tiles and in row tiles, and is the array the call returns."""
+    monkeypatch.setattr(T, "_TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(25)
+    x = T.Tensor(rng.normal(size=(3, 5, 40, 20)).astype(dtype))
+    w = T.Tensor(rng.normal(size=(4, 5, 3, 3)).astype(dtype))
+    b = T.Tensor(rng.normal(size=4).astype(dtype)) if bias else None
+    for stride in (1, 2):
+        conv = T.conv2d(x, w, b, stride=stride, padding="zero").data
+        base = rng.normal(size=conv.shape).astype(dtype)
+        into = base.copy()
+        with T.no_grad():
+            got = T.conv2d(x, w, b, stride=stride, padding="zero", add_into=into)
+        assert got.data is into
+        assert into.tobytes() == np.add(base, conv).tobytes(), stride
+
+
+def test_conv2d_add_into_refuses_a_graph_wrap_padding_and_another_shape():
+    rng = np.random.default_rng(26)
+    x = T.Tensor(rng.normal(size=(2, 3, 6, 8)))
+    w = T.Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    into = np.zeros((2, 4, 6, 8))
+    with pytest.raises(ValueError, match="no graph"):
+        T.conv2d(x, w, padding="zero", add_into=into)
+    with T.no_grad():
+        with pytest.raises(ValueError, match="zero or no padding"):
+            T.conv2d(x, w, padding="wrap", add_into=into)
+        for bad in (np.zeros((2, 4, 4, 6)), np.zeros((2, 4, 6, 8), np.float32),
+                    np.zeros((2, 4, 8, 6)).transpose(0, 1, 3, 2)):
+            with pytest.raises(T.ShapeError, match="adds into"):
+                T.conv2d(x, w, padding="zero", add_into=bad)
+    assert not into.any()
+
+
 # ---------------------------------------------------------------- backward
 
 

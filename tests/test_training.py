@@ -11,11 +11,11 @@ import sys
 import numpy as np
 import pytest
 
+from irismatch.blas import blas_core, blas_threads
 from irismatch.data import IdentityStore
 from irismatch.matcher import ConvBlockSpec, IrisMatchModel, ModelConfig
 from irismatch.tensor import ShapeError, Tensor
 from irismatch.training import Adam, TrainConfig, TrainLog, train
-from oracles import blas_core, blas_threads
 
 
 def adam_reference(grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8, w0=0.0):
@@ -387,6 +387,48 @@ def test_resume_with_more_epochs_continues_the_run(toy_run, tmp_path):
                                for f in dataclasses.fields(config) if f.name != "epochs"}
 
 
+def test_train_state_records_the_blas_pair(toy_run):
+    state = json.loads((toy_run / "train_state.json").read_text())
+    assert state["blas"] == {"kernel": blas_core(), "threads": blas_threads()}
+
+
+def test_train_without_out_dir_reads_no_blas_pair(monkeypatch):
+    import irismatch.training as training
+
+    def no_read():
+        raise AssertionError("train() read the BLAS pair with no run directory to write")
+
+    monkeypatch.setattr(training, "blas_core", no_read)
+    monkeypatch.setattr(training, "blas_threads", no_read)
+    train(toy_store(), toy_train_config(epochs=1, stage1_epochs=1), toy_model_config())
+
+
+@pytest.mark.parametrize("change", ["kernel", "threads"])
+def test_resume_refuses_another_blas_pair_before_any_write(toy_run, tmp_path, monkeypatch,
+                                                           change):
+    """Some kernels round GEMMs by their thread count, so a run split
+    across two (kernel, threads) pairs would differ from an uninterrupted
+    one."""
+    import irismatch.training as training
+
+    run = tmp_path / "run"
+    shutil.copytree(toy_run, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    kernel, threads = blas_core(), blas_threads()
+    other = ((("Haswell" if kernel == "Katmai" else "Katmai"), threads) if change == "kernel"
+             else (kernel, threads + 1))
+    monkeypatch.setattr(training, "blas_core", lambda: other[0])
+    monkeypatch.setattr(training, "blas_threads", lambda: other[1])
+    with pytest.raises(ValueError) as info:
+        train(toy_store(), toy_train_config(stage1_epochs=1, epochs=3), toy_model_config(),
+              str(run), resume=True)
+    assert str(info.value) == (
+        f"resume: {run / 'train_state.json'} was trained on BLAS kernel {kernel} with "
+        f"{threads} thread(s), this process runs {other[0]} with {other[1]}; a run keeps its "
+        f"BLAS pair (OPENBLAS_CORETYPE, OPENBLAS_NUM_THREADS)")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_train_state_records_numpy_scalars_as_plain_numbers(tmp_path):
     run = tmp_path / "run"
     config = toy_train_config(seed=np.int64(1), batch_size=np.int32(8),
@@ -535,7 +577,8 @@ def test_pinned_bits_hold_on_each_other_recorded_blas_core(core, threads):
     src = os.path.join(os.path.dirname(tests), "src")
     env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-    probe = subprocess.run([sys.executable, "-c", "from oracles import blas_core, blas_threads; "
+    probe = subprocess.run([sys.executable, "-c",
+                            "from irismatch.blas import blas_core, blas_threads; "
                             "print(blas_core(), blas_threads())"], env=env, capture_output=True,
                            text=True, check=True)
     if probe.stdout.split() != [core, str(threads)]:

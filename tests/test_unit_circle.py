@@ -6,9 +6,9 @@ import pytest
 from irismatch import tensor as T
 from irismatch import unit_circle as uc
 from gradcheck import check_gradients, numerical_gradient, max_relative_error
+from irismatch.blas import blas_core
 from irismatch.matcher import IrisMatchModel, ModelConfig
 from irismatch.tensor import ShapeError, Tensor
-from oracles import blas_core
 
 
 def modular_conv2d(x, w, b=None):
