@@ -132,14 +132,6 @@ def masked_hamming(a: Bitcode, b: Bitcode):
     return differ / total
 
 
-def shift_bitcode(code: Bitcode, k):
-    """Circularly shift by k sample columns (bit pairs move together)."""
-    h, w2 = code.bits.shape
-    bits = np.roll(code.bits.reshape(h, w2 // 2, 2), k, axis=1).reshape(h, w2)
-    mask = np.roll(code.mask.reshape(h, w2 // 2, 2), k, axis=1).reshape(h, w2)
-    return Bitcode(bits, mask)
-
-
 def _pack_doubled(rows):
     """Pack (H', B) 0/1 rows, each written twice, into uint64 words:
     (H', 2 * ceil(B/64) + 1), zero past the 2B bits."""

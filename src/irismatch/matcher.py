@@ -430,11 +430,12 @@ class PairFeatures:
 
         The rows then fall into four kinds by which of their halves one row
         reads.  Rows with both halves stored are added into the output's
-        rows.  Each other kind is built in one array: a one-reader query
-        half is convolved, with the bias, into it and a one-reader reference
-        half added into it tile by tile (``conv2d``'s ``add_into``); where
-        only the reference half has one reader, it is convolved first and
-        the stored query half added after, which gives the same bits, as
+        rows.  Each other kind is built in one array.  Where both halves
+        have one reader, the query half is convolved, with the bias, into it
+        and the reference half added into it tile by tile (``conv2d``'s
+        ``add_into``).  Where one half has one reader, that half is
+        convolved (the query half with the bias) and the other side's
+        stored half added row by row; the reference half may come first, as
         IEEE addition commutes.  A sub-batch of one such kind, as a single
         pair with a one-reader half, has that array as its output, so it
         holds one block-0-sized array.
@@ -468,17 +469,14 @@ class PairFeatures:
                 for row, q, r in zip(rows.tolist(), qs, rs):
                     np.add(halves[0][q], halves[1][r], out=out[row])
                 continue
-            if k == 2:              # the reference half has one reader
-                y = conv(1, rs)
-                for j, q in enumerate(qs):
-                    y[j] += halves[0][q]
-            else:                   # the query half has one reader
+            if k == 3:              # both halves have one reader
                 y = conv(0, qs)
-                if k == 3:
-                    conv(1, rs, add_into=y)
-                else:
-                    for j, r in enumerate(rs):
-                        y[j] += halves[1][r]
+                conv(1, rs, add_into=y)
+            else:                   # kind 1: the query half has one reader; kind 2: the reference's
+                side, ends = k - 1, (qs, rs)
+                y = conv(side, ends[side])
+                for j, i in enumerate(ends[1 - side]):
+                    y[j] += halves[1 - side][i]
             if len(rows) == len(kind):
                 out = y
             else:

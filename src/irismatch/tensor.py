@@ -3,8 +3,8 @@
 A deliberately small engine: it provides exactly the primitives the iris
 matcher needs (2-D convolution with zero or horizontal-wrap padding, channel
 l2-normalization, batch normalization, ELU/ReLU, dropout, sigmoid, global
-average pooling, binary cross-entropy) plus the elementwise arithmetic used
-to glue them together.
+average pooling, binary cross-entropy, and the reshape, concatenation and
+row selection that join them).
 
 Data lives in numpy arrays, float64 by default.  Every op computes in its
 operands' dtype, so a float64 weight or running statistic promotes a
@@ -272,29 +272,8 @@ class Tensor:
             node._parents = ()
             node.grad = None
 
-    # -- arithmetic sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-
-def _wrap(value, dtype):
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def records_graph(*tensors):
@@ -315,66 +294,13 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, (have, want) in enumerate(zip(g.shape, shape)):
-        if want == 1 and have != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def _kept(a, b):
     """``a`` as the ``out`` of a ufunc of ``a`` and ``b`` when its result has
     ``a``'s dtype (so the in-place op has the new array's bits), else None."""
     return a if np.result_type(a, b) == a.dtype else None
 
 
-# -- elementwise / reduction ops -------------------------------------------
-
-
-def add(a, b):
-    a = _wrap(a, getattr(b, "dtype", np.float64)) if not isinstance(a, Tensor) else a
-    b = _wrap(b, a.dtype)
-    data = a.data + b.data
-    sa, sb = a.data.shape, b.data.shape
-
-    def backward(g):
-        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a, b):
-    a = _wrap(a, getattr(b, "dtype", np.float64)) if not isinstance(a, Tensor) else a
-    b = _wrap(b, a.dtype)
-    data = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def tsum(a, axis=None, keepdims=False):
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.data.shape
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy() if np.ndim(g) == 0 or g.shape != shape else g,)
-        gg = g
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            for ax in sorted(ax % len(shape) for ax in axes):
-                gg = np.expand_dims(gg, ax)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return _make(data, (a,), backward)
+# -- shape ops ---------------------------------------------------------------
 
 
 def reshape(a, shape):

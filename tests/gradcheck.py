@@ -2,12 +2,26 @@
 
 The checker never looks at an operation's backward rule: it re-evaluates the
 forward function under small symmetric perturbations, so it is an independent
-oracle for every analytic gradient in the package.
+oracle for every analytic gradient in the package.  ``weighted_sum`` is the
+tests' scalar loss on an op's output.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from irismatch import tensor as T
+
+
+def weighted_sum(t, c):
+    """The scalar sum(t * c) of a tensor and a constant array of its shape,
+    as one recorded op.  Its backward hands ``t`` the gradient ``g * c``:
+    under ``backward``'s seed of 1.0 that is ``c`` bit for bit (-0.0
+    included), in the dtype of ``t * c``."""
+    c = np.asarray(c)
+    if c.shape != t.shape:
+        raise ValueError(f"weights of shape {c.shape} for a tensor of shape {t.shape}")
+    return T._make((t.data * c).sum(), (t,), lambda g: (g * c,))
 
 
 def numerical_gradient(f, array, h=1e-5):

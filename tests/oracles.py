@@ -1,13 +1,18 @@
-"""Reference forms of model helpers that only the tests use.
+"""Reference forms of helpers that only the tests use.
 
 ``pair_input`` builds the concatenated matcher input of one pair on the
 tape, the form ``pair_batch`` takes in training and ``PairFeatures`` keeps
 factorized at inference.  ``parameter_count`` counts learnable scalars.
+``shift_bitcode`` is the unpacked form of the rotations the packed bitcode
+matcher cuts from its words.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from irismatch import tensor as T
+from irismatch.iriscode import Bitcode
 from irismatch.tensor import ShapeError
 
 
@@ -26,3 +31,11 @@ def parameter_count(model):
     """
     named = model.named_parameters() if hasattr(model, "named_parameters") else model
     return int(sum(t.data.size for _, t in named))
+
+
+def shift_bitcode(code: Bitcode, k):
+    """Circularly shift by k sample columns (bit pairs move together)."""
+    h, w2 = code.bits.shape
+    bits = np.roll(code.bits.reshape(h, w2 // 2, 2), k, axis=1).reshape(h, w2)
+    mask = np.roll(code.mask.reshape(h, w2 // 2, 2), k, axis=1).reshape(h, w2)
+    return Bitcode(bits, mask)

@@ -12,8 +12,9 @@ from irismatch.data import enumerate_pairs
 from irismatch.evaluation import BitcodeScorer, collect_scores
 from irismatch.iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, encode,
                                 log_gabor_transfer, masked_hamming, match_pairs,
-                                match_with_shifts, shift_bitcode)
+                                match_with_shifts)
 from irismatch.synthetic import SynthSpec, generate
+from oracles import shift_bitcode
 
 
 def dft_filter_reference(row, transfer):

@@ -192,7 +192,7 @@ def test_full_model_gradcheck_toy_geometry():
     xr = Tensor(rng.uniform(size=(1, 1, 12, 24)))
 
     def build():
-        return model.matcher.forward(pair_input(model, xq, xr), training=False).sum()
+        return model.matcher.forward(pair_input(model, xq, xr), training=False)
 
     params = [t for _, t in model.named_parameters()]
     err = check_gradients(build, params)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from irismatch import tensor as T
-from gradcheck import check_gradients, max_relative_error, numerical_gradient
+from gradcheck import check_gradients, max_relative_error, numerical_gradient, weighted_sum
 
 
 def loop_conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0)):
@@ -34,11 +34,6 @@ def loop_conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0)):
                                 acc += xp[n, ci, i * sh + u, j * sw + v] * w[co, ci, u, v]
                     out[n, co, i, j] = acc + (b[co] if b is not None else 0.0)
     return out
-
-
-def square_sum(t):
-    """Scalar loss sum(t * t) for the finite-difference checks."""
-    return (t * t).sum()
 
 
 # ---------------------------------------------------------------- conv2d
@@ -116,11 +111,12 @@ def test_conv2d_chunked_batches_match_loop(monkeypatch):
     xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
     got = T.conv2d(xt, wt)
     assert np.max(np.abs(got.data - loop_conv2d(x, w))) <= 1e-12
-    square_sum(got).backward()
+    c = rng.normal(size=got.shape)
+    weighted_sum(got, c).backward()
     xe, we = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
     monkeypatch.setattr(T, "_COL_BUDGET", 1 << 24)
     monkeypatch.setattr(T, "_TILE_BYTES", 1 << 22)
-    square_sum(T.conv2d(xe, we)).backward()
+    weighted_sum(T.conv2d(xe, we), c).backward()
     assert np.max(np.abs(wt.grad - we.grad)) <= 1e-12
     assert np.max(np.abs(xt.grad - xe.grad)) <= 1e-12
 
@@ -208,7 +204,7 @@ def test_conv2d_columns_bitwise_equal_padded_im2col(padding, stride, batch, monk
     monkeypatch.setattr(T, "_columns", lambda size, dtype: np.full(size, np.nan, dtype=dtype))
     out = T.conv2d(xt, wt, T.Tensor(b), stride=stride, padding=padding)
     g = rng.normal(size=out.shape)
-    (out * T.Tensor(g)).sum().backward()
+    weighted_sum(out, g).backward()
     want_y, want_gw, want_gx = im2col_oracle_conv(x, w, b, g, stride, padding)
     assert out.data.tobytes() == want_y.tobytes()
     assert wt.grad.tobytes() == want_gw.tobytes()
@@ -325,33 +321,38 @@ def test_conv2d_add_into_refuses_a_graph_wrap_padding_and_another_shape():
 
 
 def test_backward_quadratic():
+    """A 1x3 convolution of ``w`` with itself is w . w: one op whose two
+    operands are the same leaf, whose gradients add up to 2w."""
     w = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    loss = (w * w).sum()
+    row = T.reshape(w, (1, 1, 1, 3))
+    loss = T.conv2d(row, row)
+    assert loss.item() == 14.0
     loss.backward()
     assert np.allclose(w.grad, 2 * w.data)
 
 
-@pytest.mark.parametrize("axis", [None, 0])
-def test_scalar_sum_keeps_float32_forward_and_backward(axis):
-    """A sum down to a scalar is a numpy scalar, which keeps its operand's
-    dtype like any other op's output."""
+def test_scalar_sum_keeps_float32_forward_and_backward():
+    """The tests' scalar loss keeps a float32 operand's dtype, forward and
+    backward, like any other op's output, and seeds its operand with the
+    weights' bits."""
     w = T.Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
-    loss = (w * w).sum(axis=axis)
+    c = np.array([0.1, -0.0, 2.5], dtype=np.float32)
+    loss = weighted_sum(w, c)
     assert loss.shape == () and loss.dtype == np.float32
     loss.backward()
     assert w.grad.dtype == np.float32
-    assert np.array_equal(w.grad, 2 * w.data)
+    assert w.grad.tobytes() == c.tobytes()
 
 
 def test_backward_requires_scalar():
     w = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(T.ShapeError):
-        (w * w).backward()
+        T.elu(w).backward()
 
 
 def test_backward_twice_raises():
     w = T.Tensor(np.ones(3), requires_grad=True)
-    loss = (w * w).sum()
+    loss = weighted_sum(w, np.ones(3))
     loss.backward()
     with pytest.raises(RuntimeError, match="already"):
         loss.backward()
@@ -359,7 +360,7 @@ def test_backward_twice_raises():
 
 def test_backward_detached_graph_raises():
     x = T.Tensor(np.ones(3))
-    loss = (x * x).sum()
+    loss = weighted_sum(T.elu(x), np.ones(3))
     with pytest.raises(RuntimeError, match="grad"):
         loss.backward()
 
@@ -367,7 +368,7 @@ def test_backward_detached_graph_raises():
 def test_constant_subgraph_contributes_zero():
     w = T.Tensor(np.array([2.0]), requires_grad=True)
     c = T.Tensor(np.array([5.0]))  # untracked
-    loss = (w * c + c * c).sum()
+    loss = weighted_sum(T.concat([w, T.elu(c)]), np.array([5.0, 3.0]))
     loss.backward()
     assert np.allclose(w.grad, [5.0])
     assert c.grad is None
@@ -375,8 +376,8 @@ def test_constant_subgraph_contributes_zero():
 
 def test_grad_accumulates_across_graphs():
     w = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    (w * w).sum().backward()
-    (w * 3.0).sum().backward()
+    weighted_sum(w, 2 * w.data).backward()
+    weighted_sum(w, np.full(2, 3.0)).backward()
     assert np.allclose(w.grad, 2 * w.data + 3.0)
     w.zero_grad()
     assert w.grad is None
@@ -398,7 +399,7 @@ def test_backward_frees_each_interior_activation_once_its_backward_has_run():
     a = T._make(w.data * 2.0, (w,), probe)
     h = T.elu(a)
     act = weakref.ref(h.data)
-    loss = (h * T.Tensor(np.arange(4.0))).sum()
+    loss = weighted_sum(h, np.arange(4.0))
     del h
     loss.backward()
     assert seen == [True]
@@ -414,7 +415,7 @@ def test_graph_contract_hook_parents_and_grads():
     it; an interior ``grad`` reads None after backward, the root's 1."""
     w = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     c = T.Tensor(np.array([3.0, 4.0]))
-    y = w * c
+    y = T.concat([w, c])
     assert len(y._parents) == 2 and y._parents[0] is w and y._parents[1] is c
     assert w._parents == () and w._backward_fn is None
     h = T.elu(y)
@@ -428,9 +429,9 @@ def test_graph_contract_hook_parents_and_grads():
     y._backward_fn = hooked
     assert y._backward_fn is hooked
     w.grad = np.array([10.0, 20.0])
-    loss = h.sum()
+    loss = weighted_sum(h, np.array([3.0, 4.0, 5.0, 6.0]))
     loss.backward()
-    assert len(calls) == 1 and np.array_equal(calls[0], [1.0, 1.0])
+    assert len(calls) == 1 and np.array_equal(calls[0], [3.0, 4.0, 5.0, 6.0])
     assert np.array_equal(w.grad, [13.0, 24.0])
     assert c.grad is None
     assert y.grad is None and h.grad is None
@@ -442,9 +443,10 @@ def test_graph_keeps_no_array_that_no_backward_reads():
     """An interior array lives only while its caller holds the tensor or a
     backward captured it.  As in a stage-2 step, each wrap convolution's raw
     response (its normalization keeps its own output), the concatenated
-    bank output (``index_select`` keeps indices) and the gathered halves
-    (``concat`` keeps sizes) die with their tensors, before backward; what a
-    backward reads stays until that backward has run."""
+    bank output (``index_select`` keeps indices), the gathered halves and
+    their concatenation (``concat`` keeps sizes, the loss its weights) die
+    with their tensors, before backward; what a backward reads stays until
+    that backward has run."""
     import weakref
 
     rng = np.random.default_rng(28)
@@ -455,9 +457,9 @@ def test_graph_keeps_no_array_that_no_backward_reads():
     bank = T.concat(units, axis=1)
     left, right = T.index_select(bank, [0, 2]), T.index_select(bank, [1, 1])
     cat = T.concat([left, right], axis=1)
-    loss = (cat * T.Tensor(rng.normal(size=cat.shape))).sum()
-    dead = [weakref.finalize(t.data, lambda: None) for t in raws + [bank, left, right]]
-    read = [weakref.finalize(t.data, lambda: None) for t in units + [cat]]
+    loss = weighted_sum(cat, rng.normal(size=cat.shape))
+    dead = [weakref.finalize(t.data, lambda: None) for t in raws + [bank, left, right, cat]]
+    read = [weakref.finalize(t.data, lambda: None) for t in units]
     del raws, units, bank, left, right, cat
     assert not any(f.alive for f in dead)
     assert all(f.alive for f in read)
@@ -469,7 +471,7 @@ def test_graph_keeps_no_array_that_no_backward_reads():
 def test_no_grad_blocks_recording():
     w = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
-        out = (w * w).sum()
+        out = T.elu(w)
     assert not out.requires_grad
 
 
@@ -515,7 +517,7 @@ def test_elu_bitwise_equals_reference(alpha, shape):
     xt = T.Tensor(x.copy(), requires_grad=True)
     y = T.elu(xt)
     assert same_bits(y.data, want)
-    (y * T.Tensor(w)).sum().backward()
+    weighted_sum(y, w).backward()
     assert same_bits(xt.grad, w * factor)
     with T.no_grad():
         assert same_bits(T.elu(T.Tensor(x)).data, want)
@@ -548,7 +550,7 @@ def test_batch_norm_eval_bitwise_with_and_without_graph(shape, dtype):
     y = T.batch_norm(xt, g, b, rm, rv, training=False)
     assert same_bits(y.data, want)
     w = rng.normal(size=shape)
-    (y * T.Tensor(w)).sum().backward()
+    weighted_sum(y, w).backward()
     cshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
     inv = 1.0 / np.sqrt(rv.reshape(cshape) + 1e-5)
     xhat = (x - rm.reshape(cshape)) * inv
@@ -618,7 +620,7 @@ def elu_bn_step(op, x, gamma, beta, rm, rv, training, w):
     y = op(xt, g, b, rm, rv, training)
     got = {"out": y.data.copy(), "running_mean": rm, "running_var": rv}
     parents = y._parents
-    (y * T.Tensor(w)).sum().backward()
+    weighted_sum(y, w).backward()
     got.update(gx=xt.grad, ggamma=g.grad, gbeta=b.grad)
     return parents, (xt, g, b), got
 
@@ -799,29 +801,14 @@ def test_bce_shape_mismatch():
 # -------------------------------------------------- finite-difference suite
 
 
-def test_gradcheck_add_mul_sum():
-    rng = np.random.default_rng(10)
-    a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    err = check_gradients(lambda: square_sum(a * b + a), [a, b])
-    assert err < 1e-4
-
-
-def test_gradcheck_broadcast_bias():
-    rng = np.random.default_rng(11)
-    a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    b = T.Tensor(rng.normal(size=(3,)), requires_grad=True)
-    err = check_gradients(lambda: ((a + b) * (a + b)).sum(), [a, b])
-    assert err < 1e-4
-
-
 def test_gradcheck_conv2d_zero_padding():
     rng = np.random.default_rng(12)
     x = T.Tensor(rng.normal(size=(2, 2, 5, 6)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     b = T.Tensor(rng.normal(size=3), requires_grad=True)
+    c = rng.normal(size=(2, 3, 3, 6))
     err = check_gradients(
-        lambda: square_sum(T.conv2d(x, w, b, stride=(2, 1), padding="zero")), [x, w, b])
+        lambda: weighted_sum(T.conv2d(x, w, b, stride=(2, 1), padding="zero"), c), [x, w, b])
     assert err < 1e-4
 
 
@@ -829,8 +816,9 @@ def test_gradcheck_conv2d_wrap_padding():
     rng = np.random.default_rng(13)
     x = T.Tensor(rng.normal(size=(1, 1, 5, 7)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(2, 1, 3, 5)), requires_grad=True)
+    c = rng.normal(size=(1, 2, 5, 7))
     err = check_gradients(
-        lambda: square_sum(T.conv2d(x, w, padding="wrap")), [x, w])
+        lambda: weighted_sum(T.conv2d(x, w, padding="wrap"), c), [x, w])
     assert err < 1e-4
 
 
@@ -845,7 +833,7 @@ def test_conv2d_skips_unread_input_gradient(padding, stride):
         xt = T.Tensor(x, requires_grad=x_requires_grad)
         w = T.Tensor(np.cos(np.arange(120.0)).reshape(4, 2, 3, 5), requires_grad=True)
         b = T.Tensor(np.arange(4.0), requires_grad=True)
-        (T.conv2d(xt, w, b, stride=stride, padding=padding) * c).sum().backward()
+        weighted_sum(T.conv2d(xt, w, b, stride=stride, padding=padding), c).backward()
         assert (xt.grad is not None) == x_requires_grad
         grads.append((w.grad, b.grad))
     assert np.array_equal(grads[0][0], grads[1][0])
@@ -857,15 +845,16 @@ def test_gradcheck_channel_normalize():
     x = T.Tensor(rng.normal(size=(2, 2, 4, 5)) + 0.5, requires_grad=True)
     c = np.cos(np.arange(2 * 2 * 4 * 5)).reshape(2, 2, 4, 5)
     err = check_gradients(
-        lambda: (T.channel_l2_normalize(x) * c).sum(), [x])
+        lambda: weighted_sum(T.channel_l2_normalize(x), c), [x])
     assert err < 1e-4
 
 
 def test_gradcheck_elu_relu_sigmoid():
     rng = np.random.default_rng(15)
     x = T.Tensor(rng.normal(size=(3, 7)) + 0.1, requires_grad=True)
+    c = rng.normal(size=(3, 7))
     for op in (T.elu, T.relu, T.sigmoid):
-        err = check_gradients(lambda: square_sum(op(x)), [x])
+        err = check_gradients(lambda: weighted_sum(op(x), c), [x])
         assert err < 1e-4, op.__name__
 
 
@@ -876,13 +865,13 @@ def test_gradcheck_batch_norm_train_and_eval():
     beta = T.Tensor(rng.normal(size=3), requires_grad=True)
     w = np.sin(np.arange(48)).reshape(4, 3, 2, 2)
     err = check_gradients(
-        lambda: (T.batch_norm(x, gamma, beta, training=True) * w).sum(),
+        lambda: weighted_sum(T.batch_norm(x, gamma, beta, training=True), w),
         [x, gamma, beta])
     assert err < 1e-4
     rm = rng.normal(size=3)
     rv = rng.uniform(0.5, 2.0, size=3)
     err = check_gradients(
-        lambda: (T.batch_norm(x, gamma, beta, rm, rv, training=False) * w).sum(),
+        lambda: weighted_sum(T.batch_norm(x, gamma, beta, rm, rv, training=False), w),
         [x, gamma, beta])
     assert err < 1e-4
 
@@ -890,8 +879,9 @@ def test_gradcheck_batch_norm_train_and_eval():
 def test_gradcheck_dropout_fixed_mask():
     rng = np.random.default_rng(17)
     x = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    c = rng.normal(size=(4, 6))
     err = check_gradients(
-        lambda: square_sum(T.dropout(x, 0.4, training=True, rng=np.random.default_rng(99))),
+        lambda: weighted_sum(T.dropout(x, 0.4, training=True, rng=np.random.default_rng(99)), c),
         [x])
     assert err < 1e-4
 
@@ -899,7 +889,8 @@ def test_gradcheck_dropout_fixed_mask():
 def test_gradcheck_global_avg_pool():
     rng = np.random.default_rng(18)
     x = T.Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-    err = check_gradients(lambda: square_sum(T.global_avg_pool(x)), [x])
+    c = rng.normal(size=(2, 3))
+    err = check_gradients(lambda: weighted_sum(T.global_avg_pool(x), c), [x])
     assert err < 1e-4
 
 
@@ -916,11 +907,12 @@ def test_gradcheck_concat_index_select():
     a = T.Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(3, 1, 2, 2)), requires_grad=True)
     idx = [0, 2, 2, 1]
+    c = rng.normal(size=(4, 3, 2, 2))
 
     def build():
         cat = T.concat([a, b], axis=1)
         sel = T.index_select(cat, idx)
-        return square_sum(sel)
+        return weighted_sum(sel, c)
 
     err = check_gradients(build, [a, b])
     assert err < 1e-4
@@ -960,7 +952,7 @@ def test_paired_index_select_bitwise_equals_two_gathers_concatenated(dtype):
             x = T.concat([T.index_select(a, pairs[:, 0]), T.index_select(a, pairs[:, 1])],
                          axis=1)
         outs.append(x.data.tobytes())
-        (x * T.Tensor(weight)).sum().backward()
+        weighted_sum(x, weight).backward()
         assert a.grad.dtype == dtype
         grads.append(a.grad.tobytes())
     assert outs[0] == outs[1]
@@ -968,24 +960,27 @@ def test_paired_index_select_bitwise_equals_two_gathers_concatenated(dtype):
 
 
 def test_gradcheck_composite_pipeline():
-    # conv -> elu -> bn -> pool -> sigmoid -> bce, all in one graph
+    # conv -> elu -> bn -> 1x1 head -> pool -> sigmoid -> bce, all in one graph
     rng = np.random.default_rng(21)
     x = T.Tensor(rng.normal(size=(3, 1, 6, 8)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(2, 1, 3, 3)) * 0.5, requires_grad=True)
     b = T.Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
     gamma = T.Tensor(np.ones(2), requires_grad=True)
     beta = T.Tensor(np.zeros(2), requires_grad=True)
+    head_w = T.Tensor(np.ones((1, 2, 1, 1)), requires_grad=True)
+    head_b = T.Tensor(np.zeros(1), requires_grad=True)
     y = np.array([1.0, 0.0, 1.0])
 
     def build():
         h = T.conv2d(x, w, b, padding="wrap")
         h = T.elu(h)
         h = T.batch_norm(h, gamma, beta, training=True)
+        h = T.conv2d(h, head_w, head_b)
         h = T.global_avg_pool(h)
-        p = T.sigmoid(h.sum(axis=1))
+        p = T.sigmoid(h.reshape((3,)))
         return T.bce_loss(p, y)
 
-    err = check_gradients(build, [x, w, b, gamma, beta])
+    err = check_gradients(build, [x, w, b, gamma, beta, head_w, head_b])
     assert err < 1e-4
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from irismatch import tensor as T
 from irismatch import unit_circle as uc
-from gradcheck import check_gradients, numerical_gradient, max_relative_error
+from gradcheck import check_gradients, numerical_gradient, max_relative_error, weighted_sum
 from irismatch.blas import blas_core
 from irismatch.matcher import IrisMatchModel, ModelConfig
 from irismatch.tensor import ShapeError, Tensor
@@ -101,7 +101,7 @@ def test_wrap_conv_gradcheck_two_input_channels():
     w = Tensor(rng.normal(size=(3, 2, 3, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
     c = np.cos(np.arange(2 * 3 * 5 * 7)).reshape(2, 3, 5, 7)
-    err = check_gradients(lambda: (T.conv2d(x, w, b, padding="wrap") * c).sum(), [x, w, b])
+    err = check_gradients(lambda: weighted_sum(T.conv2d(x, w, b, padding="wrap"), c), [x, w, b])
     assert err < 1e-6
 
 
@@ -138,7 +138,7 @@ def test_uc_forward_degenerate_pixel_maps_to_zero():
     x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 4, 5)), requires_grad=True)
     out = uc.uc_forward(x, f)
     assert np.all(out.data == 0.0)
-    out.sum().backward()
+    weighted_sum(out, np.ones(out.shape)).backward()
     assert np.all(x.grad == 0.0)
 
 
@@ -167,7 +167,7 @@ def _normalize_jacobian(v):
         out = T.channel_l2_normalize(t, eps=uc.NORM_EPS)
         onehot = np.zeros((1, 2, 1, 1))
         onehot[0, k] = 1.0
-        (out * onehot).sum().backward()
+        weighted_sum(out, onehot).backward()
         rows.append(t.grad.reshape(2))
     return np.array(rows)
 
@@ -196,7 +196,7 @@ def test_uc_forward_gradcheck():
     f = uc.UnitCircleFilter(3, 5, bias=True, rng=rng)
     x = Tensor(rng.uniform(0.2, 1.0, size=(1, 1, 5, 8)), requires_grad=True)
     c = np.cos(np.arange(80)).reshape(1, 2, 5, 8)
-    err = check_gradients(lambda: (uc.uc_forward(x, f) * c).sum(),
+    err = check_gradients(lambda: weighted_sum(uc.uc_forward(x, f), c),
                           [x, f.weight, f.bias])
     assert err < 1e-4
 
