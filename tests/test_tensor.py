@@ -331,14 +331,19 @@ def test_backward_quadratic():
     assert np.allclose(w.grad, 2 * w.data)
 
 
-def test_scalar_sum_keeps_float32_forward_and_backward():
+@pytest.mark.parametrize("axis", [None, 0])
+def test_scalar_sum_keeps_float32_forward_and_backward(axis):
     """The tests' scalar loss keeps a float32 operand's dtype, forward and
     backward, like any other op's output, and seeds its operand with the
-    weights' bits."""
+    weights' bits.  Its value is numpy's float32 sum of the product, whether
+    numpy reduces the whole array or its one axis."""
     w = T.Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
     c = np.array([0.1, -0.0, 2.5], dtype=np.float32)
     loss = weighted_sum(w, c)
+    reference = (w.data * c).sum(axis=axis)
+    assert reference.dtype == np.float32
     assert loss.shape == () and loss.dtype == np.float32
+    assert np.asarray(loss.data).tobytes() == reference.tobytes()
     loss.backward()
     assert w.grad.dtype == np.float32
     assert w.grad.tobytes() == c.tobytes()
