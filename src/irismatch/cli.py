@@ -70,6 +70,12 @@ def _parse_fars(text):
     return fars
 
 
+def _parse_threshold(text):
+    if not 0.0 <= float(text) <= 1.0:               # NaN fails too
+        raise UsageError("the match threshold must be finite and in [0, 1]")
+    return float(text)
+
+
 def _parse_kernels(text):
     out = []
     for item in text.split(","):
@@ -89,6 +95,7 @@ _PARSERS = {
     "floats": lambda text: tuple(float(v) for v in text.split(",")),
     "ints": lambda text: tuple(int(v) for v in text.split(",")),
     "fars": _parse_fars,
+    "threshold": _parse_threshold,
 }
 
 # the matcher_* defaults (see the module docstring for the other owners)
@@ -132,7 +139,7 @@ SCHEMA = {
     "resume": ("bool", False, "continue a previous run found in out_dir"),
     "checkpoint": ("str", None, "model checkpoint path"),
     "far": ("fars", (1e-1, 1e-2, 1e-3, 1e-4), "FAR targets in (0, 1], comma separated"),
-    "threshold": ("float", 0.5, "match decision threshold on the probability"),
+    "threshold": ("threshold", 0.5, "match decision threshold on the probability, in [0, 1]"),
     "gabor_wavelength": ("float", LogGaborSpec.wavelength, "log-Gabor center wavelength in pixels"),
     "gabor_sigma_ratio": ("float", LogGaborSpec.sigma_ratio, "log-Gabor sigma/f0 bandwidth ratio"),
     "row_step": ("int", LogGaborSpec.row_step, "bitcode row subsampling factor"),

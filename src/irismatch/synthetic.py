@@ -44,6 +44,8 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.identities < 1 or self.images_per_identity < 1:
             raise ValueError("identities and images per identity must be positive")
         if self.height < 2 or self.width < 4:

@@ -48,12 +48,10 @@ node's closure once it has run.
   unrolls tiles of whole samples under the same ``_TILE_BYTES`` (one
   sample where a sample is more): the weight gradient sums over every
   output position of a sample inside one GEMM, and row tiles would reorder
-  that sum.  ``_COL_BUDGET``
-  fixes only how those per-sample products are summed: in sample order
-  within groups of as many samples as it holds, each group's sum added to
-  the gradient, so the tiles leave its bits unchanged.  The zero
-  padding is written into the columns, so no padded copy of the input is
-  built and every column element is written before it is read.
+  that sum.  The per-sample products are added to the gradient one by one,
+  from zero, in sample order, so the tiles leave its bits unchanged.  The
+  zero padding is written into the columns, so no padded copy of the input
+  is built and every column element is written before it is read.
 * wrap padding (the unit-circle bank): one real FFT along the rows (zero
   padded, so the radial correlation is linear), kw direct circular taps
   along the angular axis on the row spectra, one inverse FFT; the weight
@@ -72,21 +70,19 @@ node's closure once it has run.
   unit circle in place, in cache-sized slices, with the bits of
   ``channel_l2_normalize``.
 
-Both skip the input gradient when the input does not require grad (the
-bank's input is the image; stage-1 matcher inputs are cached features).
+im2col skips the input gradient when the input does not require grad
+(stage-1 matcher inputs are cached features).  The wrap convolution has no
+input gradient: its input is the bank's image, and one that requires grad
+is refused while a graph is recorded.
 
 ``elu_batch_norm`` is every matcher block's ELU then batch norm, with the
-bits of ``batch_norm(elu(a))``.  In eval scoring, with no graph to record,
-it is elementwise work: it overwrites the convolution's output one
-cache-sized slice of (sample, channel) planes at a time, running the ops of
-``elu`` then ``batch_norm`` in their order, so no whole-activation
-temporary is allocated and page-faulted and the output keeps their bits
-(operator fusion, as in Chen et al., "TVM", arXiv:1802.04799).  In
-training, or with a graph, it is one recorded op that keeps only its input
-and its output: its backward recomputes the ELU output and x-hat from the
-input with the forward's operations, slice by slice, so the input gradient
-is the only whole array it allocates.  ``batch_norm`` remains as its test
-reference.
+bits of ``batch_norm(elu(a))``: one loop over cache-sized slices of
+(sample, channel) planes runs their ops in their order (operator fusion, as
+in Chen et al., "TVM", arXiv:1802.04799).  In eval scoring it overwrites
+the convolution's output in one pass; in training it follows an ELU pass.
+Its backward recomputes what it reads from the input, slice by slice.  One
+slice ELU (``_elu_into``) writes every ELU.  ``batch_norm`` remains as its
+test reference.
 """
 
 from __future__ import annotations
@@ -103,20 +99,15 @@ class ShapeError(ValueError):
 
 _FLOAT_DTYPES = (np.float64, np.float32)
 
-# elements of im2col columns per summation group of the backward's weight
-# gradient (128 MB of f64): whole samples, whose per-sample products are
-# summed in sample order before the group's sum is added to the gradient
-_COL_BUDGET = 1 << 24
-
 # bytes of im2col columns per forward GEMM (at least the output rows of 64
 # positions) and per backward tile (at least one sample): a cache-sized
 # tile, far under glibc's largest mmap threshold (32 MB), so its buffer is a
 # reused heap block
 _TILE_BYTES = 1 << 22
 
-# elements per slice of ``elu``'s temporary and of the in-place passes of
-# ``elu_batch_norm`` and ``unit_normalize_pairs`` (512 KB of f64): a slice
-# stays in cache between its ops
+# elements per slice of the ELU and ELU->batch-norm passes (``_plane_slices``)
+# and of ``unit_normalize_pairs`` (512 KB of f64): a slice stays in cache
+# between its ops
 _ELU_SLICE = 1 << 16
 
 _grad_enabled = True
@@ -380,19 +371,37 @@ def sigmoid(a):
     return _make(data, (a,), backward)
 
 
+def _plane_slices(x):
+    """``x`` as rows of whole (sample, channel) planes (a view when ``x`` is
+    C-contiguous), the slices of those rows that hold at most ``_ELU_SLICE``
+    elements (one row where a plane is more), and an uninitialized buffer
+    of one slice's shape and ``x``'s dtype."""
+    planes = x.reshape(math.prod(x.shape[:2]), math.prod(x.shape[2:]))
+    per = max(1, _ELU_SLICE // max(planes.shape[1], 1))
+    buf = np.empty((min(per, len(planes)), planes.shape[1]), dtype=x.dtype)
+    return planes, [slice(j, j + per) for j in range(0, len(planes), per)], buf
+
+
+def _elu_into(x, out, buf):
+    """The ELU (alpha 1) of a slice ``x`` of ``_plane_slices`` rows, x where
+    x > 0 else expm1(x), written into ``out`` (which may be ``x``), which it
+    returns.  ``buf`` holds max(x, -0.0), which adds x where x > 0 (to
+    +0.0) and -0.0 elsewhere, so a -0.0 of expm1(x) is kept."""
+    pos = np.maximum(x, -0.0, out=buf[:len(x)])
+    np.minimum(x, 0.0, out=out)
+    np.expm1(out, out=out)
+    out += pos
+    return out
+
+
 def _elu_data(x):
-    """The ELU (alpha 1) of array ``x``: x where x > 0, else expm1(x)."""
-    data = np.minimum(x, 0.0)
-    np.expm1(data, out=data)
-    # + max(x, -0.0): adds x where x > 0 (to +0.0) and -0.0 elsewhere, which
-    # keeps a -0.0 of expm1(x); in slices over the fewest leading axes
-    # that make a slice at most _ELU_SLICE elements, so the temporary stays
-    # small (batch 1 included) instead of being a whole activation
-    lead = min(next(k for k in range(x.ndim + 1) if math.prod(x.shape[k:]) <= _ELU_SLICE),
-               max(x.ndim - 1, 0))
-    for idx in np.ndindex(x.shape[:lead]):
-        d = data[idx]
-        d += np.maximum(x[idx], -0.0)
+    """The ELU of array ``x`` as a new array, slice by slice, so the only
+    temporary is one slice."""
+    planes, cuts, buf = _plane_slices(x)
+    data = np.empty(x.shape, dtype=x.dtype)
+    rows = data.reshape(planes.shape)
+    for k in cuts:
+        _elu_into(planes[k], rows[k], buf)
     return data
 
 
@@ -518,7 +527,7 @@ def _bn_stats(x, running_mean, running_var, training, eps, momentum=0.1):
     else:
         if running_mean is None or running_var is None:
             raise ValueError("batch_norm in eval mode needs running statistics")
-        mean = running_mean.reshape(cshape).copy()
+        mean = running_mean.reshape(cshape)
         var = running_var.reshape(cshape)
     return axes, cshape, mean, 1.0 / np.sqrt(var + eps)
 
@@ -550,7 +559,7 @@ def _standardize(e, mean, inv):
 def _per_plane(n, *channel_values):
     """Each array of per-channel values as a column with one value per
     (sample, channel) plane of ``n`` samples."""
-    return [np.tile(np.reshape(v, -1), n)[:, None] for v in channel_values]
+    return [np.concatenate((np.reshape(v, -1),) * n)[:, None] for v in channel_values]
 
 
 def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
@@ -588,94 +597,85 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     bit for bit: its output, its running-statistic updates and, in one
     recorded op, the gradients of ``a``, ``gamma`` and ``beta``.
 
-    In eval mode, with no graph to record and no operand that would promote
-    ``a``'s dtype, it overwrites ``a``'s array with the output and returns a
-    tensor of that array.  It goes over it in slices of whole (sample,
-    channel) planes, at most ``_ELU_SLICE`` elements unless one plane is more,
-    and runs each slice through the ops of ``elu`` then ``batch_norm`` in
-    their order while the slice is in cache.  One slice-sized buffer holds
-    ``max(x, -0.0)``, so no whole-activation temporary is made.
+    Its forward is one loop over ``_plane_slices`` of whole (sample,
+    channel) planes, which runs the ops of ``elu`` then ``batch_norm`` in
+    their order while a slice is in cache.  In eval mode the ELU and the
+    affine map share that one pass; with no graph to record and no operand
+    that widens the output's dtype, it writes into ``a``'s own array, so
+    nothing bigger than a slice is allocated.  In training an ELU pass into
+    a new array comes first, as the batch statistics are that array's, and
+    the loop turns it into the output.
 
-    Otherwise (training, a graph, a promotion, an array it cannot
-    overwrite) it leaves ``a`` unchanged and runs ``elu``'s operations, then
-    ``batch_norm``'s, turning the ELU's buffer into the output in place
-    where the dtypes allow.  It keeps only ``a`` and per-channel
-    statistics: its backward recomputes the ELU output and x-hat from ``a``
-    with the same operations, then runs batch norm's backward arithmetic,
-    then ELU's, in cache-sized slices of whole planes (gamma's gradient sums
-    a whole array of g * x-hat, whose buffer the input gradient then takes
-    over).  A matcher block thus holds two whole activations for the
-    backward, the convolution's output and its own, where the composition
-    holds four, and its backward allocates one more (Rota Bulo, Porzi &
-    Kontschieder, "In-Place Activated BatchNorm", arXiv:1712.02616; Chen
-    et al., "Training Deep Nets with Sublinear Memory Cost",
-    arXiv:1604.06174).
+    The recorded op keeps only ``a`` and per-channel statistics: its
+    backward recomputes the ELU output and x-hat from ``a`` with the same
+    operations, then runs batch norm's backward arithmetic, then ELU's, in
+    the same slices (gamma's gradient sums a whole array of g * x-hat, whose
+    buffer the input gradient then takes over).  A matcher block thus holds
+    two whole activations for the backward, the convolution's output and
+    its own, where the composition holds four, and its backward allocates
+    one more (Rota Bulo, Porzi & Kontschieder, "In-Place Activated
+    BatchNorm", arXiv:1712.02616; Chen et al., "Training Deep Nets with
+    Sublinear Memory Cost", arXiv:1604.06174).
     """
     x = a.data
-    if (training or records_graph(a, gamma, beta)
-            or x.ndim not in (2, 4) or not (x.flags.c_contiguous and x.flags.writeable)
-            or running_mean is None or running_var is None
-            or np.result_type(x, gamma.data, beta.data, running_mean, running_var) != x.dtype):
-        return _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, eps)
+    src = _elu_data(x) if training else x
+    axes, _, mean, inv = _bn_stats(src, running_mean, running_var, training, eps)
+    # the dtypes of x-hat and of the output, as batch_norm's ops make them
+    hat_dtype = np.result_type(src, mean)
+    dtype = np.result_type(hat_dtype, gamma.data)
+    if training and dtype == x.dtype:
+        out = src
+    elif (not training and dtype == x.dtype and not records_graph(a, gamma, beta)
+          and x.flags.c_contiguous and x.flags.writeable):
+        out = x
+    else:
+        out = np.empty(x.shape, dtype=dtype)
+    planes, cuts, buf = _plane_slices(src)
+    rows = planes if out is src else out.reshape(planes.shape)
+    # an eval ELU goes where the output goes, unless the output is wider
+    wide = None if training or x.dtype == dtype else np.empty_like(buf)
+    hat_in_e = hat_dtype != dtype
     n, c = x.shape[:2]
-    planes = x.reshape(n * c, math.prod(x.shape[2:]))   # a view: plane j is channel j % c
-    per = max(1, _ELU_SLICE // planes.shape[1])
-    mean, inv, gam, bet = _per_plane(
-        n, running_mean, 1.0 / np.sqrt(running_var + eps), gamma.data, beta.data)
-    pos = np.empty((min(per, n * c), planes.shape[1]), dtype=x.dtype)
-    for j in range(0, n * c, per):
-        k = slice(j, j + per)
+    m, v, gm, bt = _per_plane(n, mean, inv, gamma.data, beta.data)
+    for k in cuts:
         s = planes[k]
-        p = np.maximum(s, -0.0, out=pos[:len(s)])
-        np.minimum(s, 0.0, out=s)
-        np.expm1(s, out=s)
-        s += p
-        s -= mean[k]
-        s *= inv[k]
-        s *= gam[k]
-        s += bet[k]
-    return Tensor(x)
-
-
-def _elu_batch_norm_op(a, gamma, beta, running_mean, running_var, training, eps):
-    """``elu_batch_norm``'s recorded op (see there)."""
-    x = a.data
-    e = _elu_data(x)
-    axes, cshape, mean, inv = _bn_stats(e, running_mean, running_var, training, eps)
-    gam = gamma.data.reshape(cshape)
-    xhat = _standardize(e, mean, inv)
-    data = np.multiply(gam, xhat, out=_kept(xhat, gam))
-    data += beta.data.reshape(cshape)
+        o = s if rows is planes else rows[k]
+        e = s if training else _elu_into(s, o if wide is None else wide[:len(o)], buf)
+        xhat = np.subtract(e, m[k], out=e if hat_in_e else o)
+        xhat *= v[k]
+        np.multiply(xhat, gm[k], out=o)
+        o += bt[k]
 
     def backward(g):
-        # elementwise work goes over cache-sized slices of whole (sample,
-        # channel) planes, and recomputes the ELU output and x-hat from x
-        # there: once for g * x-hat, whose sum is gamma's gradient, and once
-        # for the input gradient, which takes over that product's buffer
-        n, c = x.shape[:2]
-        xp, gp = x.reshape(n * c, -1), g.reshape(n * c, -1)
-        per = max(1, _ELU_SLICE // xp.shape[1])
-        cuts = [slice(j, j + per) for j in range(0, n * c, per)]
-        m, v, gm = _per_plane(n, mean, inv, gam)
+        # recomputes the ELU output and x-hat from x slice by slice: once
+        # for g * x-hat, whose sum is gamma's gradient, and once for the
+        # input gradient, which takes over that product's buffer
+        xp, cuts, buf = _plane_slices(x)
+        gp = g.reshape(xp.shape)
+        ebuf = np.empty_like(buf)
+
+        def elu_rows(k):
+            return _elu_into(xp[k], ebuf[:len(xp[k])], buf)
+
         prod = np.empty(gp.shape, np.result_type(g, x, mean))
         for k in cuts:
-            np.multiply(gp[k], _standardize(_elu_data(xp[k]), m[k], v[k]), out=prod[k])
+            np.multiply(gp[k], _standardize(elu_rows(k), m[k], v[k]), out=prod[k])
         ggamma = prod.reshape(g.shape).sum(axis=axes)
         gbeta = g.sum(axis=axes)
         gg, gb = _per_plane(n, ggamma, gbeta)
         count = x.size // c
         gx = None
         for k in cuts:
-            e = _elu_data(xp[k])
+            e = elu_rows(k)
             d = _bn_input_grad(gp[k], _standardize(e.copy(), m[k], v[k]), gm[k], v[k],
                                gg[k], gb[k], count, training)
             if gx is None:      # the gradient's dtype is the first slice's
-                dtype = np.result_type(d, e)
-                gx = prod if prod.dtype == dtype else np.empty(gp.shape, dtype)
+                gdtype = np.result_type(d, e)
+                gx = prod if prod.dtype == gdtype else np.empty(gp.shape, gdtype)
             np.multiply(d, _elu_slope(e), out=gx[k])
         return gx.reshape(x.shape), ggamma, gbeta
 
-    return _make(data, (a, gamma, beta), backward)
+    return _make(out, (a, gamma, beta), backward)
 
 
 # -- padding and convolution ---------------------------------------------------
@@ -769,13 +769,6 @@ def _conv_out_size(H, W, kh, kw, sh, sw):
     return (H - kh) // sh + 1, (W - kw) // sw + 1
 
 
-def _conv_batch_step(oh, ow, c, kh, kw):
-    """Samples per summation group of the weight gradient: as many as
-    ``_COL_BUDGET`` column elements hold."""
-    per_sample = oh * ow * c * kh * kw
-    return max(1, _COL_BUDGET // max(per_sample, 1))
-
-
 def _conv_forward(x, w, b, sh, sw, ph, pw, add_into=None):
     """The convolution as a new array, or added into ``add_into``, a
     C-contiguous array of the output's shape: each tile's GEMM output (plus
@@ -818,11 +811,10 @@ def _conv_backward(g, x, w, sh, sw, ph, pw, need_gx):
 
     Columns are unrolled in tiles of whole samples, at most ``_TILE_BYTES``
     unless one sample is more.  Each sample's weight-gradient product is one
-    GEMM over all its positions; the products of a ``_conv_batch_step``
-    group are summed in sample order and each group's sum is added to the
-    gradient, so the tiles do not change its bits.  Column contributions
-    that fall into the zero padding are dropped, so the input gradient has
-    the unpadded input's shape.
+    GEMM over all its positions, and the products are added to the
+    gradient one by one, from zero, in sample order, so the tiles do not
+    change its bits.  Column contributions that fall into the zero padding
+    are dropped, so the input gradient has the unpadded input's shape.
     """
     B, C, H, W = x.shape
     Cout, Cin, kh, kw = w.shape
@@ -830,27 +822,24 @@ def _conv_backward(g, x, w, sh, sw, ph, pw, need_gx):
     wmat = w.reshape(Cout, -1)
     gw = np.zeros_like(wmat)
     gx = np.zeros_like(x) if need_gx else None
-    group = _conv_batch_step(oh, ow, C, kh, kw)
     tile = max(1, _TILE_BYTES // (C * kh * kw * oh * ow * x.itemsize))
-    parts = np.empty((min(group, B),) + wmat.shape, dtype=np.result_type(g, x))
-    for b0 in range(0, B, group):
-        n = min(group, B - b0)
-        for t0 in range(b0, b0 + n, tile):
-            t1 = min(t0 + tile, b0 + n)
-            cols = _im2col(x[t0:t1], kh, kw, sh, sw, ph, pw, oh, ow)
-            g2 = g[t0:t1].reshape(t1 - t0, Cout, oh * ow)
-            np.matmul(g2, cols.transpose(0, 2, 1), out=parts[t0 - b0:t1 - b0])
-            if need_gx:
-                # the columns are read; their buffer takes the column gradient
-                gcols = np.matmul(wmat.T, g2, out=cols).reshape(t1 - t0, C, kh, kw, oh, ow)
-                gxb = gx[t0:t1]
-                for i in range(kh):
-                    y0, y1, yi = _tap_range(i, ph, H, oh, sh)
-                    for j in range(kw):
-                        x0, x1, xj = _tap_range(j, pw, W, ow, sw)
-                        gxb[:, :, yi:yi + sh * (y1 - y0):sh, xj:xj + sw * (x1 - x0):sw] += \
-                            gcols[:, :, i, j, y0:y1, x0:x1]
-        gw += parts[:n].sum(axis=0)
+    parts = np.empty((min(tile, B),) + wmat.shape, dtype=np.result_type(g, x))
+    for t0 in range(0, B, tile):
+        t1 = min(t0 + tile, B)
+        cols = _im2col(x[t0:t1], kh, kw, sh, sw, ph, pw, oh, ow)
+        g2 = g[t0:t1].reshape(t1 - t0, Cout, oh * ow)
+        for part in np.matmul(g2, cols.transpose(0, 2, 1), out=parts[:t1 - t0]):
+            gw += part
+        if need_gx:
+            # the columns are read; their buffer takes the column gradient
+            gcols = np.matmul(wmat.T, g2, out=cols).reshape(t1 - t0, C, kh, kw, oh, ow)
+            gxb = gx[t0:t1]
+            for i in range(kh):
+                y0, y1, yi = _tap_range(i, ph, H, oh, sh)
+                for j in range(kw):
+                    x0, x1, xj = _tap_range(j, pw, W, ow, sw)
+                    gxb[:, :, yi:yi + sh * (y1 - y0):sh, xj:xj + sw * (x1 - x0):sw] += \
+                        gcols[:, :, i, j, y0:y1, x0:x1]
     return gx, gw.reshape(w.shape)
 
 
@@ -912,13 +901,6 @@ def wrap_conv_into(out, spectrum, w, b):
     return out
 
 
-def _wrap_conv(x, w, b=None):
-    """``wrap_conv_into`` a new array, from ``x``'s own row spectrum."""
-    out = np.empty((x.shape[0], w.shape[0]) + x.shape[2:],
-                   dtype=np.result_type(x, w, *(() if b is None else (b,))))
-    return wrap_conv_into(out, lambda L: row_spectrum(x, L, w.shape[3] // 2), w, b)
-
-
 def _wrap_weight_grad(g, x, kh, kw):
     """d(sum g * wrap_conv(x, w)) / dw by FFT correlation of ``g`` with ``x``.
 
@@ -942,14 +924,17 @@ def _wrap_conv2d(a, weight, bias, stride):
     kh, kw = w.shape[2:]
     if stride != (1, 1):
         raise ValueError(f"wrap padding needs stride 1, got {stride}")
+    if records_graph(a):
+        raise ValueError("wrap padding has no input gradient: its input must not require grad")
     parents = (a, weight) if bias is None else (a, weight, bias)
-    data = _wrap_conv(x, w, None if bias is None else bias.data)
-    need_gx, has_bias = a.requires_grad, bias is not None
+    data = np.empty((x.shape[0], w.shape[0]) + x.shape[2:],
+                    dtype=np.result_type(*(p.data for p in parents)))
+    wrap_conv_into(data, lambda L: row_spectrum(x, L, kw // 2), w,
+                   None if bias is None else bias.data)
+    has_bias = bias is not None
 
     def backward(g):
-        # the transposed correlation: channels swapped, kernel flipped both ways
-        gx = _wrap_conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if need_gx else None
-        grads = (gx, _wrap_weight_grad(g, x, kh, kw))
+        grads = (None, _wrap_weight_grad(g, x, kh, kw))
         return grads + (g.sum(axis=(0, 2, 3)),) if has_bias else grads
 
     return _make(data, parents, backward)
@@ -963,9 +948,10 @@ def conv2d(a, weight, bias=None, stride=1, padding="none", add_into=None):
     stride 1 only).
     Kernel extents must be odd so "half the width" is well defined.
 
-    "wrap" runs ``_wrap_conv`` (row FFTs plus circular column taps); every
-    other mode runs channel-major im2col.  The input gradient is computed
-    only when the input requires grad.
+    "wrap" runs ``wrap_conv_into`` (row FFTs plus circular column taps) and
+    has no input gradient: an input that requires grad is refused while a
+    graph is recorded.  Every other mode runs channel-major im2col, whose
+    input gradient is computed only when the input requires grad.
 
     ``add_into``, for im2col modes with no graph to record, is a C-contiguous
     array of the output's shape and dtype: the output is added into it tile

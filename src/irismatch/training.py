@@ -63,6 +63,8 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.lr < math.inf:                 # NaN fails too
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 2:
@@ -154,12 +156,11 @@ class TrainLog:
             lines.append(f"{r.epoch},{r.stage},{r.train_loss:.17g},{r.val_tar:.17g}")
         return lines
 
-    def write_csv(self, path, start=0):
-        """Write ``records[start:]``: from 0 a new file with its header, else appended."""
-        with open(path, "a" if start else "w", encoding="ascii", newline="\n") as fh:
-            if not start:
-                fh.write("epoch,stage,train_loss,val_tar_at_far,wall_seconds\n")
-            for r in self.records[start:]:
+    def write_csv(self, path):
+        """Write the header and every record, whole, through ``atomic_open``."""
+        with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("epoch,stage,train_loss,val_tar_at_far,wall_seconds\n")
+            for r in self.records:
                 fh.write(f"{r.epoch},{r.stage},{r.train_loss:.17g},"
                          f"{r.val_tar:.17g},{r.wall_seconds:.3f}\n")
 
@@ -259,7 +260,6 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
             if f.name != "epochs"}
     start_epoch, best_state = (_load_run(out_dir, model, optimizer, log, store_sha256, kept,
                                          blas) if resume else (0, None))
-    n_prior = len(log.records)
 
     pair_images = np.unique(np.concatenate([train_pairs.authentic, train_pairs.imposter]))
     cache_fits = (len(pair_images) * model.bank.out_channels * store.height * store.width * 8
@@ -331,7 +331,7 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
         with atomic_open(os.path.join(out_dir, "train_state.json"), "w",
                          encoding="utf-8") as fh:
             json.dump({
-                "next_epoch": start_epoch + len(log.records) - n_prior,
+                "next_epoch": log.records[-1].epoch + 1 if log.records else start_epoch,
                 "best_epoch": log.best_epoch,
                 "best_tar": log.best_val_tar(),
                 "records": [[r.epoch, r.stage, r.train_loss, r.val_tar, r.wall_seconds]
@@ -341,5 +341,5 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
                 "config": kept,
                 "blas": blas,
             }, fh, indent=1)
-        log.write_csv(os.path.join(out_dir, "log.csv"), n_prior)
+        log.write_csv(os.path.join(out_dir, "log.csv"))
     return model, log

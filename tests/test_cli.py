@@ -60,6 +60,19 @@ def test_synth_invalid_spec_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_exits_2_and_writes_nothing(command, dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = {"synth": ["--data_dir", str(out)] + SYNTH_ARGS,
+            "train": ["--data_dir", str(dataset), "--out_dir", str(out)] + TRAIN_ARGS}[command]
+    assert main([command] + args + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err == "error: seed must be non-negative, got -1"
+    assert not out.exists()
+
+
 def test_synth_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("identities = 3\nimages_per_identity = 2\nheight = 8\nwidth = 16\n"
@@ -109,6 +122,8 @@ def test_train_resume_continues_epoch_numbering(dataset, run_dir, tmp_path):
     assert code == 0
     lines = (resumed / "log.csv").read_text().splitlines()
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2", "3"]
+    # the file is rewritten whole; the earlier rows keep their bytes
+    assert lines[:3] == (run_dir / "log.csv").read_text().splitlines()
 
 
 def _canonical_log(out_dir):
@@ -515,6 +530,22 @@ def test_match_threshold_one_never_matches(dataset, run_dir, tmp_path):
     code = main(["match", "--checkpoint", str(run_dir / "best.ckpt"),
                  "--threshold", "1.0", "--out_dir", str(tmp_path), img, img])
     assert code == 1
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "2"])
+def test_match_bad_threshold_exits_2_and_writes_nothing(threshold, dataset, run_dir, tmp_path,
+                                                        capsys):
+    img = str(dataset / "identity_000" / "img_000")
+    out = tmp_path / "out"
+    code = main(["match", "--checkpoint", str(run_dir / "best.ckpt"),
+                 f"--threshold={threshold}", "--out_dir", str(out), img, img])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: bad value for threshold") and "[0, 1]" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_match_corrupt_file_exits_2(run_dir, tmp_path, capsys):

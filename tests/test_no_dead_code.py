@@ -1,8 +1,8 @@
-"""Every function and class in the package runs from somewhere outside the
-tests: its name appears in the package, in perfbench or in pyproject.toml
-somewhere other than the line that defines it.  An arithmetic operator
-method counts too: an operator reaches it by symbol, which no search for
-its name sees, so one that nothing names is reported."""
+"""Every function, class and module-level name in the package is used from
+somewhere outside the tests: its name appears in the package, in perfbench
+or in pyproject.toml somewhere other than the line that defines it.  An
+arithmetic operator method counts too: an operator reaches it by symbol,
+which no search for its name sees, so one that nothing names is reported."""
 
 import ast
 import re
@@ -18,14 +18,26 @@ OPERATORS = ({f"__{form}{op}__" for op in _BINARY for form in ("", "r", "i")}
              | {"__divmod__", "__rdivmod__", "__neg__", "__pos__", "__abs__", "__invert__"})
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_names(source):
     """(line, name) of every function, method and class defined in
-    ``source``, and of every arithmetic operator method, defined or
-    assigned; other dunders are excluded."""
-    for node in ast.walk(ast.parse(source)):
+    ``source``, of every name a module-level assignment binds, and of every
+    arithmetic operator method, defined or assigned; other dunders are
+    excluded."""
+    tree = ast.parse(source)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _is_dunder(name.id):
+                        yield node.lineno, name.id
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name in OPERATORS or not (node.name.startswith("__")
-                                              and node.name.endswith("__")):
+            if node.name in OPERATORS or not _is_dunder(node.name):
                 yield node.lineno, node.name
         elif isinstance(node, ast.Assign):
             for target in node.targets:
@@ -61,6 +73,11 @@ def test_unused_names_sees_what_only_its_definition_names():
                        "    __rmul__ = __mul__\n\n\ndef mul(a, b):\n    pass\n"}
     assert unused_names(sources, {"b.py": "y = V() * 2\n"}) == ["__rmul__"]
     assert unused_names(sources, {"b.py": "y = 2 * V()\nz = V.__rmul__\n"}) == []
+    # a module-level name, a leftover budget say, counts like a function; a
+    # class attribute and a dunder do not
+    sources = {"m.py": "__all__ = ['f']\n_BUDGET = 1 << 24\n_SLICE: int = 64\nA, B = 1, 2\n\n\n"
+                       "class K:\n    size = 3\n\n\ndef f():\n    return _SLICE + A\n"}
+    assert unused_names(sources, {"b.py": "K().f\n"}) == ["B", "_BUDGET"]
 
 
 def test_every_package_name_is_used_outside_the_tests():

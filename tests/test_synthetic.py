@@ -91,6 +91,8 @@ def test_spec_validation():
         small_spec(identities=0).validate()
     with pytest.raises(ValueError, match="occlusion max rows"):
         small_spec(occlusion_max_rows=-1).validate()
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        small_spec(seed=-1).validate()
 
 
 def test_baseline_anchor_same_identity_scores_zero():

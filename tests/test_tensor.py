@@ -101,12 +101,11 @@ def test_conv2d_shape_errors():
 
 
 def test_conv2d_chunked_batches_match_loop(monkeypatch):
-    # force the backward's sample chunks and the forward's row tiles with
-    # tiny budgets (one sample; two of a sample's four output rows of 64)
+    # force the backward's sample tiles and the forward's row tiles with a
+    # tiny budget (one sample; two of a sample's four output rows of 64)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 2, 6, 66))
     w = rng.normal(size=(3, 2, 3, 3))
-    monkeypatch.setattr(T, "_COL_BUDGET", 64)
     monkeypatch.setattr(T, "_TILE_BYTES", 2 * 2 * 9 * 64 * 8)
     xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
     got = T.conv2d(xt, wt)
@@ -114,7 +113,6 @@ def test_conv2d_chunked_batches_match_loop(monkeypatch):
     c = rng.normal(size=got.shape)
     weighted_sum(got, c).backward()
     xe, we = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
-    monkeypatch.setattr(T, "_COL_BUDGET", 1 << 24)
     monkeypatch.setattr(T, "_TILE_BYTES", 1 << 22)
     weighted_sum(T.conv2d(xe, we), c).backward()
     assert np.max(np.abs(wt.grad - we.grad)) <= 1e-12
@@ -123,17 +121,14 @@ def test_conv2d_chunked_batches_match_loop(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv_backward_sample_tiles_bitwise_equal_untiled(dtype, monkeypatch):
-    """A batch of 5 spans two weight-gradient summation groups (3 + 2
-    samples).  Tiles of one or two samples give the bits of one tile per
-    group, for the weight and the input gradient; no tile crosses a group.
-    The weight gradient adds each group's sum of per-sample products, summed
-    in sample order, to the gradient (a running sum over samples differs)."""
+    """Tiles of one or two samples give the bits of one tile of all five,
+    for the weight and the input gradient.  The weight gradient is a running
+    sum of the per-sample products, from zero, in sample order."""
     rng = np.random.default_rng(28)
     x = rng.normal(size=(5, 3, 8, 12)).astype(dtype)
     w = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
     g = rng.normal(size=(5, 4, 8, 12)).astype(dtype)
     per_sample = 3 * 9 * 8 * 12
-    monkeypatch.setattr(T, "_COL_BUDGET", 3 * per_sample)
     seen = []
     im2col = T._im2col
 
@@ -148,15 +143,13 @@ def test_conv_backward_sample_tiles_bitwise_equal_untiled(dtype, monkeypatch):
         seen.clear()
         grads[budget] = T._conv_backward(g, x, w, 1, 1, 1, 1, True)
         tiles[budget] = list(seen)
-    assert list(tiles.values()) == [[1] * 5, [2, 1, 2], [3, 2]]
+    assert list(tiles.values()) == [[1] * 5, [2, 2, 1], [5]]
     for budget in (1, 2 * per_sample * x.itemsize):
         for got, want in zip(grads[budget], grads[1 << 40]):
             assert same_bits(got, want)
-    parts = np.stack([g[k].reshape(4, -1) @ im2col(x[k:k + 1], 3, 3, 1, 1, 1, 1, 8, 12)[0].T
-                      for k in range(5)])
-    gw = np.zeros_like(parts[0])
-    gw += parts[:3].sum(axis=0)
-    gw += parts[3:].sum(axis=0)
+    gw = np.zeros((4, 27), dtype=dtype)
+    for k in range(5):
+        gw += g[k].reshape(4, -1) @ im2col(x[k:k + 1], 3, 3, 1, 1, 1, 1, 8, 12)[0].T
     assert same_bits(grads[1][1], gw.reshape(w.shape))
 
 
@@ -819,15 +812,28 @@ def test_gradcheck_conv2d_zero_padding():
 
 def test_gradcheck_conv2d_wrap_padding():
     rng = np.random.default_rng(13)
-    x = T.Tensor(rng.normal(size=(1, 1, 5, 7)), requires_grad=True)
+    x = T.Tensor(rng.normal(size=(1, 1, 5, 7)))
     w = T.Tensor(rng.normal(size=(2, 1, 3, 5)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=2), requires_grad=True)
     c = rng.normal(size=(1, 2, 5, 7))
     err = check_gradients(
-        lambda: weighted_sum(T.conv2d(x, w, padding="wrap"), c), [x, w])
+        lambda: weighted_sum(T.conv2d(x, w, b, padding="wrap"), c), [w, b])
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("padding,stride", [("wrap", 1), ("zero", (2, 1)), ("none", 1)])
+def test_conv2d_wrap_refuses_an_input_that_requires_grad():
+    """A wrap convolution (the bank's, whose input is an image) has no
+    input gradient: recording one whose input requires grad is refused."""
+    x = T.Tensor(np.ones((1, 1, 6, 8)), requires_grad=True)
+    w = T.Tensor(np.ones((2, 1, 3, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match="no input gradient"):
+        T.conv2d(x, w, padding="wrap")
+    with T.no_grad():
+        assert T.conv2d(x, w, padding="wrap").shape == (1, 2, 6, 8)
+
+
+@pytest.mark.parametrize("padding,stride", [("zero", (2, 1)), ("none", 1)],
+                         ids=["zero-stride1", "none-1"])
 def test_conv2d_skips_unread_input_gradient(padding, stride):
     rng = np.random.default_rng(14)
     x = rng.normal(size=(3, 2, 6, 9))
@@ -967,7 +973,7 @@ def test_paired_index_select_bitwise_equals_two_gathers_concatenated(dtype):
 def test_gradcheck_composite_pipeline():
     # conv -> elu -> bn -> 1x1 head -> pool -> sigmoid -> bce, all in one graph
     rng = np.random.default_rng(21)
-    x = T.Tensor(rng.normal(size=(3, 1, 6, 8)), requires_grad=True)
+    x = T.Tensor(rng.normal(size=(3, 1, 6, 8)))
     w = T.Tensor(rng.normal(size=(2, 1, 3, 3)) * 0.5, requires_grad=True)
     b = T.Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
     gamma = T.Tensor(np.ones(2), requires_grad=True)
@@ -985,7 +991,7 @@ def test_gradcheck_composite_pipeline():
         p = T.sigmoid(h.reshape((3,)))
         return T.bce_loss(p, y)
 
-    err = check_gradients(build, [x, w, b, gamma, beta, head_w, head_b])
+    err = check_gradients(build, [w, b, gamma, beta, head_w, head_b])
     assert err < 1e-4
 
 
