@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_model
+from .checkpoint import atomic_open, load_model
 from .data import IdentityStore, enumerate_pairs
 from .evaluation import (BitcodeScorer, ModelScorer, collect_scores, emit_roc_csv,
                          read_roc_csv, roc, tar_at_far)
@@ -217,7 +217,7 @@ def _format_value(value):
 def write_snapshot(command, cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command}_snapshot.cfg")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command = {command}\n")
         for key in COMMAND_KEYS[command]:
             if cfg.get(key) is not None:
@@ -270,7 +270,7 @@ def _print_far_table(rows):
 
 
 def _write_far_table(rows, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("far,tar,threshold\n")
         for far_target, tar, thr in rows:
             fh.write(f"{far_target:.17g},{tar:.17g},{thr:.17g}\n")

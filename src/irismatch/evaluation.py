@@ -9,7 +9,8 @@ exceed the target, among those maximizing TAR (``RocCurve.tar_at_far``,
 which ``tar_at_far`` and the ``roc`` command share).
 
 The CNN scores come from ``ModelScorer``, which casts the whole model to its
-scoring dtype once per call; every op then computes in that dtype.
+scoring dtype once per call; every op then computes in that dtype (an op
+refuses operands of two dtypes).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checkpoint import atomic_open
 
 
 @dataclass
@@ -127,7 +130,8 @@ class ModelScorer:
     """Eval-mode CNN probability per pair, scored in ``dtype``.
 
     Each call casts the whole model to ``dtype`` once
-    (``IrisMatchModel.astype``; every op then computes in that dtype).
+    (``IrisMatchModel.astype``; every op then computes in that dtype, and
+    refuses operands of two).
     Scoring runs in float32 by default, from the model's float64 weights
     (training, which keeps float64 as its determinism reference, validates
     with ``dtype=np.float64``).  The bank runs once per distinct image
@@ -183,8 +187,8 @@ class BitcodeScorer:
 
 
 def emit_roc_csv(curve: RocCurve, path):
-    """Write "threshold,far,tar" rows with 17 significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """Write "threshold,far,tar" rows with 17 significant digits, atomically."""
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("threshold,far,tar\n")
         for t, f, a in zip(curve.thresholds, curve.far, curve.tar):
             fh.write(f"{t:.17g},{f:.17g},{a:.17g}\n")

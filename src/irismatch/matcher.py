@@ -7,10 +7,10 @@ responses of two normalized irises to a single match probability per pair.
 Both irises pass through the same filter bank, so the matcher input has
 4F channels for a bank of F filters.
 
-Every op computes in its operands' dtype, and the model computes in its
-own: whoever picks a dtype casts the whole model once
-(``IrisMatchModel.astype``).  Training runs in float64 and feeds the matcher
-the concatenation itself, built by one gather (``pair_batch``).  Scoring
+Every op computes in its operands' one dtype and refuses operands of two,
+so the model computes in its own: whoever picks a dtype casts the whole
+model once (``IrisMatchModel.astype``).  Training runs in float64 and feeds
+the matcher the concatenation itself, built by one gather (``pair_batch``).  Scoring
 runs in float32 from the same float64 weights, through a float32 copy of
 the model made once per call and never kept.  Inference keeps the pair
 input factorized (``PairFeatures``): block 0's convolution over

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .data import IdentityStore, rng_stream
 from .iris_io import read_iris_raw, write_iris_raw
 
@@ -156,7 +157,7 @@ def write_store(store: IdentityStore, root):
             write_iris_raw(os.path.join(root, rel), store.images[img_idx])
             files.append(rel)
         manifest["identities"].append({"id": label, "files": files})
-    with open(os.path.join(root, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(root, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return os.path.join(root, MANIFEST_NAME)

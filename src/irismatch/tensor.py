@@ -7,10 +7,10 @@ average pooling, binary cross-entropy, and the reshape, concatenation and
 row selection that join them).
 
 Data lives in numpy arrays, float64 by default.  Every op computes in its
-operands' dtype, so a float64 weight or running statistic promotes a
-float32 activation to float64.  Whoever picks a dtype casts the whole model
-once (``IrisMatchModel.astype``): training runs in float64, scoring in
-float32 from the same float64 checkpoint.
+operands' one dtype: a float64 weight or running statistic beside a float32
+activation is a ``TypeError``, raised before anything is computed or
+written.  Whoever picks a dtype casts the whole model once
+(``IrisMatchModel.astype``): training runs in float64, scoring in float32.
 
 Each recorded operation gives its output a node (``_Node``) that holds
 its parents' nodes, a leaf operand standing for itself, and a backward
@@ -285,10 +285,13 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def _kept(a, b):
-    """``a`` as the ``out`` of a ufunc of ``a`` and ``b`` when its result has
-    ``a``'s dtype (so the in-place op has the new array's bits), else None."""
-    return a if np.result_type(a, b) == a.dtype else None
+def _one_dtype(op, *arrays):
+    """Refuse operands (arrays, None skipped) of two dtypes: every op
+    computes in its operands' one dtype."""
+    dtypes = {a.dtype for a in arrays if a is not None}
+    if len(dtypes) > 1:
+        raise TypeError(f"{op} needs operands of one dtype, got "
+                        f"{' and '.join(sorted(map(str, dtypes)))}")
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -308,6 +311,7 @@ def concat(tensors, axis=0):
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat() of an empty sequence")
+    _one_dtype("concat", *(t.data for t in tensors))
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
 
@@ -539,21 +543,20 @@ def _bn_input_grad(g, xhat, gam, inv, ggamma, gbeta, count, training):
     broadcast against them; ``count`` values make each channel's statistics."""
     if not training:
         return g * gam * inv
-    # gam * inv * (g - gbeta / count - xhat * ggamma / count), op by op,
-    # into buffers of their own where the dtypes allow
-    t = np.multiply(xhat, ggamma, out=_kept(xhat, ggamma))
-    t /= count
+    # gam * inv * (g - gbeta / count - xhat * ggamma / count), op by op
+    xhat *= ggamma
+    xhat /= count
     gx = g - gbeta / count
-    gx = np.subtract(gx, t, out=_kept(gx, t))
-    scale = gam * inv
-    return np.multiply(scale, gx, out=_kept(gx, scale))
+    gx -= xhat
+    gx *= gam * inv
+    return gx
 
 
 def _standardize(e, mean, inv):
-    """Batch norm's x-hat of ``e``, in ``e``'s buffer where the dtypes allow."""
-    xhat = np.subtract(e, mean, out=_kept(e, mean))
-    xhat *= inv
-    return xhat
+    """Batch norm's x-hat of ``e``, in ``e``'s buffer."""
+    e -= mean
+    e *= inv
+    return e
 
 
 def _per_plane(n, *channel_values):
@@ -574,6 +577,7 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
     one's test reference.
     """
     x = a.data
+    _one_dtype("batch_norm", x, gamma.data, beta.data, running_mean, running_var)
     axes, cshape, mean, inv = _bn_stats(x, running_mean, running_var, training, eps, momentum)
     gam = gamma.data.reshape(cshape)
     xhat = x - mean
@@ -600,8 +604,8 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     Its forward is one loop over ``_plane_slices`` of whole (sample,
     channel) planes, which runs the ops of ``elu`` then ``batch_norm`` in
     their order while a slice is in cache.  In eval mode the ELU and the
-    affine map share that one pass; with no graph to record and no operand
-    that widens the output's dtype, it writes into ``a``'s own array, so
+    affine map share that one pass; with no graph to record and a
+    C-contiguous, writeable ``a``, it writes into ``a``'s own array, so
     nothing bigger than a slice is allocated.  In training an ELU pass into
     a new array comes first, as the batch statistics are that array's, and
     the loop turns it into the output.
@@ -618,32 +622,25 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     Sublinear Memory Cost", arXiv:1604.06174).
     """
     x = a.data
+    _one_dtype("elu_batch_norm", x, gamma.data, beta.data, running_mean, running_var)
     src = _elu_data(x) if training else x
     axes, _, mean, inv = _bn_stats(src, running_mean, running_var, training, eps)
-    # the dtypes of x-hat and of the output, as batch_norm's ops make them
-    hat_dtype = np.result_type(src, mean)
-    dtype = np.result_type(hat_dtype, gamma.data)
-    if training and dtype == x.dtype:
+    if training or (not records_graph(a, gamma, beta)
+                    and x.flags.c_contiguous and x.flags.writeable):
         out = src
-    elif (not training and dtype == x.dtype and not records_graph(a, gamma, beta)
-          and x.flags.c_contiguous and x.flags.writeable):
-        out = x
     else:
-        out = np.empty(x.shape, dtype=dtype)
+        out = np.empty(x.shape, dtype=x.dtype)
     planes, cuts, buf = _plane_slices(src)
-    rows = planes if out is src else out.reshape(planes.shape)
-    # an eval ELU goes where the output goes, unless the output is wider
-    wide = None if training or x.dtype == dtype else np.empty_like(buf)
-    hat_in_e = hat_dtype != dtype
+    rows = out.reshape(planes.shape)
     n, c = x.shape[:2]
     m, v, gm, bt = _per_plane(n, mean, inv, gamma.data, beta.data)
     for k in cuts:
-        s = planes[k]
-        o = s if rows is planes else rows[k]
-        e = s if training else _elu_into(s, o if wide is None else wide[:len(o)], buf)
-        xhat = np.subtract(e, m[k], out=e if hat_in_e else o)
-        xhat *= v[k]
-        np.multiply(xhat, gm[k], out=o)
+        o = rows[k]
+        if not training:
+            _elu_into(planes[k], o, buf)
+        o -= m[k]
+        o *= v[k]
+        o *= gm[k]
         o += bt[k]
 
     def backward(g):
@@ -657,23 +654,19 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
         def elu_rows(k):
             return _elu_into(xp[k], ebuf[:len(xp[k])], buf)
 
-        prod = np.empty(gp.shape, np.result_type(g, x, mean))
+        prod = np.empty(gp.shape, x.dtype)
         for k in cuts:
             np.multiply(gp[k], _standardize(elu_rows(k), m[k], v[k]), out=prod[k])
         ggamma = prod.reshape(g.shape).sum(axis=axes)
         gbeta = g.sum(axis=axes)
         gg, gb = _per_plane(n, ggamma, gbeta)
         count = x.size // c
-        gx = None
         for k in cuts:
             e = elu_rows(k)
             d = _bn_input_grad(gp[k], _standardize(e.copy(), m[k], v[k]), gm[k], v[k],
                                gg[k], gb[k], count, training)
-            if gx is None:      # the gradient's dtype is the first slice's
-                gdtype = np.result_type(d, e)
-                gx = prod if prod.dtype == gdtype else np.empty(gp.shape, gdtype)
-            np.multiply(d, _elu_slope(e), out=gx[k])
-        return gx.reshape(x.shape), ggamma, gbeta
+            np.multiply(d, _elu_slope(e), out=prod[k])
+        return prod.reshape(x.shape), ggamma, gbeta
 
     return _make(out, (a, gamma, beta), backward)
 
@@ -823,7 +816,7 @@ def _conv_backward(g, x, w, sh, sw, ph, pw, need_gx):
     gw = np.zeros_like(wmat)
     gx = np.zeros_like(x) if need_gx else None
     tile = max(1, _TILE_BYTES // (C * kh * kw * oh * ow * x.itemsize))
-    parts = np.empty((min(tile, B),) + wmat.shape, dtype=np.result_type(g, x))
+    parts = np.empty((min(tile, B),) + wmat.shape, dtype=x.dtype)
     for t0 in range(0, B, tile):
         t1 = min(t0 + tile, B)
         cols = _im2col(x[t0:t1], kh, kw, sh, sw, ph, pw, oh, ow)
@@ -927,8 +920,7 @@ def _wrap_conv2d(a, weight, bias, stride):
     if records_graph(a):
         raise ValueError("wrap padding has no input gradient: its input must not require grad")
     parents = (a, weight) if bias is None else (a, weight, bias)
-    data = np.empty((x.shape[0], w.shape[0]) + x.shape[2:],
-                    dtype=np.result_type(*(p.data for p in parents)))
+    data = np.empty((x.shape[0], w.shape[0]) + x.shape[2:], dtype=x.dtype)
     wrap_conv_into(data, lambda L: row_spectrum(x, L, kw // 2), w,
                    None if bias is None else bias.data)
     has_bias = bias is not None
@@ -946,7 +938,8 @@ def conv2d(a, weight, bias=None, stride=1, padding="none", add_into=None):
     padding: "none" (valid), "zero" (same-size, floor(k/2) zeros each side),
     or "wrap" (same-size; columns continue circularly, rows pad with zeros;
     stride 1 only).
-    Kernel extents must be odd so "half the width" is well defined.
+    Kernel extents must be odd so "half the width" is well defined.  Input,
+    weight and bias share one dtype, the output's (else ``TypeError``).
 
     "wrap" runs ``wrap_conv_into`` (row FFTs plus circular column taps) and
     has no input gradient: an input that requires grad is refused while a
@@ -972,6 +965,7 @@ def conv2d(a, weight, bias=None, stride=1, padding="none", add_into=None):
         raise ShapeError(f"input has {a.data.shape[1]} channels but weight expects {Cin}")
     if bias is not None and bias.data.shape != (Cout,):
         raise ShapeError(f"bias shape {bias.data.shape} does not match {Cout} output channels")
+    _one_dtype("conv2d", a.data, weight.data, None if bias is None else bias.data)
 
     if padding == "wrap":
         if add_into is not None:

@@ -118,11 +118,11 @@ class Adam:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def load_moments(self, moments, steps):
+        """Copy in the moments and step counts of every parameter."""
         for name, (m, v) in moments.items():
-            if name in self.m:
-                self.m[name][...] = m
-                self.v[name][...] = v
-        self.steps.update({n: int(s) for n, s in steps.items() if n in self.steps})
+            self.m[name][...] = m
+            self.v[name][...] = v
+        self.steps.update(steps)
 
 
 @dataclass
@@ -181,10 +181,12 @@ def _store_sha256(store):
 
 def _load_run(out_dir, model, optimizer, log, store_sha256, config, blas):
     """Fill ``model``, ``optimizer`` and ``log`` from the run saved in
-    ``out_dir``; returns (first epoch to train, best state or None).  The
-    resume contract lives here: a run whose ``train_state.json`` holds another
-    training ``config``, store SHA-256 or ``blas`` pair, or whose model has
-    another architecture, is refused before anything is filled."""
+    ``out_dir``; returns (first epoch to train, best state).  The resume
+    contract lives here: a run whose ``train_state.json`` holds another
+    training ``config``, store SHA-256 or ``blas`` pair, whose ``last.ckpt``
+    or ``best.ckpt`` has another architecture, or whose Adam steps or
+    moments do not fit the model's parameters, is refused before anything
+    is filled."""
     state_path = os.path.join(out_dir, "train_state.json")
     if not os.path.isfile(state_path):
         raise ValueError(f"resume requested but {state_path} does not exist")
@@ -213,17 +215,27 @@ def _load_run(out_dir, model, optimizer, log, store_sha256, config, blas):
                          f"with {saved_blas['threads']} thread(s), this process runs "
                          f"{blas['kernel']} with {blas['threads']}; a run keeps its BLAS pair "
                          f"(OPENBLAS_CORETYPE, OPENBLAS_NUM_THREADS)")
-    last = load_model(os.path.join(out_dir, "last.ckpt"))
-    if last.config.to_dict() != model.config.to_dict():
-        raise ValueError(f"resume: the model saved in {out_dir} has another architecture "
-                         f"than the configured one; train into a new out_dir instead")
-    _, moments = load_optimizer_state(os.path.join(out_dir, "last.optim"))
-    best_path = os.path.join(out_dir, "best.ckpt")
-    best_state = load_model(best_path).snapshot() if os.path.isfile(best_path) else None
+    last, best = (load_model(os.path.join(out_dir, name)) for name in ("last.ckpt", "best.ckpt"))
+    for name, saved in (("last.ckpt", last), ("best.ckpt", best)):
+        if saved.config.to_dict() != model.config.to_dict():
+            raise ValueError(f"resume: {os.path.join(out_dir, name)} holds another architecture "
+                             f"than the configured one; train into a new out_dir instead")
+    optim_path = os.path.join(out_dir, "last.optim")
+    _, moments = load_optimizer_state(optim_path)
+    shapes = {name: t.shape for name, t in model.named_parameters()}
+    for path, what, names in ((state_path, "Adam steps", steps), (optim_path, "moments", moments)):
+        if set(names) != set(shapes):
+            raise ValueError(f"resume: the {what} in {path} do not name the model's parameters "
+                             f"(missing {sorted(set(shapes) - set(names))}, "
+                             f"extra {sorted(set(names) - set(shapes))})")
+    for name, (m, _) in moments.items():
+        if m.shape != shapes[name]:
+            raise ValueError(f"resume: {optim_path} holds moments of shape {m.shape} for "
+                             f"{name}, whose shape is {shapes[name]}")
     model.restore(last.snapshot())
     optimizer.load_moments(moments, steps)
     log.records.extend(records)
-    return start_epoch, best_state
+    return start_epoch, best.snapshot()
 
 
 def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=None,

@@ -27,8 +27,9 @@ its filters, one per FFT length (two for the default kernels), and each
 filter writes its response into its channel pair of one output array and
 normalizes it there in place.  Both paths give the same bits.
 
-Like every op, a layer computes in its operands' dtype: float64 in
-training, float32 in a model cast for scoring (``IrisMatchModel.astype``).
+Like every op, a layer computes in its operands' one dtype, and refuses
+operands of two: float64 in training, float32 in a model cast for scoring
+(``IrisMatchModel.astype``).
 The float32 bank keeps the bitwise rotation equivariance (the argument
 above does not depend on the dtype).
 """
@@ -158,9 +159,9 @@ class UnitCircleBank:
             return Tensor(out)
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"a bank takes (B, 1, H, W) images, got {x.shape}")
+        T._one_dtype("the bank", x.data, out, *(t.data for t in params))
         if out is None:
-            out = np.empty((x.shape[0], self.out_channels) + x.shape[2:],
-                           dtype=np.result_type(x.data, *(t.data for t in params)))
+            out = np.empty((x.shape[0], self.out_channels) + x.shape[2:], dtype=x.dtype)
         pad = max(f.kw for f in self.filters) // 2
         spectrum = functools.cache(lambda L: T.row_spectrum(x.data, L, pad))
         for i, f in enumerate(self.filters):

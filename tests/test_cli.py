@@ -616,24 +616,74 @@ def test_checkpoint_without_matcher_blocks_exits_2(dataset, run_dir, tmp_path, c
         assert not out.exists()
 
 
-def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_path, capsys):
+@pytest.mark.parametrize("case", ["record-name", "missing-parameter", "cut-moment",
+                                  "missing-step"])
+def test_train_resume_with_a_bad_optimizer_file_exits_2(dataset, run_dir, tmp_path, capsys,
+                                                        case):
+    """Adam's moments in ``last.optim`` and its step counts in
+    ``train_state.json`` must name exactly the model's parameters, each
+    moment in its parameter's shape; otherwise the resume is refused."""
+    import json
     import shutil
 
     from irismatch import checkpoint
 
     resumed = tmp_path / "resumed"
     shutil.copytree(run_dir, resumed)
-    optim = resumed / "last.optim"
+    optim, state_path = resumed / "last.optim", resumed / "train_state.json"
     meta, records = checkpoint.read_records(optim, checkpoint.OPTIM_MAGIC)
-    records = [(name[:-2] + "_m" if name.endswith(".m") else name, arr)
-               for name, arr in records.items()]
-    checkpoint.write_records(optim, checkpoint.OPTIM_MAGIC, meta, records)
-    args = list(TRAIN_ARGS)
-    args[args.index("--epochs") + 1] = "3"
-    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed),
-                 "--resume", "true"] + args)
+    param = next(name for name, arr in records.items() if arr.size > 1).rpartition(".")[0]
+    bad = optim
+    if case == "record-name":
+        records = {name[:-2] + "_m" if name.endswith(".m") else name: arr
+                   for name, arr in records.items()}
+    elif case == "missing-parameter":
+        records = {name: arr for name, arr in records.items()
+                   if name.rpartition(".")[0] != param}
+    elif case == "cut-moment":
+        records = {name: arr.reshape(-1)[:1] if name.rpartition(".")[0] == param else arr
+                   for name, arr in records.items()}
+    else:
+        state = json.loads(state_path.read_text())
+        del state["steps"][param]
+        state_path.write_text(json.dumps(state))
+        bad = state_path
+    checkpoint.write_records(optim, checkpoint.OPTIM_MAGIC, meta, records.items())
+    before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed)]
+                + _resume_args({}))
     assert code == 2
-    _one_line_error(capsys, optim)
+    _one_line_error(capsys, bad)
+    assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+
+@pytest.mark.parametrize("case", ["missing", "another-architecture"])
+def test_train_resume_with_a_bad_best_checkpoint_exits_2(dataset, run_dir, tmp_path, capsys,
+                                                         case):
+    """``best.ckpt`` must exist and hold the configured architecture, as
+    ``last.ckpt`` must, even when no epoch is left to train."""
+    import shutil
+
+    from irismatch import checkpoint
+    from irismatch.cli import _model_config_from
+    from irismatch.matcher import IrisMatchModel
+
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    best = resumed / "best.ckpt"
+    if case == "missing":
+        best.unlink()
+    else:
+        cfg = resolve_config("train", {**{flag[2:]: value for flag, value
+                                          in zip(TRAIN_ARGS[::2], TRAIN_ARGS[1::2])},
+                                       "matcher_channels": "6"})
+        checkpoint.save_model(IrisMatchModel(_model_config_from(cfg, 8, 16)), best)
+    before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+    code = main(["train", "--data_dir", str(dataset), "--out_dir", str(resumed)]
+                + _resume_args({"--epochs": "2"}))
+    assert code == 2
+    _one_line_error(capsys, best)
+    assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
 
 
 @pytest.mark.parametrize("malformed", [lambda state: {"next_epoch": 3},

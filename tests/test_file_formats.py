@@ -174,3 +174,54 @@ def test_checkpoint_with_a_bad_architecture_rejected(tmp_path):
     ckpt.write_records(path, ckpt.MODEL_MAGIC, meta, model.state_items())
     with pytest.raises(ckpt.CheckpointError, match="bad.ckpt: bad architecture"):
         ckpt.load_model(path)
+
+
+class _CutAfterFirstWrite:
+    """A text file whose second ``write`` raises, as a kill mid-write would
+    end it."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        if self.writes:
+            raise OSError("write cut")
+        self.writes += 1
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("writer", ["roc.csv", "tar_at_far.csv", "eval_snapshot.cfg",
+                                    "manifest.json"])
+def test_a_cut_text_write_keeps_the_previous_file(writer, tmp_path, monkeypatch):
+    """Every text output goes through ``atomic_open``: a write that fails
+    after its first row leaves the previous file's bytes and no ``.tmp``."""
+    import contextlib
+
+    from irismatch import cli, evaluation, synthetic
+    from irismatch.evaluation import RocCurve
+    from irismatch.synthetic import SynthSpec, generate
+
+    curve = RocCurve(np.array([0.9, 0.5, -np.inf]), np.array([0.0, 0.5, 1.0]),
+                     np.array([0.5, 1.0, 1.0]))
+    store = generate(SynthSpec(identities=2, images_per_identity=2, height=8, width=16))
+    module, write = {
+        "roc.csv": (evaluation, lambda: evaluation.emit_roc_csv(curve, tmp_path / writer)),
+        "tar_at_far.csv": (cli, lambda: cli._write_far_table([(0.1, 0.5, 0.9), (0.5, 1.0, 0.5)],
+                                                             tmp_path / writer)),
+        "eval_snapshot.cfg": (cli, lambda: cli.write_snapshot(
+            "eval", cli.resolve_config("eval", {"checkpoint": "a.ckpt", "seed": 12}), tmp_path)),
+        "manifest.json": (synthetic, lambda: synthetic.write_store(store, tmp_path)),
+    }[writer]
+    write()
+    before = (tmp_path / writer).read_bytes()
+
+    @contextlib.contextmanager
+    def cut_open(path, *args, **kwargs):
+        with ckpt.atomic_open(path, *args, **kwargs) as fh:
+            yield _CutAfterFirstWrite(fh)
+
+    monkeypatch.setattr(module, "atomic_open", cut_open)
+    with pytest.raises(OSError, match="write cut"):
+        write()
+    assert (tmp_path / writer).read_bytes() == before
+    assert list(tmp_path.rglob("*.tmp")) == []

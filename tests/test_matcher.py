@@ -473,9 +473,10 @@ def test_float32_scores_match_float64_default_model_full_geometry():
 
 
 def test_float32_scoring_keeps_every_activation_float32(monkeypatch):
-    """A float64 operand anywhere on the float32 path (an uncast weight or
-    running statistic) would promote what follows back to float64: slower,
-    with every score still right."""
+    """Every op on the float32 path returns float32.  A float64 operand
+    left in a float32 model (an uncast weight or running statistic) is
+    refused: ``conv2d`` returns its input's dtype, so the recorded dtypes
+    alone would not show an uncast weight."""
     from irismatch.evaluation import ModelScorer
     from irismatch.unit_circle import UnitCircleBank
 
@@ -501,12 +502,18 @@ def test_float32_scoring_keeps_every_activation_float32(monkeypatch):
     monkeypatch.setattr(UnitCircleBank, "forward", recording_forward)
     model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(86))
     images = np.random.default_rng(87).uniform(size=(4, 16, 32))
+    pairs = np.stack(np.triu_indices(4, k=1), axis=1)
     want = {op: {np.dtype(np.float32)} for op in ops + ("bank",)}
-    ModelScorer(model).score_pairs(_store(images), np.stack(np.triu_indices(4, k=1), axis=1))
+    ModelScorer(model).score_pairs(_store(images), pairs)
     assert seen == want
     seen.clear()
     model.match_probability(images[0], images[1])
     assert seen == want
+    cast = model.astype(np.float32)
+    block = cast.matcher.blocks[1]
+    block.weight.data = block.weight.data.astype(np.float64)
+    with pytest.raises(TypeError, match="conv2d needs operands of one dtype"):
+        ModelScorer(cast).score_pairs(_store(images), pairs[:3])
 
 
 def test_float32_bank_features_bitwise_independent_of_chunk_full_geometry(monkeypatch):

@@ -87,3 +87,14 @@ def test_every_package_name_is_used_outside_the_tests():
              for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "pyproject.toml"]}
     assert len(texts) > 3
     assert unused_names(sources, texts) == []
+
+
+def test_every_test_helper_is_used_by_a_test():
+    """The tests' helper modules hold no dead code either: some test module
+    names every helper they define."""
+    tests = ROOT / "tests"
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in (tests / "oracles.py", tests / "gradcheck.py")}
+    texts = {path: path.read_text(encoding="utf-8") for path in sorted(tests.glob("test_*.py"))}
+    assert len(texts) > 10
+    assert unused_names(sources, texts) == []

@@ -536,7 +536,7 @@ def test_batch_norm_eval_bitwise_with_and_without_graph(shape, dtype):
     rng = np.random.default_rng(13)
     x = rng.normal(size=shape).astype(dtype)
     x.reshape(-1)[:2] = [0.0, -0.0]
-    gamma, beta = rng.normal(size=3), rng.normal(size=3)
+    gamma, beta = rng.normal(size=3).astype(dtype), rng.normal(size=3).astype(dtype)
     rm, rv = rng.normal(size=3).astype(dtype), (rng.random(3) + 0.5).astype(dtype)
     want = batch_norm_eval_reference(x, gamma, beta, rm, rv)
     with T.no_grad():
@@ -624,16 +624,14 @@ def elu_bn_step(op, x, gamma, beta, rm, rv, training, w):
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("shape,dtype,param_dtype", [
-    ((5, 3), np.float64, np.float64),
-    ((4, 3, 5, 6), np.float64, np.float64),
-    ((4, 3, 5, 6), np.float32, np.float32),
-    ((4, 3, 5, 6), np.float32, np.float64),
-    ((2, 2, 130, 600), np.float32, np.float32),
-    ((2, 32, 110, 512), np.float64, np.float64),
-], ids=["2d-f64", "4d-f64", "4d-f32", "4d-f32-f64-params", "plane-over-slice-f32",
-        "block0-110x512-f64"])
-def test_elu_batch_norm_op_bitwise_equals_composition(shape, dtype, param_dtype, training):
+@pytest.mark.parametrize("shape,dtype", [
+    ((5, 3), np.float64),
+    ((4, 3, 5, 6), np.float64),
+    ((4, 3, 5, 6), np.float32),
+    ((2, 2, 130, 600), np.float32),
+    ((2, 32, 110, 512), np.float64),
+], ids=["2d-f64", "4d-f64", "4d-f32", "plane-over-slice-f32", "block0-110x512-f64"])
+def test_elu_batch_norm_op_bitwise_equals_composition(shape, dtype, training):
     """With a graph, in train and eval mode, the op is one recorded node
     whose output, running-statistic updates and input, gamma and beta
     gradients have the bits of ``batch_norm(elu(a))``."""
@@ -643,9 +641,9 @@ def test_elu_batch_norm_op_bitwise_equals_composition(shape, dtype, param_dtype,
     special = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal, -fi.tiny / 4, -800.0]
     x.reshape(-1)[:len(special)] = special
     c = shape[1]
-    gamma, beta, rm = (rng.normal(size=c).astype(param_dtype) for _ in range(3))
-    rv = (rng.random(c) + 0.5).astype(param_dtype)
-    w = rng.normal(size=shape).astype(np.result_type(dtype, param_dtype))
+    gamma, beta, rm = (rng.normal(size=c).astype(dtype) for _ in range(3))
+    rv = (rng.random(c) + 0.5).astype(dtype)
+    w = rng.normal(size=shape).astype(dtype)
     parents, operands, got = elu_bn_step(T.elu_batch_norm, x, gamma, beta, rm, rv, training, w)
     assert len(parents) == 3 and all(p is o for p, o in zip(parents, operands))
     _, _, want = elu_bn_step(lambda a, *rest: T.batch_norm(T.elu(a), *rest),
@@ -765,6 +763,60 @@ def test_sigmoid_range_and_symmetry():
     # extreme logits must not overflow
     extreme = T.sigmoid(T.Tensor(np.array([-700.0, 700.0]))).data
     assert np.all(np.isfinite(extreme))
+
+
+# ------------------------------------------------------- one dtype per op
+
+
+def _operands(odd, **shapes):
+    """Float32 arrays of the given shapes, uniform in [0.5, 1.5), the one
+    named ``odd`` in float64."""
+    rng = np.random.default_rng(31)
+    return {name: (rng.random(shape) + 0.5).astype(np.float64 if name == odd else np.float32)
+            for name, shape in shapes.items()}
+
+
+@pytest.mark.parametrize("op", ["elu_batch_norm", "batch_norm"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("odd", ["input", "gamma", "beta", "running_mean", "running_var"])
+def test_batch_norms_refuse_operands_of_two_dtypes(op, training, odd):
+    """Before anything is written: in eval ``elu_batch_norm`` would
+    overwrite its input, in training either op the running statistics."""
+    a = _operands(odd, input=(4, 3, 5, 6), gamma=3, beta=3, running_mean=3, running_var=3)
+    before = {name: arr.tobytes() for name, arr in a.items()}
+    with T.no_grad():
+        with pytest.raises(TypeError, match=f"^{op} needs operands of one dtype, "
+                                            "got float32 and float64$"):
+            getattr(T, op)(T.Tensor(a["input"]), T.Tensor(a["gamma"]), T.Tensor(a["beta"]),
+                           a["running_mean"], a["running_var"], training=training)
+    assert {name: arr.tobytes() for name, arr in a.items()} == before
+
+
+@pytest.mark.parametrize("padding", ["zero", "wrap"])
+@pytest.mark.parametrize("odd", ["input", "weight", "bias"])
+def test_conv2d_refuses_operands_of_two_dtypes(padding, odd):
+    a = _operands(odd, input=(2, 1, 6, 8), weight=(2, 1, 3, 3), bias=2)
+    with pytest.raises(TypeError, match="conv2d needs operands of one dtype"):
+        T.conv2d(T.Tensor(a["input"]), T.Tensor(a["weight"]), T.Tensor(a["bias"]),
+                 padding=padding)
+
+
+def test_concat_and_the_bank_refuse_operands_of_two_dtypes():
+    from irismatch.unit_circle import UnitCircleBank
+
+    a = _operands("b", a=(2, 1, 6, 8), b=(2, 1, 6, 8))
+    with pytest.raises(TypeError, match="concat needs operands of one dtype"):
+        T.concat([T.Tensor(a["a"]), T.Tensor(a["b"])], axis=1)
+    # a float64 bank's no-graph pass, on float32 images or into a float32 array
+    bank = UnitCircleBank(((3, 3), (3, 5)), bias=True, mode="unit-circle",
+                          rng=np.random.default_rng(32))
+    out = np.zeros((2, 4, 6, 8), np.float32)
+    with T.no_grad():
+        with pytest.raises(TypeError, match="the bank needs operands of one dtype"):
+            bank.forward(T.Tensor(a["a"]))
+        with pytest.raises(TypeError, match="the bank needs operands of one dtype"):
+            bank.forward(T.Tensor(a["a"].astype(np.float64)), out=out)
+    assert not out.any()
 
 
 # ---------------------------------------------------------------- bce
