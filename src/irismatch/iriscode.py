@@ -18,10 +18,24 @@ packed little-endian-first into ceil(2W'/64) uint64 words, the bits past
 2W' in the last word set to 0, and the rows are laid end to end, so a code
 is L = H' * ceil(2W'/64) words.  A circular shift of k samples rotates every
 row by 2k bits; it is cut from the packed doubled row (the row written
-twice), so shifting never unpacks.  The second code of a pair is packed at
-every shift, (2 * max_shift + 1, L) words, and the pair's counts at all
-shifts are popcounts of ``(bits_a ^ bits_b) & mask_a & mask_b`` and of
-``mask_a & mask_b``.
+twice), so shifting never unpacks.  The second code's bits are packed at
+every shift, (2 * max_shift + 1, L) words.
+
+Row-level joint mask: ``encode`` masks a sample whose magnitude falls far
+under its row's peak.  An occluded row is constant, so its response is 0
+and all of it is masked, while a textured row's magnitude does not fall
+that far, so the row is valid throughout.  Each row of an encoded mask is
+then all valid or all empty (row-uniform), and a shift, which moves samples
+within rows, leaves such a mask unchanged.  The joint mask of two
+row-uniform codes is the same at every shift: the pair's total is 2W' times
+the rows valid in both, and its differing bits at a shift are the popcounts
+of ``bits_a ^ bits_b`` summed over those rows (the popcounts of the other
+rows zeroed by one AND, skipped when both masks are full).  A chunk of
+pairs that holds a code with a partly valid row takes the per-shift path:
+the second mask is packed at every shift too, and the counts are popcounts
+of ``(bits_a ^ bits_b) & mask_a & mask_b`` and of ``mask_a & mask_b``.  No
+synthetic image measured so far encodes to such a code, but a ``Bitcode``
+built another way may hold one.
 """
 
 from __future__ import annotations
@@ -95,7 +109,9 @@ def encode(img, spec: LogGaborSpec = LogGaborSpec()):
 
     Mask bits are cleared where the response magnitude falls under
     MAGNITUDE_FLOOR times the row's peak magnitude (sign bits of near-zero
-    responses are noise).
+    responses are noise).  The bits are one comparison on the complex
+    response viewed as interleaved real and imaginary parts, and the mask
+    is each sample's flag written twice.
     """
     spec.validate()
     img = np.asarray(img, dtype=np.float64)
@@ -110,14 +126,10 @@ def encode(img, spec: LogGaborSpec = LogGaborSpec()):
     floor = np.maximum(MAGNITUDE_FLOOR * magnitude.max(axis=1, keepdims=True), _ABS_FLOOR)
     valid = magnitude >= floor
 
-    h, w = rows.shape
-    bits = np.zeros((h, 2 * w), dtype=np.uint8)
-    code_mask = np.zeros((h, 2 * w), dtype=np.uint8)
-    bits[:, 0::2] = response.real > 0
-    bits[:, 1::2] = response.imag > 0
-    code_mask[:, 0::2] = valid
-    code_mask[:, 1::2] = valid
-    return Bitcode(bits, code_mask)
+    # a complex row viewed as float64 is its real and imaginary parts
+    # interleaved, which is the bit layout
+    bits = (response.view(np.float64) > 0).view(np.uint8)
+    return Bitcode(bits, np.repeat(valid, 2, axis=1).view(np.uint8))
 
 
 def masked_hamming(a: Bitcode, b: Bitcode):
@@ -165,12 +177,17 @@ def match_pairs(codes, pairs, max_shift):
     iterable ``codes`` (read once, so it may encode lazily); same scores and
     shifts as ``match_with_shifts`` on each pair.
 
-    Each code is packed once per call (see the module docstring); pairs are
-    grouped by their second code, whose shifted copies are packed once, and
-    scored a few at a time at all shifts at once.  Returns (scores, shifts)
-    arrays; raises EmptyMaskError naming the first pair that has no
-    comparable bits at any shift.
+    A bad ``max_shift`` is refused before ``codes`` is read past its first
+    code.  Each code is packed once per call and its mask rows classified
+    (see the module docstring); pairs are grouped by their second code,
+    whose shifted bits are packed once, and scored a few at a time at all
+    shifts at once: with one joint mask for every shift when each code of
+    the chunk is row-uniform, else with the second mask rotated per shift.
+    Returns (scores, shifts) arrays; raises EmptyMaskError naming the first
+    pair that has no comparable bits at any shift.
     """
+    if max_shift < 0:
+        raise ValueError(f"max shift must be non-negative, got {max_shift}")
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     scores = np.empty(len(pairs))
     best_shifts = np.empty(len(pairs), dtype=np.intp)
@@ -178,7 +195,11 @@ def match_pairs(codes, pairs, max_shift):
         return scores, best_shifts
     bits, mask, shape = [], [], None
     for code in codes:
-        shape = shape or code.bits.shape
+        if shape is None:
+            shape = code.bits.shape
+            if max_shift >= shape[1] // 2:
+                raise ValueError(f"max shift {max_shift} must be smaller than width "
+                                 f"{shape[1] // 2}")
         if code.bits.shape != shape:
             raise ValueError(f"bitcode shapes disagree: {shape} vs {code.bits.shape}")
         bits.append(_pack_doubled(code.bits))
@@ -186,15 +207,19 @@ def match_pairs(codes, pairs, max_shift):
     if pairs.min() < 0 or pairs.max() >= len(bits):
         raise IndexError(f"pair references a code outside 0..{len(bits) - 1}")
     n_bits = shape[1]
-    if max_shift < 0:
-        raise ValueError(f"max shift must be non-negative, got {max_shift}")
-    if max_shift >= n_bits // 2:
-        raise ValueError(f"max shift {max_shift} must be smaller than width {n_bits // 2}")
 
     shifts = np.array([0] + [sign * s for s in range(1, max_shift + 1) for sign in (-1, 1)])
     bits, mask = np.stack(bits), np.stack(mask)
     bits_a = _rotations(bits, n_bits, [0])[:, 0]
     mask_a = _rotations(mask, n_bits, [0])[:, 0]
+    # a row is valid when all its mask bits are set, empty when none is;
+    # a code is row-uniform when every row is one or the other
+    words = -(-n_bits // 64)
+    row_set = np.bitwise_count(mask_a.reshape(len(mask_a), -1, words)).sum(axis=-1)
+    row_valid = row_set == n_bits
+    uniform = (row_valid | (row_set == 0)).all(axis=-1)
+    row_bytes = np.where(row_valid, np.uint8(0xFF), np.uint8(0))
+
     per_pair = len(shifts) * bits_a.shape[1]
     chunk = max(1, _PAIR_BUDGET // per_pair)
     joint = np.empty((chunk, len(shifts), bits_a.shape[1]), dtype=np.uint64)
@@ -207,19 +232,29 @@ def match_pairs(codes, pairs, max_shift):
     for start, stop in zip(starts, np.r_[starts[1:], len(order)]):
         j = second[start]
         bits_b = _rotations(bits[j], n_bits, shifts)
-        mask_b = _rotations(mask[j], n_bits, shifts)
+        mask_b = None
         for lo in range(start, stop, chunk):
             sel = order[lo:min(lo + chunk, stop)]
             first = pairs[sel, 0]
             k = len(sel)
-            jt = np.bitwise_and(mask_a[first][:, None], mask_b, out=joint[:k])
             df = np.bitwise_xor(bits_a[first][:, None], bits_b, out=differ[:k])
-            df &= jt
             # a count is at most 64 * L, far inside uint32
-            n_differ = np.add.reduce(np.bitwise_count(df, out=counts[:k]), axis=-1,
-                                     dtype=np.uint32)
-            n_total = np.add.reduce(np.bitwise_count(jt, out=counts[:k]), axis=-1,
-                                    dtype=np.uint32)
+            if uniform[j] and uniform[first].all():
+                joint_rows = row_bytes[first] & row_bytes[j]
+                cnt = np.bitwise_count(df, out=counts[:k])
+                if not joint_rows.all():
+                    cnt &= np.repeat(joint_rows, words, axis=1)[:, None]
+                n_differ = np.add.reduce(cnt, axis=-1, dtype=np.uint32)
+                n_total = n_bits * np.count_nonzero(joint_rows, axis=1)[:, None]
+            else:
+                if mask_b is None:
+                    mask_b = _rotations(mask[j], n_bits, shifts)
+                jt = np.bitwise_and(mask_a[first][:, None], mask_b, out=joint[:k])
+                df &= jt
+                n_differ = np.add.reduce(np.bitwise_count(df, out=counts[:k]), axis=-1,
+                                         dtype=np.uint32)
+                n_total = np.add.reduce(np.bitwise_count(jt, out=counts[:k]), axis=-1,
+                                        dtype=np.uint32)
             # exact: both counts convert to float64 exactly, as in differ / total
             score = np.divide(n_differ, n_total, out=np.full(n_differ.shape, np.inf),
                               where=n_total > 0)

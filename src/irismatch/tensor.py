@@ -9,7 +9,8 @@ row selection that join them).
 Data lives in numpy arrays, float64 by default.  Every op computes in its
 operands' one dtype: a float64 weight or running statistic beside a float32
 activation is a ``TypeError``, raised before anything is computed or
-written.  Whoever picks a dtype casts the whole model once
+written, and ``Tensor.backward`` refuses a gradient of another dtype than
+the operand it is for.  Whoever picks a dtype casts the whole model once
 (``IrisMatchModel.astype``): training runs in float64, scoring in float32.
 
 Each recorded operation gives its output a node (``_Node``) that holds
@@ -136,17 +137,18 @@ def _as_array(data):
 
 class _Node:
     """The gradient bookkeeping of one recorded op's output: its parents'
-    nodes (a leaf tensor stands for itself), its backward function and its
-    gradient during ``backward``.  It refers to no tensor an op made, so the
-    graph holds an output array only where a backward function captured
-    it."""
+    nodes (a leaf tensor stands for itself), its backward function, the
+    output's dtype and its gradient during ``backward``.  It refers to no
+    tensor an op made, so the graph holds an output array only where a
+    backward function captured it."""
 
-    __slots__ = ("_parents", "_backward_fn", "grad")
+    __slots__ = ("_parents", "_backward_fn", "dtype", "grad")
     requires_grad = True
 
-    def __init__(self, parents, backward_fn):
+    def __init__(self, parents, backward_fn, dtype):
         self._parents = parents
         self._backward_fn = backward_fn
+        self.dtype = dtype
         self.grad = None
 
 
@@ -220,7 +222,9 @@ class Tensor:
         from its children's backward.  Once its own backward has run, a
         node drops its parents, its backward function (with the arrays that
         captured) and its gradient.  A graph can be consumed only once;
-        repeated calls raise.
+        repeated calls raise.  A gradient of another dtype than the tensor or
+        op output it is for is refused with a ``TypeError`` before any op's
+        backward or any leaf receives it.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -256,6 +260,9 @@ class Tensor:
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
+                if g.dtype != parent.dtype:
+                    raise TypeError(f"backward got a {g.dtype} gradient for a {parent.dtype} "
+                                    f"operand; a gradient has its operand's dtype")
                 parent.grad = g if parent.grad is None else parent.grad + g
             # free what the backward captured, so each activation dies as the
             # pass goes, and the graph cannot be replayed
@@ -281,7 +288,7 @@ def _make(data, parents, backward_fn):
     out = Tensor(data)
     if records_graph(*parents):
         out.requires_grad = True
-        out._node = _Node(tuple(p._node or p for p in parents), backward_fn)
+        out._node = _Node(tuple(p._node or p for p in parents), backward_fn, out.data.dtype)
     return out
 
 

@@ -777,6 +777,28 @@ def test_baseline_same_schema_as_eval(dataset, tmp_path, capsys):
     assert "far" in printed
 
 
+@pytest.mark.parametrize("max_shift,encoded,message", [
+    (-1, 0, "max shift must be non-negative, got -1"),
+    (16, 1, "max shift 16 must be smaller than width 16")], ids=["negative", "width"])
+def test_baseline_bad_max_shift_exits_2_before_encoding_the_store(
+        max_shift, encoded, message, dataset, tmp_path, capsys, monkeypatch):
+    """A negative shift is refused before any image is encoded, one as wide
+    as the 16-sample codes right after the first."""
+    from irismatch import iriscode
+
+    calls = []
+    encode = iriscode.encode
+    monkeypatch.setattr(iriscode, "encode", lambda *a, **k: calls.append(1) or encode(*a, **k))
+    out = tmp_path / "out"
+    code = main(["baseline", "--data_dir", str(dataset), "--out_dir", str(out),
+                 "--row_step", "1", f"--max_shift={max_shift}"])
+    assert code == 2 and len(calls) == encoded
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- parser
 
 

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from irismatch import iriscode
 from irismatch.data import enumerate_pairs
 from irismatch.evaluation import BitcodeScorer, collect_scores
 from irismatch.iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, encode,
                                 log_gabor_transfer, masked_hamming, match_pairs,
                                 match_with_shifts)
 from irismatch.synthetic import SynthSpec, generate
-from oracles import shift_bitcode
+from oracles import shift_bitcode, strided_bitcode
 
 
 def dft_filter_reference(row, transfer):
@@ -41,11 +42,11 @@ def hamming_loop(a: Bitcode, b: Bitcode):
     return differ / total
 
 
-def shift_sweep_loop(a, b, max_shift):
+def shift_sweep_loop(a, b, max_shift, hamming=hamming_loop):
     best = None
     for s in range(-max_shift, max_shift + 1):
         try:
-            score = hamming_loop(a, shift_bitcode(b, s))
+            score = hamming(a, shift_bitcode(b, s))
         except EmptyMaskError:
             continue
         if best is None or score < best[0] or (
@@ -60,6 +61,14 @@ def shift_sweep_loop(a, b, max_shift):
 def random_bitcode(rng, h=4, w=16, mask_p=0.8):
     bits = rng.integers(0, 2, size=(h, 2 * w)).astype(np.uint8)
     mask = (rng.random((h, 2 * w)) < mask_p).astype(np.uint8)
+    return Bitcode(bits, mask)
+
+
+def row_uniform_bitcode(rng, valid_rows, w):
+    """Random bits under a mask whose rows are all valid or all empty, as
+    ``encode``'s are (an occluded row is constant, so all of it is masked)."""
+    bits = rng.integers(0, 2, size=(len(valid_rows), 2 * w)).astype(np.uint8)
+    mask = np.repeat(np.asarray(valid_rows, dtype=np.uint8)[:, None], 2 * w, axis=1)
     return Bitcode(bits, mask)
 
 
@@ -278,15 +287,29 @@ def test_max_shift_validation():
 @st.composite
 def code_sets(draw):
     """A few same-shape codes, sample widths around the 64-bit word edges,
-    sparse masks (some or all shifts empty) to full ones, and pairs."""
+    and pairs.  Each mask is random (sparse, some or all shifts empty, to
+    full) or row-uniform like ``encode``'s (full, or with empty rows), so a
+    set may mix codes of the row-level path with codes of the per-shift
+    path; some sets hold a row-uniform pair with no valid row in common."""
     h = draw(st.integers(1, 3))
     w = draw(st.sampled_from([2, 3, 16, 31, 32, 33, 40, 64, 70]))
     max_shift = draw(st.integers(0, min(w - 1, 5)))
-    mask_p = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    codes = [random_bitcode(rng, h=h, w=w, mask_p=mask_p)
-             for _ in range(draw(st.integers(2, 4)))]
+    codes = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["random", "full", "empty-rows"]))
+        if kind == "random":
+            mask_p = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+            codes.append(random_bitcode(rng, h=h, w=w, mask_p=mask_p))
+        else:
+            valid = np.ones(h, bool) if kind == "full" else rng.random(h) < 0.5
+            codes.append(row_uniform_bitcode(rng, valid, w))
     pairs = rng.integers(0, len(codes), size=(draw(st.integers(1, 6)), 2))
+    if draw(st.integers(0, 3)) == 0:
+        valid = rng.random(h) < 0.5
+        codes += [row_uniform_bitcode(rng, valid, w), row_uniform_bitcode(rng, ~valid, w)]
+        at = draw(st.integers(0, len(pairs)))
+        pairs = np.insert(pairs, at, [len(codes) - 2, len(codes) - 1], axis=0)
     return codes, pairs, max_shift
 
 
@@ -297,7 +320,7 @@ def loop_or_empty(a, b, max_shift):
         return None
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(code_sets())
 def test_packed_kernel_matches_shift_sweep_loop(case):
     codes, pairs, max_shift = case
@@ -310,7 +333,8 @@ def test_packed_kernel_matches_shift_sweep_loop(case):
             assert match_with_shifts(codes[i], codes[j], max_shift) == w
     if any(w is None for w in want):
         first = next(k for k, w in enumerate(want) if w is None)
-        with pytest.raises(EmptyMaskError, match=f"pair {first}:"):
+        with pytest.raises(EmptyMaskError, match=f"^pair {first}: no comparable bits at any "
+                                                 f"of the {2 * max_shift + 1} shifts$"):
             match_pairs(codes, pairs, max_shift)
         return
     scores, shifts = match_pairs(iter(codes), pairs, max_shift)
@@ -318,6 +342,52 @@ def test_packed_kernel_matches_shift_sweep_loop(case):
     assert shifts.tolist() == [w[1] for w in want]
     if max_shift == 0:
         assert scores.tolist() == [hamming_loop(codes[i], codes[j]) for i, j in pairs]
+
+
+def test_row_level_and_per_shift_chunks_of_one_second_code(monkeypatch):
+    """Chunks of two pairs against one second code: the chunks with a
+    partly valid first code take the per-shift path, the others the
+    row-level path, and only the per-shift chunks rotate the second mask."""
+    rng = np.random.default_rng(97)
+    h, w, max_shift = 3, 40, 4
+    codes = [row_uniform_bitcode(rng, [True, False, True], w),       # the second code
+             row_uniform_bitcode(rng, [True, True, True], w),
+             row_uniform_bitcode(rng, [False, True, True], w),
+             random_bitcode(rng, h=h, w=w, mask_p=0.7)]
+    pairs = [(1, 0), (2, 0), (3, 0), (1, 0), (0, 0), (2, 0)]
+    rotated = []
+    rotations = iriscode._rotations
+    monkeypatch.setattr(iriscode, "_rotations",
+                        lambda words, n_bits, shifts: rotated.append(len(shifts))
+                        or rotations(words, n_bits, shifts))
+    # row-uniform codes only: each second code's bits are rotated, no mask
+    match_pairs(codes[:3], [(i, j) for i in range(3) for j in range(3)], max_shift)
+    assert rotated.count(2 * max_shift + 1) == 3
+    rotated.clear()
+    words = 2                                   # per row of 80 bits
+    monkeypatch.setattr(iriscode, "_PAIR_BUDGET", 2 * (2 * max_shift + 1) * h * words)
+    scores, shifts = match_pairs(codes, pairs, max_shift)
+    want = [shift_sweep_loop(codes[i], codes[j], max_shift) for i, j in pairs]
+    assert scores.tobytes() == np.array([s for s, _ in want]).tobytes()
+    assert shifts.tolist() == [s for _, s in want]
+    # the second code's bits once, its mask for the one chunk, (3, 0) and
+    # (1, 0), that holds the partly valid code
+    assert rotated.count(2 * max_shift + 1) == 2
+
+
+def test_bad_max_shift_refused_before_codes_are_read():
+    a = random_bitcode(np.random.default_rng(98), w=8)
+
+    def codes(n_readable):
+        for _ in range(n_readable):
+            yield a
+        raise AssertionError("a code was read past the refusal")
+
+    with pytest.raises(ValueError, match="max shift must be non-negative, got -1"):
+        match_pairs(codes(0), [(0, 1)], -1)
+    with pytest.raises(ValueError, match="max shift 8 must be smaller than width 8"):
+        match_pairs(codes(1), [(0, 1)], 8)
+    assert match_with_shifts(a, a, 7) == (0.0, 0)
 
 
 def test_packed_kernel_skips_empty_shifts():
@@ -362,3 +432,45 @@ def test_bitcode_scorer_bitwise_equals_loop_on_synthetic_store():
     want_imp = scorer_oracle(store, pairs.imposter, spec, 3)
     assert scores.authentic.tobytes() == want_auth.tobytes()
     assert scores.imposter.tobytes() == want_imp.tobytes()
+
+
+@pytest.fixture(scope="module")
+def occluded_full_store():
+    """Six images at the paper's 110x512, three with eyelid bands (constant
+    rows)."""
+    return generate(SynthSpec(identities=3, images_per_identity=2, occlusion_prob=0.5,
+                              seed=13))
+
+
+def test_encode_equals_strided_interleave_at_full_geometry(occluded_full_store):
+    """One comparison on the interleaved response gives the bits and mask
+    of the strided writes, rows of an exactly zero response included."""
+    images = list(occluded_full_store.images)
+    flat = images[0].copy()
+    flat[[0, 1, 50, 109]] = 0.25                  # rows whose response is exactly 0
+    for img in images + [flat]:
+        got, want = encode(img), strided_bitcode(img)
+        assert got.bits.dtype == got.mask.dtype == np.uint8
+        assert got.bits.shape == want.bits.shape == (55, 1024)
+        assert np.array_equal(got.bits, want.bits) and np.array_equal(got.mask, want.mask)
+    response_rows = np.fft.ifft(np.fft.fft(flat[[0, 50]], axis=1)
+                                * log_gabor_transfer(512, LogGaborSpec()), axis=1)
+    assert not response_rows.any()
+    assert not encode(flat).mask[[0, 25]].any()
+
+
+def test_bitcode_scorer_bitwise_equals_loop_at_full_geometry(occluded_full_store):
+    """Every code is row-uniform, full or with empty rows, so every pair
+    takes the row-level path; the scores are the per-shift masked Hamming
+    sweep's, bit for bit."""
+    store, spec = occluded_full_store, LogGaborSpec()
+    codes = [encode(img, spec=spec) for img in store.images]
+    rows = [c.mask.all(axis=1) for c in codes]
+    assert all(np.array_equal(c.mask.any(axis=1), r) for c, r in zip(codes, rows))
+    assert sum(r.all() for r in rows) == sum(not r.all() for r in rows) == 3
+    pairs = enumerate_pairs(store)
+    scores = collect_scores(BitcodeScorer(spec, max_shift=8), store, pairs)
+    for got, want in ((scores.authentic, pairs.authentic), (scores.imposter, pairs.imposter)):
+        oracle = [shift_sweep_loop(codes[q], codes[r], 8, hamming=masked_hamming)[0]
+                  for q, r in want]
+        assert got.tobytes() == np.array(oracle).tobytes()

@@ -547,7 +547,7 @@ def test_batch_norm_eval_bitwise_with_and_without_graph(shape, dtype):
     b = T.Tensor(beta, requires_grad=True)
     y = T.batch_norm(xt, g, b, rm, rv, training=False)
     assert same_bits(y.data, want)
-    w = rng.normal(size=shape)
+    w = rng.normal(size=shape).astype(dtype)
     weighted_sum(y, w).backward()
     cshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
     inv = 1.0 / np.sqrt(rv.reshape(cshape) + 1e-5)
@@ -817,6 +817,34 @@ def test_concat_and_the_bank_refuse_operands_of_two_dtypes():
         with pytest.raises(TypeError, match="the bank needs operands of one dtype"):
             bank.forward(T.Tensor(a["a"].astype(np.float64)), out=out)
     assert not out.any()
+
+
+@pytest.mark.parametrize("op", ["conv2d", "elu_batch_norm", "leaf"])
+def test_backward_refuses_a_gradient_of_another_dtype(op):
+    """A float64 gradient for a float32 op output or leaf stops the backward
+    before that op's backward runs or the leaf's grad is set."""
+    rng = np.random.default_rng(33)
+    x = T.Tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    gamma, beta = (T.Tensor(np.full(3, v, np.float32), requires_grad=True) for v in (1.5, 0.5))
+    stats = np.zeros(3, np.float32), np.ones(3, np.float32)
+    build, params = {
+        "conv2d": (lambda: T.conv2d(x, w, None), [x, w]),
+        "elu_batch_norm": (lambda: T.elu_batch_norm(x, gamma, beta, *stats, training=True),
+                           [x, gamma, beta]),
+        "leaf": (lambda: x, [x]),
+    }[op]
+    y, ran = build(), []
+    if op != "leaf":
+        fn = y._backward_fn
+        y._backward_fn = lambda g: ran.append(g.dtype) or fn(g)
+    with pytest.raises(TypeError, match="backward got a float64 gradient for a float32 operand"):
+        weighted_sum(y, rng.normal(size=y.shape)).backward()
+    assert ran == [] and all(p.grad is None for p in params)
+    # the same loss in the operands' dtype runs every backward
+    y = build()
+    weighted_sum(y, rng.normal(size=y.shape).astype(np.float32)).backward()
+    assert all(p.grad.dtype == np.float32 for p in params)
 
 
 # ---------------------------------------------------------------- bce
