@@ -45,9 +45,10 @@ def atomic_open(path, mode="wb", **kwargs):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        raise
 
 
 def write_records(path, magic, meta, records):

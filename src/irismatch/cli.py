@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import atomic_open, load_model
-from .data import IdentityStore, enumerate_pairs
+from .data import enumerate_pairs
 from .evaluation import (BitcodeScorer, ModelScorer, collect_scores, emit_roc_csv,
                          read_roc_csv, roc, tar_at_far)
 from .iris_io import read_image
@@ -190,8 +190,6 @@ def resolve_config(command, cli_values, config_path=None):
     file_values = load_config_file(config_path) if config_path else {}
     for source in (file_values, cli_values):
         for key, raw in source.items():
-            if raw is None or key not in SCHEMA:
-                continue
             if key not in merged and key != "command":
                 continue  # keys for other commands are allowed in shared files
             tag = SCHEMA[key][0]
@@ -249,16 +247,18 @@ def _model_config_from(cfg, height, width):
                        bank_mode=cfg["bank_nonlinearity"], matcher_blocks=blocks)
 
 
-def _match_store_to_model(store, model):
-    if store.width != model.width:
-        raise UsageError(f"dataset width {store.width} does not match the model's {model.width}")
-    if store.height == model.height:
-        return store
-    print(f"notice: resizing images from {store.height} to {model.height} rows "
+def _at_model_height(images, model, source):
+    """(N, H, W) ``images`` read from ``source`` (a path), at the model's
+    geometry: another width is refused, another height resampled column by
+    column (``resize_vertical``) with a notice on stderr."""
+    if images.shape[2] != model.width:
+        raise UsageError(f"{source}: width {images.shape[2]} does not match the model's "
+                         f"{model.width}")
+    if images.shape[1] == model.height:
+        return images
+    print(f"notice: resizing {source} from {images.shape[1]} to {model.height} rows "
           f"(linear interpolation)", file=sys.stderr)
-    images = np.stack([resize_vertical(img, model.height) for img in store.images])
-    return IdentityStore(images=images, identity_of=store.identity_of.copy(),
-                         identity_ids=list(store.identity_ids))
+    return np.stack([resize_vertical(img, model.height) for img in images])
 
 
 def _print_far_table(rows):
@@ -318,8 +318,9 @@ def cmd_train(cfg):
 
 def cmd_eval(cfg):
     model = load_model(_require(cfg, "checkpoint", "eval"))
-    store = read_store(_require(cfg, "data_dir", "eval"))
-    store = _match_store_to_model(store, model)
+    data_dir = _require(cfg, "data_dir", "eval")
+    store = read_store(data_dir)
+    store = dataclasses.replace(store, images=_at_model_height(store.images, model, data_dir))
     out_dir = cfg["out_dir"] or "eval_out"
     return _evaluate_pairs(ModelScorer(model), store, out_dir, cfg["far"], "eval", cfg)
 
@@ -346,16 +347,8 @@ def cmd_roc(cfg):
 
 def cmd_match(cfg, image_a, image_b):
     model = load_model(_require(cfg, "checkpoint", "match"))
-    images = []
-    for path in (image_a, image_b):
-        img = read_image(path)
-        if img.shape[1] != model.width:
-            raise UsageError(f"{path}: width {img.shape[1]} does not match the model's {model.width}")
-        if img.shape[0] != model.height:
-            print(f"notice: resizing {path} from {img.shape[0]} to {model.height} rows",
-                  file=sys.stderr)
-            img = resize_vertical(img, model.height)
-        images.append(img)
+    images = [_at_model_height(read_image(path)[None], model, path)[0]
+              for path in (image_a, image_b)]
     probability = model.match_probability(images[0], images[1])
     threshold = cfg["threshold"]
     is_match = probability > threshold

@@ -51,9 +51,6 @@ class RocCurve:
     far: np.ndarray
     tar: np.ndarray
 
-    def __len__(self):
-        return len(self.thresholds)
-
     def tar_at_far(self, far):
         """(TAR, threshold) of the highest TAR among points with FAR <= ``far``,
         ties to the strictest threshold, or None when no point qualifies.

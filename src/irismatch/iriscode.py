@@ -23,9 +23,9 @@ every shift, (2 * max_shift + 1, L) words.
 
 Row-level joint mask: ``encode`` masks a sample whose magnitude falls far
 under its row's peak.  An occluded row is constant, so its response is 0
-and all of it is masked, while a textured row's magnitude does not fall
-that far, so the row is valid throughout.  Each row of an encoded mask is
-then all valid or all empty (row-uniform), and a shift, which moves samples
+and all of it is masked, while a textured row's magnitude seldom falls that
+far, so the row is valid throughout.  Most rows of an encoded mask are then
+all valid or all empty (row-uniform), and a shift, which moves samples
 within rows, leaves such a mask unchanged.  The joint mask of two
 row-uniform codes is the same at every shift: the pair's total is 2W' times
 the rows valid in both, and its differing bits at a shift are the popcounts
@@ -33,9 +33,11 @@ of ``bits_a ^ bits_b`` summed over those rows (the popcounts of the other
 rows zeroed by one AND, skipped when both masks are full).  A chunk of
 pairs that holds a code with a partly valid row takes the per-shift path:
 the second mask is packed at every shift too, and the counts are popcounts
-of ``(bits_a ^ bits_b) & mask_a & mask_b`` and of ``mask_a & mask_b``.  No
-synthetic image measured so far encodes to such a code, but a ``Bitcode``
-built another way may hold one.
+of ``(bits_a ^ bits_b) & mask_a & mask_b`` and of ``mask_a & mask_b``.
+``encode`` itself makes such a row where two tones pass the filter with
+equal amplitudes: their sum's envelope has a null, and the samples at the
+null fall under the floor.  A ``Bitcode`` built another way (a mask from a
+segmenter) may hold any mask.
 """
 
 from __future__ import annotations
@@ -178,21 +180,22 @@ def match_pairs(codes, pairs, max_shift):
     shifts as ``match_with_shifts`` on each pair.
 
     A bad ``max_shift`` is refused before ``codes`` is read past its first
-    code.  Each code is packed once per call and its mask rows classified
-    (see the module docstring); pairs are grouped by their second code,
-    whose shifted bits are packed once, and scored a few at a time at all
-    shifts at once: with one joint mask for every shift when each code of
-    the chunk is row-uniform, else with the second mask rotated per shift.
+    code, and an empty ``pairs`` before ``codes`` is read.  Each code is
+    packed once per call and its mask rows classified (see the module
+    docstring); pairs are grouped by their second code, whose shifted bits
+    are packed once, and scored a few at a time at all shifts at once:
+    with one joint mask for every shift when each code of the chunk is
+    row-uniform, else with the second mask rotated per shift.
     Returns (scores, shifts) arrays; raises EmptyMaskError naming the first
     pair that has no comparable bits at any shift.
     """
     if max_shift < 0:
         raise ValueError(f"max shift must be non-negative, got {max_shift}")
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if not len(pairs):
+        raise ValueError("no pairs to score")
     scores = np.empty(len(pairs))
     best_shifts = np.empty(len(pairs), dtype=np.intp)
-    if not len(pairs):
-        return scores, best_shifts
     bits, mask, shape = [], [], None
     for code in codes:
         if shape is None:

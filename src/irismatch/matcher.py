@@ -460,12 +460,16 @@ class PairFeatures:
                 if group:
                     built.update(zip(group, conv(side, group)))
         kind = one[0] + 2 * one[1]
+        kinds = np.unique(kind).tolist()
         out = None
-        for k in np.unique(kind).tolist():
+        if kinds[0] == 0 or len(kinds) > 1:     # else the one kind's array is the output
+            (sh, sw), (h, wd) = block.spec.stride, self.feats.shape[2:]
+            out = np.empty((len(kind), len(w), (h - 1) // sh + 1, (wd - 1) // sw + 1),
+                           dtype=self.feats.dtype)
+        for k in kinds:
             rows = np.flatnonzero(kind == k)
             qs, rs = self.pairs[rows].T.tolist()
             if k == 0:              # both halves stored: added into the output's rows
-                out = np.empty((len(kind),) + halves[0][qs[0]].shape, dtype=self.feats.dtype)
                 for row, q, r in zip(rows.tolist(), qs, rs):
                     np.add(halves[0][q], halves[1][r], out=out[row])
                 continue
@@ -477,11 +481,9 @@ class PairFeatures:
                 y = conv(side, ends[side])
                 for j, i in enumerate(ends[1 - side]):
                     y[j] += halves[1 - side][i]
-            if len(rows) == len(kind):
+            if out is None:
                 out = y
             else:
-                if out is None:
-                    out = np.empty((len(kind),) + y.shape[1:], dtype=y.dtype)
                 out[rows] = y
         for side, col in enumerate(self.pairs.T.tolist()):
             for i in col:

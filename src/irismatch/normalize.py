@@ -17,8 +17,6 @@ def resize_vertical(img, target_height):
     if target_height < 2:
         raise ValueError(f"target height must be at least 2, got {target_height}")
     h = img.shape[0]
-    if target_height == h:
-        return img.copy()
     pos = np.arange(target_height) * (h - 1) / (target_height - 1)
     i0 = np.floor(pos).astype(int)
     i1 = np.minimum(i0 + 1, h - 1)

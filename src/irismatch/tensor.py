@@ -6,7 +6,8 @@ l2-normalization, batch normalization, ELU/ReLU, dropout, sigmoid, global
 average pooling, binary cross-entropy, and the reshape, concatenation and
 row selection that join them).
 
-Data lives in numpy arrays, float64 by default.  Every op computes in its
+Data lives in numpy arrays of float64 or float32; a tensor of other data
+(ints, say) is refused with a ``TypeError``.  Every op computes in its
 operands' one dtype: a float64 weight or running statistic beside a float32
 activation is a ``TypeError``, raised before anything is computed or
 written, and ``Tensor.backward`` refuses a gradient of another dtype than
@@ -53,8 +54,9 @@ node's closure once it has run.
   from zero, in sample order, so the tiles leave its bits unchanged.  The
   zero padding is written into the columns, so no padded copy of the input
   is built and every column element is written before it is read.
-* wrap padding (the unit-circle bank): one real FFT along the rows (zero
-  padded, so the radial correlation is linear), kw direct circular taps
+* wrap padding (the unit-circle bank, whose input is one image, so one
+  input channel; another count is refused): one real FFT along the rows
+  (zero padded, so the radial correlation is linear), kw direct circular taps
   along the angular axis on the row spectra, one inverse FFT; the weight
   gradient is an FFT correlation (Mathieu, Henaff & LeCun, "Fast Training
   of Convolutional Networks through FFTs", arXiv:1312.5851).  The angular
@@ -83,7 +85,9 @@ in Chen et al., "TVM", arXiv:1802.04799).  In eval scoring it overwrites
 the convolution's output in one pass; in training it follows an ELU pass.
 Its backward recomputes what it reads from the input, slice by slice.  One
 slice ELU (``_elu_into``) writes every ELU.  ``batch_norm`` remains as its
-test reference.
+test reference.  Both record a graph in training only: in eval mode one
+that would record is refused, and so is an ``elu_batch_norm`` input that is
+not a C-contiguous, writeable array, which its in-place pass needs.
 """
 
 from __future__ import annotations
@@ -130,9 +134,10 @@ class no_grad:
 
 
 def _as_array(data):
-    if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES:
-        return np.asarray(data)
-    return np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
+    if data.dtype not in _FLOAT_DTYPES:
+        raise TypeError(f"a tensor holds float64 or float32 data, got {data.dtype}")
+    return data
 
 
 class _Node:
@@ -192,10 +197,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -206,10 +207,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
 
     # -- backward ---------------------------------------------------------
 
@@ -234,22 +231,19 @@ class Tensor:
             raise RuntimeError("backward() already called on this graph")
         root = self if self._node is None else self._node
 
-        # iterative DFS: ordered tape of nodes, leaves first
-        tape = []
-        visited = set()
-        stack = [(root, False)]
+        # iterative DFS, parents last to first: the tape of nodes, leaves first
+        tape, seen = [], {id(root)}
+        stack = [(root, reversed(root._parents))]
         while stack:
-            node, emitted = stack.pop()
-            if emitted:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append((parent, reversed(parent._parents)))
+                    break
+            else:
+                stack.pop()
                 tape.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
 
         self.grad = root.grad = np.ones_like(self.data)
         for node in reversed(tape):
@@ -543,13 +537,12 @@ def _bn_stats(x, running_mean, running_var, training, eps, momentum=0.1):
     return axes, cshape, mean, 1.0 / np.sqrt(var + eps)
 
 
-def _bn_input_grad(g, xhat, gam, inv, ggamma, gbeta, count, training):
-    """Batch norm's input gradient from the output gradient ``g``, the
-    normalized input ``xhat`` (which it overwrites) and the per-channel
-    ``gam``, ``inv`` and gradients of gamma and beta, each shaped to
-    broadcast against them; ``count`` values make each channel's statistics."""
-    if not training:
-        return g * gam * inv
+def _bn_input_grad(g, xhat, gam, inv, ggamma, gbeta, count):
+    """Batch norm's train-mode input gradient from the output gradient
+    ``g``, the normalized input ``xhat`` (which it overwrites) and the
+    per-channel ``gam``, ``inv`` and gradients of gamma and beta, each
+    shaped to broadcast against them; ``count`` values make each channel's
+    statistics."""
     # gam * inv * (g - gbeta / count - xhat * ggamma / count), op by op
     xhat *= ggamma
     xhat /= count
@@ -578,13 +571,16 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
 
     Train mode normalizes with batch statistics and, when running buffers are
     supplied, updates them in place (unbiased variance, exponential moving
-    average).  Eval mode normalizes with the running buffers.
+    average).  Eval mode normalizes with the running buffers and records no
+    graph: one that would is refused.
 
     The matcher runs it only inside ``elu_batch_norm``; this op is that
     one's test reference.
     """
     x = a.data
     _one_dtype("batch_norm", x, gamma.data, beta.data, running_mean, running_var)
+    if not training and records_graph(a, gamma, beta):
+        raise ValueError("batch_norm in eval mode records no graph; run it under no_grad")
     axes, cshape, mean, inv = _bn_stats(x, running_mean, running_var, training, eps, momentum)
     gam = gamma.data.reshape(cshape)
     xhat = x - mean
@@ -597,7 +593,7 @@ def batch_norm(a, gamma, beta, running_mean=None, running_var=None,
         ggamma = (g * xhat).sum(axis=axes)
         gbeta = g.sum(axis=axes)
         gx = _bn_input_grad(g, xhat, gam, inv, ggamma.reshape(cshape), gbeta.reshape(cshape),
-                            count, training)
+                            count)
         return gx, ggamma, gbeta
 
     return _make(data, (a, gamma, beta), backward)
@@ -611,40 +607,39 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
     Its forward is one loop over ``_plane_slices`` of whole (sample,
     channel) planes, which runs the ops of ``elu`` then ``batch_norm`` in
     their order while a slice is in cache.  In eval mode the ELU and the
-    affine map share that one pass; with no graph to record and a
-    C-contiguous, writeable ``a``, it writes into ``a``'s own array, so
-    nothing bigger than a slice is allocated.  In training an ELU pass into
-    a new array comes first, as the batch statistics are that array's, and
-    the loop turns it into the output.
+    affine map share that one pass, written into ``a``'s own array, so
+    nothing bigger than a slice is allocated: eval refuses to record a
+    graph, and refuses an ``a`` that is not C-contiguous and writeable,
+    whose planes would be a copy that drops the writes.  In training an ELU
+    pass into a new array comes first, as the batch statistics are that
+    array's, and the loop turns it into the output.
 
-    The recorded op keeps only ``a`` and per-channel statistics: its
-    backward recomputes the ELU output and x-hat from ``a`` with the same
-    operations, then runs batch norm's backward arithmetic, then ELU's, in
-    the same slices (gamma's gradient sums a whole array of g * x-hat, whose
-    buffer the input gradient then takes over).  A matcher block thus holds
-    two whole activations for the backward, the convolution's output and
-    its own, where the composition holds four, and its backward allocates
-    one more (Rota Bulo, Porzi & Kontschieder, "In-Place Activated
-    BatchNorm", arXiv:1712.02616; Chen et al., "Training Deep Nets with
-    Sublinear Memory Cost", arXiv:1604.06174).
+    The recorded op, which only training makes, keeps only ``a`` and
+    per-channel statistics: its backward recomputes the ELU output and
+    x-hat from ``a`` with the same operations, then runs batch norm's
+    backward arithmetic, then ELU's, in the same slices (gamma's gradient
+    sums a whole array of g * x-hat, whose buffer the input gradient then
+    takes over).  A matcher block thus holds two whole activations for the
+    backward, the convolution's output and its own, where the composition
+    holds four, and its backward allocates one more (Rota Bulo, Porzi &
+    Kontschieder, "In-Place Activated BatchNorm", arXiv:1712.02616; Chen et
+    al., "Training Deep Nets with Sublinear Memory Cost", arXiv:1604.06174).
     """
     x = a.data
     _one_dtype("elu_batch_norm", x, gamma.data, beta.data, running_mean, running_var)
-    src = _elu_data(x) if training else x
-    axes, _, mean, inv = _bn_stats(src, running_mean, running_var, training, eps)
-    if training or (not records_graph(a, gamma, beta)
-                    and x.flags.c_contiguous and x.flags.writeable):
-        out = src
-    else:
-        out = np.empty(x.shape, dtype=x.dtype)
-    planes, cuts, buf = _plane_slices(src)
-    rows = out.reshape(planes.shape)
+    if not training and (records_graph(a, gamma, beta)
+                         or not (x.flags.c_contiguous and x.flags.writeable)):
+        raise ValueError("elu_batch_norm in eval mode overwrites its input: it records no graph "
+                         "and needs a C-contiguous, writeable array")
+    out = _elu_data(x) if training else x
+    axes, _, mean, inv = _bn_stats(out, running_mean, running_var, training, eps)
+    planes, cuts, buf = _plane_slices(out)
     n, c = x.shape[:2]
     m, v, gm, bt = _per_plane(n, mean, inv, gamma.data, beta.data)
     for k in cuts:
-        o = rows[k]
+        o = planes[k]
         if not training:
-            _elu_into(planes[k], o, buf)
+            _elu_into(o, o, buf)
         o -= m[k]
         o *= v[k]
         o *= gm[k]
@@ -671,7 +666,7 @@ def elu_batch_norm(a, gamma, beta, running_mean, running_var, training, eps=1e-5
         for k in cuts:
             e = elu_rows(k)
             d = _bn_input_grad(gp[k], _standardize(e.copy(), m[k], v[k]), gm[k], v[k],
-                               gg[k], gb[k], count, training)
+                               gg[k], gb[k], count)
             np.multiply(d, _elu_slope(e), out=prod[k])
         return prod.reshape(x.shape), ggamma, gbeta
 
@@ -867,9 +862,10 @@ def row_spectrum(x, L, pad):
 
 
 def wrap_conv_into(out, spectrum, w, b):
-    """Same-size cross-correlation with zero rows and circular columns,
-    plus the bias ``b`` (or None), written into the (B, Cout, H, W) array
-    ``out``, which it returns.
+    """Same-size cross-correlation of a one-channel input with zero rows and
+    circular columns, plus the bias ``b`` (or None), written into the (B,
+    Cout, H, W) array ``out``, which it returns.  A (Cout, C, kh, kw)
+    weight with C other than 1 is refused: the bank's input is one image.
 
     Rows go through a real FFT zero-padded to L >= H + kh - 1, so the row
     correlation is linear: ``spectrum(L)`` is the input's ``row_spectrum``
@@ -881,17 +877,16 @@ def wrap_conv_into(out, spectrum, w, b):
     """
     H, W = out.shape[2:]
     C, kh, kw = w.shape[1:]
+    if C != 1:
+        raise ShapeError(f"wrap padding takes one input channel (the bank's image), got {C}")
     ph, pw = kh // 2, kw // 2
     L = _fft_len(H + kh - 1)
     xf = spectrum(L)
     pad = (xf.shape[3] - W) // 2
-    taps = sliding_window_view(xf[..., pad - pw:pad + W + pw], W, axis=3)  # (B, C, F, kw, W)
+    taps = sliding_window_view(xf[..., pad - pw:pad + W + pw], W, axis=3)  # (B, 1, F, kw, W)
     # correlation along rows is convolution with the row-flipped kernel
-    kf = np.fft.rfft(w[:, :, ::-1], n=L, axis=2)                    # (Cout, C, F, kw)
-    kf = kf.transpose(1, 2, 0, 3)                                   # (C, F, Cout, kw)
-    yf = np.matmul(kf[0], taps[:, 0])
-    for c in range(1, C):
-        yf += np.matmul(kf[c], taps[:, c])                          # (B, F, Cout, W)
+    kf = np.fft.rfft(w[:, :, ::-1], n=L, axis=2)                    # (Cout, 1, F, kw)
+    yf = np.matmul(kf.transpose(1, 2, 0, 3)[0], taps[:, 0])         # (B, F, Cout, W)
     y = np.fft.irfft(yf, n=L, axis=1)[:, ph:ph + H]                 # (B, H, Cout, W)
     y = y.transpose(0, 2, 1, 3)
     if b is None:
@@ -948,9 +943,10 @@ def conv2d(a, weight, bias=None, stride=1, padding="none", add_into=None):
     Kernel extents must be odd so "half the width" is well defined.  Input,
     weight and bias share one dtype, the output's (else ``TypeError``).
 
-    "wrap" runs ``wrap_conv_into`` (row FFTs plus circular column taps) and
-    has no input gradient: an input that requires grad is refused while a
-    graph is recorded.  Every other mode runs channel-major im2col, whose
+    "wrap" runs ``wrap_conv_into`` (row FFTs plus circular column taps) on
+    an input of one channel (another count is a ``ShapeError``) and has no
+    input gradient: an input that requires grad is refused while a graph is
+    recorded.  Every other mode runs channel-major im2col, whose
     input gradient is computed only when the input requires grad.
 
     ``add_into``, for im2col modes with no graph to record, is a C-contiguous

@@ -288,12 +288,10 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
 
         sample, labels = rebalance_epoch(train_pairs, rng_stream(config.seed, 3, epoch))
         loss_sum, n_seen = 0.0, 0
-        for step, start in enumerate(range(0, len(sample), config.batch_size)):
+        # a last batch of one pair is left out: batch norm needs two
+        for step, start in enumerate(range(0, len(sample) - 1, config.batch_size)):
             batch_pairs = sample[start:start + config.batch_size]
             batch_labels = labels[start:start + config.batch_size]
-            if len(batch_pairs) < 2:
-                continue  # batch-norm needs at least two pairs
-
             if cache is not None:
                 feats, local = cache, np.searchsorted(pair_images, batch_pairs)
             else:

@@ -24,7 +24,7 @@ tensor ops and concatenates their responses.  With none (scoring, ``match``,
 validation and the stage-1 feature cache, all through
 ``IrisMatchModel.bank_features``) it shares the row FFT of its input among
 its filters, one per FFT length (two for the default kernels), and each
-filter writes its response into its channel pair of one output array and
+filter writes its response into its channel pair of the caller's output and
 normalizes it there in place.  Both paths give the same bits.
 
 Like every op, a layer computes in its operands' one dtype, and refuses
@@ -145,10 +145,11 @@ class UnitCircleBank:
         ``concat`` joins them.  Otherwise the bank works in one pass: it
         takes ``x``'s row FFT once per distinct FFT length, padded
         circularly once at the widest filter's half width, and each filter
-        (``uc_forward``) writes its response into its channel pair of one
-        output and normalizes it there.  Both give the same bits.  The
+        (``uc_forward``) writes its response into its channel pair of
+        ``out`` and normalizes it there.  Both give the same bits.  The
         output is ``out`` if given (``bank_features`` passes its rows of a
-        chunk), which holds no graph.
+        chunk), which holds no graph; the one pass needs it, and refuses to
+        run without it.
         """
         params = [t for _, t in self.named_parameters()]
         if self.mode != "unit-circle" or T.records_graph(x, *params):
@@ -161,7 +162,7 @@ class UnitCircleBank:
             raise ShapeError(f"a bank takes (B, 1, H, W) images, got {x.shape}")
         T._one_dtype("the bank", x.data, out, *(t.data for t in params))
         if out is None:
-            out = np.empty((x.shape[0], self.out_channels) + x.shape[2:], dtype=x.dtype)
+            raise ValueError("the bank's no-graph pass writes into an out array; pass one")
         pad = max(f.kw for f in self.filters) // 2
         spectrum = functools.cache(lambda L: T.row_spectrum(x.data, L, pad))
         for i, f in enumerate(self.filters):

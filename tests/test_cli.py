@@ -397,7 +397,8 @@ def test_eval_resizes_mismatched_height(run_dir, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
                  "--data_dir", str(taller), "--out_dir", str(out), "--far", "0.5"])
     assert code == 0
-    assert "resizing" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"notice: resizing {taller} from 12 to 8 rows "
+                                       f"(linear interpolation)\n")
 
 
 def test_eval_rejects_width_mismatch(run_dir, tmp_path, capsys):
@@ -409,7 +410,22 @@ def test_eval_rejects_width_mismatch(run_dir, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
                  "--data_dir", str(wide), "--out_dir", str(tmp_path / "e3")])
     assert code == 2
-    assert "width" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {wide}: width 32 does not match the model's 16\n"
+
+
+def test_match_fits_an_image_to_the_model_as_eval_fits_a_store(run_dir, tmp_path, capsys):
+    """``match`` and ``eval`` share one geometry rule: another height is
+    resampled with a notice naming the file, another width refused."""
+    rng = np.random.default_rng(4)
+    tall, wide, fits = tmp_path / "tall.pgm", tmp_path / "wide.pgm", tmp_path / "fits.pgm"
+    for path, shape in ((tall, (12, 16)), (wide, (8, 32)), (fits, (8, 16))):
+        write_pgm(path, rng.uniform(size=shape))
+    args = ["match", "--checkpoint", str(run_dir / "best.ckpt"), "--out_dir", str(tmp_path)]
+    assert main(args + [str(fits), str(tall)]) in (0, 1)
+    assert capsys.readouterr().err == (f"notice: resizing {tall} from 12 to 8 rows "
+                                       f"(linear interpolation)\n")
+    assert main(args + [str(fits), str(wide)]) == 2
+    assert capsys.readouterr().err == f"error: {wide}: width 32 does not match the model's 16\n"
 
 
 def test_eval_with_nan_parameters_exits_2(dataset, run_dir, tmp_path, capsys):

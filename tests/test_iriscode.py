@@ -9,13 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from irismatch import iriscode
-from irismatch.data import enumerate_pairs
+from irismatch.data import IdentityStore, enumerate_pairs
 from irismatch.evaluation import BitcodeScorer, collect_scores
 from irismatch.iriscode import (Bitcode, EmptyMaskError, LogGaborSpec, encode,
                                 log_gabor_transfer, masked_hamming, match_pairs,
                                 match_with_shifts)
 from irismatch.synthetic import SynthSpec, generate
-from oracles import shift_bitcode, strided_bitcode
+from oracles import shift_bitcode, strided_bitcode, with_a_masked_null
 
 
 def dft_filter_reference(row, transfer):
@@ -412,8 +412,8 @@ def test_packed_kernel_rejects_bad_input():
         match_pairs([a, b], [(0, 1)], 2)
     with pytest.raises(IndexError):
         match_pairs([a, a], [(0, 2)], 2)
-    scores, shifts = match_pairs([a], np.empty((0, 2), dtype=int), 2)
-    assert scores.shape == shifts.shape == (0,)
+    with pytest.raises(ValueError, match="no pairs to score"):
+        match_pairs([a], np.empty((0, 2), dtype=int), 2)
 
 
 def scorer_oracle(store, pairs, spec, max_shift):
@@ -432,6 +432,27 @@ def test_bitcode_scorer_bitwise_equals_loop_on_synthetic_store():
     want_imp = scorer_oracle(store, pairs.imposter, spec, 3)
     assert scores.authentic.tobytes() == want_auth.tobytes()
     assert scores.imposter.tobytes() == want_imp.tobytes()
+
+
+def test_bitcode_scorer_bitwise_equals_loop_with_an_encoded_partly_valid_row():
+    """``encode`` makes a partly valid mask row where two tones of equal
+    filtered amplitude null the envelope: row 4 of a random 16x64 image
+    masks one sample, 2 of row 2's 128 bits.  The pairs of that code take
+    the per-shift path, the others the row-level one, and every score is the
+    masked Hamming shift sweep's, bit for bit."""
+    rng = np.random.default_rng(12)
+    images = rng.uniform(size=(6, 16, 64))
+    images[0] = with_a_masked_null(images[0], row=4)
+    codes = [encode(img) for img in images]
+    assert codes[0].mask.sum(axis=1).tolist() == [128, 128, 126] + [128] * 5
+    assert all(c.mask.all() for c in codes[1:])
+    store = IdentityStore(images, np.repeat([0, 1, 2], 2), ["a", "b", "c"])
+    pairs = enumerate_pairs(store)
+    scores = collect_scores(BitcodeScorer(LogGaborSpec(), max_shift=4), store, pairs)
+    for got, want in ((scores.authentic, pairs.authentic), (scores.imposter, pairs.imposter)):
+        oracle = [shift_sweep_loop(codes[q], codes[r], 4, hamming=masked_hamming)[0]
+                  for q, r in want]
+        assert got.tobytes() == np.array(oracle).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,10 @@ import pytest
 
 from irismatch import checkpoint as ckpt
 from irismatch import tensor as T
-from gradcheck import check_gradients
+from gradcheck import check_gradients, weighted_sum
 from irismatch.matcher import (ConvBlockSpec, IrisMatchModel, MatcherModel, ModelConfig,
                                PairFeatures, default_matcher_blocks, pair_batch)
-from oracles import pair_input, parameter_count
+from oracles import bank_forward, pair_input, parameter_count
 from irismatch.tensor import ShapeError, Tensor
 
 
@@ -98,7 +98,7 @@ def test_bank_features_bitwise_equal_to_one_image_at_a_time(chunk, monkeypatch):
     assert not feats.requires_grad
     for i, img in enumerate(images):
         with T.no_grad():
-            want = model.bank.forward(Tensor(img[None, None])).data[0]
+            want = bank_forward(model.bank, Tensor(img[None, None])).data[0]
         assert feats.data[i].tobytes() == want.tobytes(), i
 
 
@@ -182,17 +182,17 @@ def test_buffers_not_counted_as_parameters():
 
 
 def test_full_model_gradcheck_toy_geometry():
+    """The bank and the matcher as stage-2 training runs them, two pairs in
+    train mode (a graph is recorded in training only)."""
     model = IrisMatchModel(tiny_config(), rng=np.random.default_rng(62))
     rng = np.random.default_rng(9)
-    # non-trivial running stats so the eval batch-norm path is exercised
-    for blk in model.matcher.blocks:
-        blk.running_mean[:] = rng.normal(scale=0.1, size=blk.running_mean.shape)
-        blk.running_var[:] = rng.uniform(0.5, 1.5, size=blk.running_var.shape)
-    xq = Tensor(rng.uniform(size=(1, 1, 12, 24)))
-    xr = Tensor(rng.uniform(size=(1, 1, 12, 24)))
+    xq = Tensor(rng.uniform(size=(2, 1, 12, 24)))
+    xr = Tensor(rng.uniform(size=(2, 1, 12, 24)))
 
     def build():
-        return model.matcher.forward(pair_input(model, xq, xr), training=False)
+        probs = model.matcher.forward(pair_input(model, xq, xr), training=True,
+                                      rng=np.random.default_rng(0))
+        return weighted_sum(probs, np.array([0.7, -1.3]))
 
     params = [t for _, t in model.named_parameters()]
     err = check_gradients(build, params)

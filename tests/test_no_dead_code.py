@@ -2,7 +2,13 @@
 somewhere outside the tests: its name appears in the package, in perfbench
 or in pyproject.toml somewhere other than the line that defines it.  An
 arithmetic operator method counts too: an operator reaches it by symbol,
-which no search for its name sees, so one that nothing names is reported."""
+which no search for its name sees, so one that nothing names is reported.
+
+This check covers unused names; ``test_line_coverage.py`` covers unreached
+lines: a branch that only tests reach, or a name the program seems to use.
+A search for a word cannot tell a use of the name from a use of another
+thing of that name: ``Tensor.size`` passed this check, since numpy arrays
+have a ``.size`` too, and the line check found that no command ran it."""
 
 import ast
 import re

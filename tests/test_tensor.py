@@ -542,29 +542,21 @@ def test_batch_norm_eval_bitwise_with_and_without_graph(shape, dtype):
     with T.no_grad():
         y = T.batch_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), rm, rv, training=False)
     assert same_bits(y.data, want)
-    xt = T.Tensor(x.copy(), requires_grad=True)
-    g = T.Tensor(gamma, requires_grad=True)
-    b = T.Tensor(beta, requires_grad=True)
-    y = T.batch_norm(xt, g, b, rm, rv, training=False)
-    assert same_bits(y.data, want)
-    w = rng.normal(size=shape).astype(dtype)
-    weighted_sum(y, w).backward()
-    cshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
-    inv = 1.0 / np.sqrt(rv.reshape(cshape) + 1e-5)
-    xhat = (x - rm.reshape(cshape)) * inv
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    assert same_bits(g.grad, (w * xhat).sum(axis=axes))
-    assert same_bits(b.grad, w.sum(axis=axes))
-    assert same_bits(xt.grad, w * gamma.reshape(cshape) * inv)
+    # eval records no graph: one that would is refused
+    for grads in ((True, False, False), (False, True, False), (False, False, True)):
+        xt, g, b = (T.Tensor(v, requires_grad=r) for v, r in zip((x, gamma, beta), grads))
+        with pytest.raises(ValueError, match="batch_norm in eval mode records no graph"):
+            T.batch_norm(xt, g, b, rm, rv, training=False)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(5, 3), (4, 20, 30, 40), (1, 2, 130, 600)],
                          ids=["2d", "planes-under-slice", "plane-over-slice"])
 def test_elu_batch_norm_bitwise_equals_composition(shape, dtype):
-    """Under no_grad the op overwrites its input in slices; with a graph it
-    is one recorded op that leaves its input unchanged.  Both give the bits
-    of ``elu`` then ``batch_norm``."""
+    """In eval mode the op overwrites its input in slices, with the bits of
+    ``elu`` then ``batch_norm``.  A graph to record, or an input that is not
+    a C-contiguous, writeable array (whose slices would be a copy), is
+    refused before anything is written."""
     rng = np.random.default_rng(14)
     x = rng.normal(scale=3.0, size=shape).astype(dtype)
     fi = np.finfo(dtype)
@@ -581,11 +573,13 @@ def test_elu_batch_norm_bitwise_equals_composition(shape, dtype):
         y = T.elu_batch_norm(xt, T.Tensor(gamma), T.Tensor(beta), rm, rv, False)
     assert same_bits(y.data, want)
     assert y.data is xt.data
-    xt = T.Tensor(x.copy(), requires_grad=True)
-    y = T.elu_batch_norm(xt, T.Tensor(gamma, requires_grad=True), T.Tensor(beta), rm, rv, False)
-    assert y.requires_grad
-    assert same_bits(y.data, want)
-    assert same_bits(xt.data, x)
+    readonly = x.copy()
+    readonly.flags.writeable = False
+    for data, graph in ((x.copy(), True), (np.asfortranarray(x), False), (readonly, False)):
+        with pytest.raises(ValueError, match="elu_batch_norm in eval mode overwrites its input"):
+            T.elu_batch_norm(T.Tensor(data), T.Tensor(gamma, requires_grad=graph),
+                             T.Tensor(beta), rm, rv, False)
+        assert same_bits(data, x)
 
 
 def test_elu_batch_norm_in_place_peak_is_one_slice():
@@ -632,9 +626,10 @@ def elu_bn_step(op, x, gamma, beta, rm, rv, training, w):
     ((2, 32, 110, 512), np.float64),
 ], ids=["2d-f64", "4d-f64", "4d-f32", "plane-over-slice-f32", "block0-110x512-f64"])
 def test_elu_batch_norm_op_bitwise_equals_composition(shape, dtype, training):
-    """With a graph, in train and eval mode, the op is one recorded node
-    whose output, running-statistic updates and input, gamma and beta
-    gradients have the bits of ``batch_norm(elu(a))``."""
+    """With a graph, in train mode, the op is one recorded node whose
+    output, running-statistic updates and input, gamma and beta gradients
+    have the bits of ``batch_norm(elu(a))``.  In eval mode it records no
+    graph, as ``batch_norm`` records none: both refuse."""
     rng = np.random.default_rng(26)
     x = rng.normal(scale=3.0, size=shape).astype(dtype)
     fi = np.finfo(dtype)
@@ -644,6 +639,11 @@ def test_elu_batch_norm_op_bitwise_equals_composition(shape, dtype, training):
     gamma, beta, rm = (rng.normal(size=c).astype(dtype) for _ in range(3))
     rv = (rng.random(c) + 0.5).astype(dtype)
     w = rng.normal(size=shape).astype(dtype)
+    if not training:
+        for op in (T.elu_batch_norm, lambda a, *rest: T.batch_norm(T.elu(a), *rest)):
+            with pytest.raises(ValueError, match="in eval mode"):
+                elu_bn_step(op, x, gamma, beta, rm, rv, training, w)
+        return
     parents, operands, got = elu_bn_step(T.elu_batch_norm, x, gamma, beta, rm, rv, training, w)
     assert len(parents) == 3 and all(p is o for p, o in zip(parents, operands))
     _, _, want = elu_bn_step(lambda a, *rest: T.batch_norm(T.elu(a), *rest),
@@ -959,12 +959,10 @@ def test_gradcheck_batch_norm_train_and_eval():
         lambda: weighted_sum(T.batch_norm(x, gamma, beta, training=True), w),
         [x, gamma, beta])
     assert err < 1e-4
-    rm = rng.normal(size=3)
-    rv = rng.uniform(0.5, 2.0, size=3)
-    err = check_gradients(
-        lambda: weighted_sum(T.batch_norm(x, gamma, beta, rm, rv, training=False), w),
-        [x, gamma, beta])
-    assert err < 1e-4
+    # eval mode records no graph, so it has no gradient to check
+    with pytest.raises(ValueError, match="records no graph"):
+        T.batch_norm(x, gamma, beta, rng.normal(size=3), rng.uniform(0.5, 2.0, size=3),
+                     training=False)
 
 
 def test_gradcheck_dropout_fixed_mask():
