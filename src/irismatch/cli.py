@@ -309,7 +309,8 @@ def cmd_train(cfg):
     write_snapshot("train", cfg, out_dir)
 
     if log.aborted:
-        print("training aborted: non-finite loss; best finite checkpoint kept", file=sys.stderr)
+        print("training aborted: non-finite loss or validation scores; "
+              "best finite checkpoint kept", file=sys.stderr)
         return 3
     print(f"trained {len(log.records)} epochs; best validation TAR "
           f"{log.best_val_tar():.4f} at epoch {log.best_epoch}; checkpoints in {out_dir}")

@@ -23,6 +23,10 @@ import numpy as np
 from .checkpoint import atomic_open
 
 
+class NonFiniteScores(ValueError):
+    """A score that is not finite, refused by ``ScoreSet``."""
+
+
 @dataclass
 class ScoreSet:
     authentic: np.ndarray
@@ -35,8 +39,8 @@ class ScoreSet:
         for side in ("authentic", "imposter"):
             bad = np.count_nonzero(~np.isfinite(getattr(self, side)))
             if bad:
-                raise ValueError(f"{bad} of {getattr(self, side).size} {side} scores "
-                                 f"are not finite")
+                raise NonFiniteScores(f"{bad} of {getattr(self, side).size} {side} scores "
+                                      f"are not finite")
 
     def require_nonempty(self):
         if self.authentic.size == 0 or self.imposter.size == 0:
@@ -132,16 +136,10 @@ class ModelScorer:
     Scoring runs in float32 by default, from the model's float64 weights
     (training, which keeps float64 as its determinism reference, validates
     with ``dtype=np.float64``).  The bank runs once per distinct image
-    (``bank_features``); the matcher scores the pairs through
-    ``IrisMatchModel.pair_probabilities``: one chunk of pairs per tile of
-    reference images, the query images streamed through it.  Block 0 runs
-    once per distinct image and side of a chunk.  A half output that
-    several pairs read lives only from its first use to its last, and one
-    that a single pair reads is convolved into that pair's block-0 output,
-    never stored.  Sub-batches whose largest activation fits a byte budget
-    carry block 0 through the head.  ``match_probability`` takes the same
+    (``bank_features``), and ``IrisMatchModel.pair_probabilities`` batches
+    the pairs through the matcher.  ``match_probability`` takes the same
     path, so a pair scores bitwise the same through either at the same
-    dtype, whichever of its halves other pairs share."""
+    dtype."""
 
     higher_is_match = True
 

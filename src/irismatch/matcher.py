@@ -21,19 +21,17 @@ inputs; ``IrisMatchModel.pair_probabilities`` owns the batching of
 inference: one chunk of pairs per tile of reference images, the query
 images streamed through it, and within a chunk sub-batches whose largest
 activation fits ``_ACTIVATION_BUDGET``: one pair at 110x512 in either
-dtype, many at small geometries.  A half output that several rows of a
-chunk read is stored from the first of them to the last, so a tile's
-reference halves and one sub-batch's query halves fit ``_HALF_BUDGET`` (a
-tile has at least one reference image, whatever the budget).  A half that
-one row reads is never stored: it is convolved straight into that row's
-block-0 output, or added into it tile by tile, so a single pair (a
-``match`` request) holds one block-0-sized array, not its two halves and
-their sum.
+dtype, many at small geometries.  A half output is stored only while more
+rows of its chunk will read it (``PairFeatures``), so a tile's reference
+halves and one sub-batch's query halves fit ``_HALF_BUDGET`` (a tile has at
+least one reference image, whatever the budget), and a single pair (a
+``match`` request) holds one block-0-sized array.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -386,25 +384,20 @@ class PairFeatures:
     ``feats`` is the (N, 2F, H, W) array of bank features and ``pairs`` the
     (P, 2) (query, reference) rows of one chunk.  Block 0 (``first_conv``)
     convolves a query image with W_q plus the bias, and a reference image
-    with W_r, once.  A half that several rows of the chunk read is stored at
-    the first of them and dropped after the last; the ``rows`` views, the
-    chunk's sub-batches taken in order, share the stored halves.  A half
-    that one row reads is never stored: it is convolved into that row's
-    output.
+    with W_r, once.  Each image and side has a count of the rows of the
+    chunk that read it, shared by the ``rows`` views (the chunk's
+    sub-batches, taken in order) and counted down after each row.  A half
+    that more than one row reads is stored at the first of them and dropped
+    when its count reaches 0; a half that one row reads is never stored: it
+    is convolved into that row's output.
     """
 
     def __init__(self, feats, pairs):
         self.feats = feats
         self.pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        self._offset = 0              # of ``pairs`` within the chunk
-        # per side, image -> the last row of the chunk that reads it
-        self._last = [dict(zip(col.tolist(), range(len(col)))) for col in self.pairs.T]
-        # per side, the images one row of the chunk reads
-        self._single = []
-        for col in self.pairs.T:
-            images, readers = np.unique(col, return_counts=True)
-            self._single.append(images[readers == 1])
-        self._halves = ({}, {})       # per side, image -> stored half; shared by the views
+        # per side, image -> rows yet to read it, and image -> stored half
+        self._readers = [Counter(col) for col in self.pairs.T.tolist()]
+        self._halves = ({}, {})
 
     @property
     def shape(self):
@@ -414,31 +407,23 @@ class PairFeatures:
         """Pairs ``start:stop``."""
         view = copy.copy(self)
         view.pairs = self.pairs[start:stop]
-        view._offset = self._offset + start
         return view
 
     def first_conv(self, block):
         """``block``'s convolution of the pairs' concatenated features, with
         the bits of (W_q*f(q) + b) + W_r*f(r).
 
-        On each side, the images these rows read that several rows read and
-        that have no stored half yet are convolved in sorted order, in at
-        most two calls: one for those no later row reads, one for the rest.
-        A stored half is a view of its call's output, which lives until its
-        last half is dropped, so the halves dropped after these rows share
-        no array with those kept.
-
-        The rows then fall into four kinds by which of their halves one row
-        reads.  Rows with both halves stored are added into the output's
-        rows.  Each other kind is built in one array.  Where both halves
-        have one reader, the query half is convolved, with the bias, into it
-        and the reference half added into it tile by tile (``conv2d``'s
-        ``add_into``).  Where one half has one reader, that half is
-        convolved (the query half with the bias) and the other side's
-        stored half added row by row; the reference half may come first, as
-        IEEE addition commutes.  A sub-batch of one such kind, as a single
-        pair with a one-reader half, has that array as its output, so it
-        holds one block-0-sized array.
+        The halves these rows store are convolved first, on each side in
+        sorted order and in at most two calls: one for the images no later
+        row reads, one for the rest.  A stored half is a view of its call's
+        output, so the halves dropped after these rows share no array with
+        those kept.  Then each row is built on its own: the sum of two
+        stored halves, or its one-reader half convolved (the query's with
+        the bias) and the other half added into it, a stored one by ``+=``
+        and a one-reader reference half tile by tile (``conv2d``'s
+        ``add_into``); IEEE addition commutes, so the reference half may
+        come first.  One row's array is the output; several are
+        concatenated.
         """
         c = self.feats.shape[1]
         w = block.weight.data
@@ -449,44 +434,31 @@ class PairFeatures:
             return T.conv2d(Tensor(self.feats[images]), weight, bias, stride=block.spec.stride,
                             padding="zero", add_into=add_into).data
 
-        halves = self._halves
-        stop = self._offset + len(self.pairs)
-        one = [np.isin(col, single) for col, single in zip(self.pairs.T, self._single)]
-        for side in (0, 1):
-            built, last = halves[side], self._last[side]
-            new = [i for i in np.unique(self.pairs[~one[side], side]).tolist()
-                   if i not in built]
-            for group in ([i for i in new if last[i] < stop], [i for i in new if last[i] >= stop]):
-                if group:
-                    built.update(zip(group, conv(side, group)))
-        kind = one[0] + 2 * one[1]
-        kinds = np.unique(kind).tolist()
-        out = None
-        if kinds[0] == 0 or len(kinds) > 1:     # else the one kind's array is the output
-            (sh, sw), (h, wd) = block.spec.stride, self.feats.shape[2:]
-            out = np.empty((len(kind), len(w), (h - 1) // sh + 1, (wd - 1) // sw + 1),
-                           dtype=self.feats.dtype)
-        for k in kinds:
-            rows = np.flatnonzero(kind == k)
-            qs, rs = self.pairs[rows].T.tolist()
-            if k == 0:              # both halves stored: added into the output's rows
-                for row, q, r in zip(rows.tolist(), qs, rs):
-                    np.add(halves[0][q], halves[1][r], out=out[row])
-                continue
-            if k == 3:              # both halves have one reader
-                y = conv(0, qs)
-                conv(1, rs, add_into=y)
-            else:                   # kind 1: the query half has one reader; kind 2: the reference's
-                side, ends = k - 1, (qs, rs)
-                y = conv(side, ends[side])
-                for j, i in enumerate(ends[1 - side]):
-                    y[j] += halves[1 - side][i]
-            if out is None:
-                out = y
-            else:
-                out[rows] = y
+        readers, halves = self._readers, self._halves
         for side, col in enumerate(self.pairs.T.tolist()):
-            for i in col:
-                if self._last[side][i] < stop:
+            here = Counter(col)
+            new = sorted(i for i in here if i not in halves[side] and readers[side][i] > 1)
+            for group in ([i for i in new if readers[side][i] == here[i]],
+                          [i for i in new if readers[side][i] > here[i]]):
+                if group:
+                    halves[side].update(zip(group, conv(side, group)))
+        out = []
+        for q, r in self.pairs.tolist():
+            hq, hr = halves[0].get(q), halves[1].get(r)
+            if hq is not None and hr is not None:
+                y = np.add(hq, hr)[None]
+            elif hq is None:
+                y = conv(0, [q])
+                if hr is None:
+                    conv(1, [r], add_into=y)
+                else:
+                    y += hr
+            else:
+                y = conv(1, [r])
+                y += hq
+            out.append(y)
+            for side, i in enumerate((q, r)):
+                readers[side][i] -= 1
+                if not readers[side][i]:
                     halves[side].pop(i, None)
-        return Tensor(out)
+        return Tensor(out[0] if len(out) == 1 else np.concatenate(out))

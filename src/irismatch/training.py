@@ -42,7 +42,7 @@ from . import tensor as T
 from .blas import blas_core, blas_threads
 from .checkpoint import atomic_open, load_model, load_optimizer_state, save_model, save_optimizer
 from .data import enumerate_pairs, rebalance_epoch, rng_stream, split_train_val
-from .evaluation import ModelScorer, collect_scores, tar_at_far
+from .evaluation import ModelScorer, NonFiniteScores, collect_scores, tar_at_far
 from .matcher import IrisMatchModel, ModelConfig, pair_batch
 from .tensor import ShapeError, Tensor
 
@@ -166,9 +166,13 @@ class TrainLog:
 
 
 def _validation_tar(model, store, val_pairs, far):
-    scores = collect_scores(ModelScorer(model, np.float64), store, val_pairs)
-    tar, _ = tar_at_far(scores, far)
-    return tar
+    """TAR at ``far`` of the validation pairs' float64 scores, or None when a
+    score is not finite: the weights have diverged."""
+    try:
+        scores = collect_scores(ModelScorer(model, np.float64), store, val_pairs)
+    except NonFiniteScores:
+        return None
+    return tar_at_far(scores, far)[0]
 
 
 def _store_sha256(store):
@@ -244,9 +248,10 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
 
     With ``out_dir`` the run's files are written there (see the module
     docstring); with ``resume`` the run saved there continues up to
-    ``config.epochs``.  On divergence (non-finite loss) training stops, the
-    files are still written, and the best model so far is returned with
-    ``log.aborted`` set.
+    ``config.epochs``.  On divergence (a non-finite loss, or non-finite
+    validation scores after an epoch's last step) training stops, the epoch
+    gets no record, the files are still written, and the best model so far
+    is returned with ``log.aborted`` set.
     """
     config.validate()
     if resume and out_dir is None:
@@ -321,10 +326,11 @@ def train(store, config: TrainConfig, model_config: ModelConfig = None, out_dir=
             loss_sum += value * len(batch_pairs)
             n_seen += len(batch_pairs)
 
-        if log.aborted:
+        val_tar = None if log.aborted else _validation_tar(model, store, val_pairs,
+                                                           config.selection_far)
+        if val_tar is None:
+            log.aborted = True
             break
-
-        val_tar = _validation_tar(model, store, val_pairs, config.selection_far)
         log.records.append(EpochRecord(epoch, stage, loss_sum / max(n_seen, 1), val_tar,
                                        time.perf_counter() - t0))
         if log.best_epoch == epoch:

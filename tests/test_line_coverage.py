@@ -5,12 +5,13 @@ The session imports the package afresh under a ``sys.settrace`` line
 tracer (no coverage package is needed) and runs the command line the way a
 user would, on stores of 16x32 images: ``synth``; ``train`` and its
 ``--resume`` in each bank mode, once with no bank bias, once on a store
-with fewer imposter than authentic training pairs, and once from a last
-checkpoint gone non-finite; ``eval``, once on a store of another height;
-``match``, once on a PGM of another height; ``roc``, once as ``python -m
-irismatch.cli``; ``baseline``, on a store with a partly masked bitcode row;
-and one ``match`` at the paper's 110x512, whose convolutions are big enough
-to run in row tiles.
+with fewer imposter than authentic training pairs, once from a last
+checkpoint gone non-finite, and once at a learning rate whose first step
+makes the validation scores non-finite; ``eval``, once on a store of
+another height; ``match``, once on a PGM of another height; ``roc``, once
+as ``python -m irismatch.cli``; ``baseline``, on a store with a partly
+masked bitcode row; and one ``match`` at the paper's 110x512, whose
+convolutions are big enough to run in row tiles.
 
 A line that no command ran is reported, unless it is on an error path (a
 ``raise``, an ``except`` clause, or a block whose last statement raises)
@@ -273,6 +274,10 @@ def session(tmp):
     checkpoint.save_model(poisoned, os.path.join(run_dir, "last.ckpt"))
     assert run("train", "--data_dir", path("data"), "--out_dir", run_dir, "--seed", "1",
                "--epochs", "3", "--resume", "true") == 3
+    # at lr 1e100 the first epoch's one step overflows, so its validation scores are not finite
+    with pytest.warns(RuntimeWarning):
+        assert run("train", "--data_dir", path("data"), "--out_dir", path("diverged"),
+                   "--seed", "1", "--epochs", "2", "--lr", "1e100", "--batch_size", "512") == 3
 
     for data in ("data", "tall"):
         assert run("eval", "--checkpoint", ckpt, "--data_dir", path(data),

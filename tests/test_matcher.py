@@ -528,33 +528,38 @@ def test_float32_bank_features_bitwise_independent_of_chunk_full_geometry(monkey
         assert model.bank_features(images).data.tobytes() == want.tobytes(), chunk
 
 
-def record_block0_halves(monkeypatch, channels):
+def record_block0_halves(monkeypatch, channels, alive=None):
     """Wrap ``T.conv2d`` to follow block 0's half convolutions, those with
     ``channels`` input channels.  Returns (seen, live): seen lists each
     image convolved, as (side, its features' bytes), the query side being
     the one with the bias; live holds the number of images whose half
     convolution made an array that is alive now, and the most alive at once.
     Such an array holds stored halves, or the output of rows whose half one
-    row reads; a convolution added into an array (``add_into``) makes none."""
+    row reads; a convolution added into an array (``add_into``) makes none.
+    A set passed as ``alive`` holds the (side, bytes) of those images."""
     seen, live = [], [0, 0]
+    alive = set() if alive is None else alive
     conv2d = T.conv2d
 
-    def release(n):
-        live[0] -= n
+    def release(images):
+        live[0] -= len(images)
+        alive.difference_update(images)
 
     def recording(x, weight, bias=None, *args, **kwargs):
         out = conv2d(x, weight, bias, *args, **kwargs)
         if weight.shape[1] == channels:
             side = "query" if bias is not None else "reference"
-            seen.extend((side, img.tobytes()) for img in x.data)
+            images = [(side, img.tobytes()) for img in x.data]
+            seen.extend(images)
             if kwargs.get("add_into") is not None:
                 return out
-            live[0] += len(x.data)
+            live[0] += len(images)
             live[1] = max(live)
+            alive.update(images)
             owner = out.data
             while isinstance(owner.base, np.ndarray):
                 owner = owner.base
-            weakref.finalize(owner, release, len(x.data))
+            weakref.finalize(owner, release, images)
         return out
 
     monkeypatch.setattr(T, "conv2d", recording)
@@ -651,17 +656,25 @@ FOUR_KINDS = np.array([[0, 1], [0, 2], [3, 2], [4, 5]])
 @pytest.mark.parametrize("config,steps", [(ModelConfig(), (1,)),
                                           (ModelConfig.small(16, 32), (2, 3, 4))],
                          ids=["default", "small-16x32"])
-def test_first_conv_bitwise_equals_its_halves_added(config, steps, dtype):
+def test_first_conv_bitwise_equals_its_halves_added(config, steps, dtype, monkeypatch):
     """Stored or one-reader query half, times stored or one-reader reference
     half: each row of block 0's output is ``np.add`` of its halves, one pair
-    per sub-batch at 110x512 and sub-batches of several rows at 16x32."""
+    per sub-batch at 110x512 and sub-batches of several rows at 16x32.  The
+    halves that outlive their row, one pair per sub-batch, are those of
+    query 0 and reference 2, the images two rows read."""
     model = IrisMatchModel(config, rng=np.random.default_rng(104)).astype(dtype)
     images = np.random.default_rng(105).uniform(size=(6, config.height, config.width))
     feats = model.bank_features(images).data
-    assert [s.tolist() for s in PairFeatures(feats, FOUR_KINDS)._single] == [[3, 4], [1, 5]]
     want = [halves_added(model, feats, q, r) for q, r in FOUR_KINDS]
     block = model.matcher.blocks[0]
+    alive, stored = set(), set()
+    record_block0_halves(monkeypatch, model.bank.out_channels, alive)
     with T.no_grad():
+        x = PairFeatures(feats, FOUR_KINDS)
+        for lo in range(len(FOUR_KINDS)):
+            x.rows(lo, lo + 1).first_conv(block)
+            stored |= alive
+        assert stored == {("query", feats[0].tobytes()), ("reference", feats[2].tobytes())}
         for step in steps:
             x = PairFeatures(feats, FOUR_KINDS)
             got = np.concatenate([x.rows(lo, lo + step).first_conv(block).data
@@ -669,6 +682,34 @@ def test_first_conv_bitwise_equals_its_halves_added(config, steps, dtype):
             assert got.dtype == dtype
             for k, row in enumerate(want):
                 assert got[k:k + 1].tobytes() == row.tobytes(), (step, k)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_readers_in_other_sub_batches_share_one_half(step, monkeypatch):
+    """Each image of this chunk is read by two rows with another row between
+    them, in different sub-batches when ``step`` is 1 or 2: each image and
+    side is convolved once, every row is its halves added, no half outlives
+    the call, and at most 2 + ``step`` halves are alive at once, the bound
+    ``test_live_block0_halves_stay_within_the_half_budget`` sets for two
+    reference images and ``step`` pairs per sub-batch."""
+    chunk = np.array([[0, 1], [2, 1], [0, 3], [2, 3]])
+    model = IrisMatchModel(ModelConfig.small(16, 32), rng=np.random.default_rng(109))
+    feats = model.bank_features(np.random.default_rng(110).uniform(size=(4, 16, 32))).data
+    want = [halves_added(model, feats, q, r) for q, r in chunk]
+    block = model.matcher.blocks[0]
+    seen, live = record_block0_halves(monkeypatch, model.bank.out_channels)
+    with T.no_grad():
+        x = PairFeatures(feats, chunk)
+        got = np.concatenate([x.rows(lo, lo + step).first_conv(block).data
+                              for lo in range(0, len(chunk), step)])
+    assert sorted(seen) == sorted({(side, feats[i].tobytes())
+                                   for side, i in [("query", 0), ("query", 2),
+                                                   ("reference", 1), ("reference", 3)]})
+    for k, row in enumerate(want):
+        assert got[k:k + 1].tobytes() == row.tobytes(), k
+    del x
+    assert live[0] == 0
+    assert 2 <= live[1] <= 2 + step
 
 
 def test_one_pair_holds_one_block0_output_full_geometry():

@@ -314,6 +314,42 @@ def test_nan_parameters_abort_with_flag(tmp_path):
     assert (run / "best.ckpt").read_bytes() == best
 
 
+def test_non_finite_validation_scores_abort_with_flag(tmp_path):
+    """At lr 1e100 the epoch's one Adam step overflows two blocks: the loss
+    read before the step is finite, the validation scores after it are not.
+    Training stops with no record for that epoch, and the run's files are
+    written."""
+    config = ModelConfig(height=8, width=16, bank_kernels=((3, 3),),
+                         matcher_blocks=(ConvBlockSpec(4, (2, 2)),) * 2)
+    with pytest.warns(RuntimeWarning):
+        _, log = train(toy_store(), toy_train_config(lr=1e100, batch_size=512), config,
+                       tmp_path / "run")
+    assert log.aborted and log.records == []
+    state = json.loads((tmp_path / "run" / "train_state.json").read_text())
+    assert (state["next_epoch"], state["records"]) == (0, [])
+    assert max(state["steps"].values()) == 1        # the one step was taken
+    assert sorted(os.listdir(tmp_path / "run")) == ["best.ckpt", "last.ckpt", "last.optim",
+                                                    "log.csv", "train_state.json"]
+
+
+def test_cli_exits_3_when_validation_diverges(tmp_path, capsys):
+    from irismatch.cli import main
+    from irismatch.synthetic import write_store
+
+    write_store(toy_store(), tmp_path / "data")
+    run = tmp_path / "run"
+    with pytest.warns(RuntimeWarning):
+        code = main(["train", "--data_dir", str(tmp_path / "data"), "--out_dir", str(run),
+                     "--bank_kernels", "3x3", "--matcher_channels", "4,4",
+                     "--matcher_strides", "2,2", "--matcher_dropout", "0,0",
+                     "--batch_size", "512", "--lr", "1e100", "--epochs", "2", "--stage1_epochs", "1",
+                     "--selection_far", "0.25", "--seed", "1"])
+    assert code == 3
+    assert "training aborted: non-finite loss or validation scores" in capsys.readouterr().err
+    assert json.loads((run / "train_state.json").read_text())["records"] == []
+    assert (run / "best.ckpt").exists() and (run / "train_snapshot.cfg").exists()
+
+
 def test_epoch_class_balance():
     # every epoch stream holds N_p positives and N_p sampled negatives
     from irismatch.data import enumerate_pairs, split_train_val, rebalance_epoch, rng_stream
